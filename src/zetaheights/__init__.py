@@ -23,8 +23,7 @@ from .reports import BoundReport, SMembership
 from .towers import (FamilyConstants, PsiEstimates, Tower, build_tower,
                      bz_sum, family_constants, monotone_prime_sums,
                      psi_estimates, tower_corollary_report)
-from .zeta import (GammaFactor, ZeroList, ZetaEvaluator, completed_zeta,
-                   direct_series, get_evaluator, locate_zeros, residue_at_one,
-                   zero_statistics)
+from .zeta import (GammaFactor, ZeroList, ZetaEvaluator, direct_series,
+                   get_evaluator, locate_zeros, zero_statistics)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -103,10 +103,6 @@ def _trim(a):
     return a
 
 
-def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    return IntPolynomial(tuple(_mul(list(f.coefficients), list(g.coefficients))))
-
-
 def poly_divmod_exact(f: IntPolynomial, g: IntPolynomial):
     """Quotient/remainder over Q, requiring both to land back in Z[x]."""
     num = [Fraction(c) for c in f.coefficients]

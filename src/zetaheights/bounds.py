@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 
 from .algebra import IntPolynomial, height_profile, is_root_of_unity
-from .errors import DomainError, NotUniformSplittingError
+from .errors import DomainError
 from .explicit import (EULER_GAMMA, EXPONENTIAL, LOG_8PI,
                        archimedean_integrals, aux_functions, gaussian,
                        prime_side)
-from .fields import (NumberField, prime_splitting, splitting_table,
-                     variance_profile)
+from .fields import NumberField, splitting_table, uniform_splittings
 from .primes import sieve_primes
 from .reports import BoundReport, SMembership
 from .zeta import ZeroList, zero_statistics
@@ -239,18 +238,8 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
     n = K.n_K
     lhs = math.log(abs(K.poly_disc))
     terms = {}
-    p = 2
-    while p < n:
-        sp = prime_splitting(K, p)
-        degs = {ff for _, ff in sp.factors}
-        es = {e for e, _ in sp.factors}
-        if len(degs) != 1 or len(es) != 1:
-            raise NotUniformSplittingError(f"nonuniform splitting at p={p}")
-        f_p, e_p = degs.pop(), es.pop()
-        q = p ** f_p
-        if q < n:
-            terms[f"p={p}"] = (n * n / e_p) * (1.0 / (q + 1) - 1.0 / n) * math.log(p)
-        p = _next_prime(p)
+    for p, e_p, q in uniform_splittings(K, n):
+        terms[f"p={p}"] = (n * n / e_p) * (1.0 / (q + 1) - 1.0 / n) * math.log(p)
     if not terms:
         terms = {"empty_sum": 0.0}
     stats = zero_statistics(zeros, 2.0)
@@ -353,10 +342,3 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
                "grh_conditional": True},
     )
 
-
-def _next_prime(p):
-    from .primes import is_prime
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p

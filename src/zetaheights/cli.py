@@ -24,9 +24,9 @@ from .bounds import (corollary_S_check, disc_bound2_report, lehmer_grh_report,
 from .config import RunConfig, default_config, load_config
 from .errors import (ClosureFailureError, DomainError, IncompleteZeroSetError,
                      UsageError, ZeroPolynomialError, ZetaHeightsError)
-from .explicit import gaussian, identity_exponential, identity_gaussian
-from .fields import (build_number_field, dirichlet_coefficients,
-                     irreducibility_certificate, splitting_table)
+from .explicit import identity_exponential, identity_gaussian
+from .fields import (build_number_field, bz_disc_lower_bound,
+                     dirichlet_coefficients, splitting_table)
 from .table1 import verify_table1
 from .towers import (build_tower, bz_sum, family_constants,
                      monotone_prime_sums, psi_estimates, tower_corollary_report)
@@ -167,12 +167,6 @@ def _resolve_config(args) -> RunConfig:
 
 def _field_for(text: str):
     f = parse_polynomial(text)
-    cert = irreducibility_certificate(f)
-    if not cert.certified:
-        # fall back to the complete decision used by the field builder
-        from .fields import is_irreducible
-        if not is_irreducible(f):
-            raise DomainError(f"{text} is reducible: witness {cert.witness}")
     return f, build_number_field(f)
 
 
@@ -243,7 +237,6 @@ def _cmd_bound(args, config):
         print(json.dumps(res.to_dict(), sort_keys=True, indent=2))
         return EXIT_OK, art
     if args.theorem == "bz-disc":
-        from .fields import bz_disc_lower_bound
         report = bz_disc_lower_bound(f, K)
     else:
         ev = get_evaluator(K, config)
@@ -329,7 +322,7 @@ def _cmd_verify_table1(args, config):
         print(f"{status} {row['poly']}: logd_err={row['log_dK_error']:.2e} "
               f"N={row['N_K_2']}/{row['N_K_2_printed']} "
               f"col_err={row['column_error']:.2e} "
-              f"(tol {row['column_tolerance']:.0e}, {row['seconds']:.1f}s){note}")
+              f"(tol {row['column_tolerance']:.0e}){note}")
     code = EXIT_OK if summary["gate_passed"] else EXIT_CLOSURE
     print("gate:", "PASS" if summary["gate_passed"] else
           f"FAIL ({', '.join(summary['failures'])})")
@@ -344,9 +337,9 @@ def _cmd_identity(args, config):
                      {"poly": args.poly, "kernel": args.kernel, "y": args.y})
     try:
         if args.kernel == "exp":
-            ledger = identity_exponential(K, zl, config.prime_cutoff, ev)
+            ledger = identity_exponential(K, zl, config.prime_cutoff)
         else:
-            ledger = identity_gaussian(K, zl, args.y, config.prime_cutoff, ev)
+            ledger = identity_gaussian(K, zl, args.y, config.prime_cutoff)
     except ClosureFailureError as exc:
         art.add_json("identity-ledger", exc.payload)
         print(f"closure failure: {exc}", file=sys.stderr)

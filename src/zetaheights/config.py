@@ -48,7 +48,9 @@ class RunConfig:
         return self.direct_n_small if degree <= 2 else self.direct_n_large
 
     def cache_key(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        """The numerical fields: what a ZetaEvaluator depends on."""
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name not in ("output_dir", "format"))
 
     def digest(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}"

@@ -85,10 +85,8 @@ def hsw_window(n_K: int, log_dK: float, T: float) -> HswWindow:
     """Two-sided window for N_K(T) from the explicit counting bound."""
     if T < 1.0:
         raise DomainError("window requires T >= 1")
-    main = (T / math.pi) * (log_dK + n_K * math.log(T / (2.0 * math.pi * math.e)))
-    budget = (HSW_LOG_COEFF * (log_dK + n_K * math.log(T))
-              + HSW_DEGREE_COEFF * n_K + HSW_CONST)
-    return HswWindow(T=T, main_term=main, error_budget=budget)
+    return HswWindow(T=T, main_term=_counting_main(n_K, log_dK, T),
+                     error_budget=_counting_err(n_K, log_dK, T))
 
 
 def _counting_main(n_K, log_dK, t):
@@ -330,8 +328,7 @@ class IdentityLedger:
         }
 
 
-def identity_exponential(K: NumberField, zeros: ZeroList, X: int,
-                         evaluator=None) -> IdentityLedger:
+def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLedger:
     """Exponential-kernel identity: arithmetic side vs bracketed zero sum.
 
     arithmetic = log d_K - (2 - pi/2) r1 - (gamma + log 8pi - 2) n_K
@@ -390,7 +387,7 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int,
 
 
 def identity_gaussian(K: NumberField, zeros: ZeroList, y: float,
-                      X: int, evaluator=None) -> IdentityLedger:
+                      X: int) -> IdentityLedger:
     """Gaussian-kernel identity at parameter y, all integrals exact.
 
     log d_K/n_K = pi r1/(2 n_K) + (gamma + log 8pi) - exact integrals

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +19,11 @@ import numpy as np
 from . import intlinalg as la
 from . import modp
 from .algebra import (IntPolynomial, complex_roots, discriminant,
-                      squarefree_part, sturm_real_root_count)
+                      poly_divmod_exact, squarefree_part,
+                      sturm_real_root_count)
 from .errors import (DomainError, NotUniformSplittingError,
                      OverrideRequiredError)
-from .primes import factorize, prime_powers, sieve_primes
+from .primes import factorize, next_prime, prime_powers, sieve_primes
 from .reports import BoundReport
 
 _SPLIT_ATTEMPT_CAP = 60
@@ -30,7 +31,12 @@ _SPLIT_ATTEMPT_CAP = 60
 
 @dataclass(frozen=True)
 class NumberField:
-    """Degree, signature, index, discriminant and integral basis data."""
+    """Degree, signature, index, discriminant and integral basis data.
+
+    `state` holds what is computed about the field after it is built
+    (splitting shapes, coefficients, evaluators); it takes no part in
+    equality or repr.
+    """
 
     defining_poly: IntPolynomial
     n_K: int
@@ -40,6 +46,7 @@ class NumberField:
     index: int
     field_disc: int
     integral_basis: tuple  # rows of Fractions over the power basis
+    state: _FieldState = field(compare=False, repr=False)
 
     @property
     def abs_disc(self) -> int:
@@ -149,25 +156,12 @@ class _Order:
         if self._struct is not None:
             return self._struct
         n = self.n
-        inv = [la.solve_left_exact(self.basis, [1 if k == i else 0 for k in range(n)])
-               for i in range(n)]
-        # inv[i] solves x . basis = e_i, so coords(v) = sum v_i inv[i]
+        inv = _inverse_rows(self.basis)
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 w = self.mul_power_vectors(self.basis[i], self.basis[j])
-                coords = [Fraction(0)] * n
-                for k, wk in enumerate(w):
-                    if wk:
-                        for t in range(n):
-                            coords[t] += wk * inv[k][t]
-                vec = []
-                for c in coords:
-                    c = c / self.den
-                    assert c.denominator == 1, "order is not multiplicatively closed"
-                    vec.append(int(c))
-                table[i][j] = vec
-                table[j][i] = vec
+                table[i][j] = table[j][i] = _coords(inv, w, self.den)
         self._struct = table
         return table
 
@@ -178,18 +172,23 @@ class _Order:
         return d_self / d_other
 
 
-def _mul_mod_p(struct, u, v, p):
-    n = len(u)
-    out = [0] * n
-    for i in range(n):
-        ui = u[i]
-        if ui:
-            for j in range(n):
-                vj = v[j]
-                if vj:
-                    row = struct[i][j]
-                    for k in range(n):
-                        out[k] = (out[k] + ui * vj * row[k]) % p
+def _inverse_rows(m):
+    """Rows of m^{-1} over Q: row k gives the coordinates of e_k."""
+    return [la.solve_left_exact(m, e) for e in la.identity(len(m))]
+
+
+def _coords(inv_rows, w, den=1):
+    """Coordinates (w . inv_rows) / den, which must be integers."""
+    coords = [Fraction(0)] * len(w)
+    for k, wk in enumerate(w):
+        if wk:
+            for t in range(len(w)):
+                coords[t] += wk * inv_rows[k][t]
+    out = []
+    for c in coords:
+        c = c / den
+        assert c.denominator == 1, "coordinates are not integral"
+        out.append(int(c))
     return out
 
 
@@ -203,10 +202,11 @@ def _frobenius_matrix(struct, p, n):
         sq = base
         while e:
             if e & 1:
-                acc = sq if acc is None else _mul_mod_p(struct, acc, sq, p)
+                acc = sq if acc is None else [
+                    x % p for x in _mul_in_order(struct, acc, sq)]
             e >>= 1
             if e:
-                sq = _mul_mod_p(struct, sq, sq, p)
+                sq = [x % p for x in _mul_in_order(struct, sq, sq)]
         rows.append(acc)
     return rows
 
@@ -264,16 +264,14 @@ def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
         ideal_rows = [list(v) for v in rad] + [[p if i == j else 0 for j in range(n)]
                                               for i in range(n)]
         h = la.hnf(ideal_rows, n)
-        hinv = [la.solve_left_exact(h, [1 if k == i else 0 for k in range(n)])
-                for i in range(n)]
+        hinv = _inverse_rows(h)
         # rows i -> flattened coords of b_i * h_l in the ideal basis, mod p
         cond = []
         for i in range(n):
             row = []
             for l in range(n):
                 w = _mul_in_order(struct, [1 if k == i else 0 for k in range(n)], h[l])
-                coords = _coords_via_inverse(hinv, w)
-                row.extend(int(c) % p for c in coords)
+                row.extend(c % p for c in _coords(hinv, w))
             cond.append(row)
         kernel = la.nullspace_mod_p([[cond[i][c] for i in range(n)]
                                      for c in range(n * n)], p)
@@ -326,18 +324,6 @@ def _mul_in_order(struct, u, v):
     return out
 
 
-def _coords_via_inverse(inv_rows, w):
-    n = len(w)
-    coords = [Fraction(0)] * n
-    for k, wk in enumerate(w):
-        if wk:
-            for t in range(n):
-                coords[t] += wk * inv_rows[k][t]
-    for c in coords:
-        assert c.denominator == 1
-    return [int(c) for c in coords]
-
-
 # ----------------------------------------------------------------------
 # Irreducibility certificate
 # ----------------------------------------------------------------------
@@ -381,31 +367,28 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
             if mask == (1 | (1 << n)) and witness is None:
                 return IrreducibilityCertificate(
                     "certified_irreducible", degree_sums=(0, n))
-        p = _next_prime(p)
+        p = next_prime(p)
     sums = tuple(k for k in range(n + 1) if mask >> k & 1)
     return IrreducibilityCertificate("inconclusive", witness=witness, degree_sums=sums)
-
-
-def _next_prime(p):
-    from .primes import is_prime
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
 
 
 def is_irreducible(f: IntPolynomial) -> bool:
     """Complete irreducibility decision for monic f.
 
-    Fast path: the mod-p certificate. Fallback: screen every subset of
-    complex roots whose product polynomial has near-integer coefficients,
-    then confirm candidates by exact division, so the verdict never rests
-    on floating point alone.
+    Fast path: the mod-p certificate. Fallback: _rational_factor.
     """
-    if irreducibility_certificate(f).certified:
-        return True
+    return irreducibility_certificate(f).certified or _rational_factor(f) is None
+
+
+def _rational_factor(f: IntPolynomial):
+    """Texts of rational factors of f, or None when f is irreducible.
+
+    Screens every subset of complex roots whose product polynomial has
+    near-integer coefficients, then confirms candidates by exact division,
+    so the verdict never rests on floating point alone.
+    """
     if discriminant(f) == 0:
-        return False
+        return tuple(g.text() for g, _ in squarefree_part(f))
     n = f.degree
     rs = complex_roots(f, 1e-13)
     roots = list(rs.roots)
@@ -424,17 +407,13 @@ def is_irreducible(f: IntPolynomial) -> bool:
             if all(abs(c - r) < 1e-4 for c, r in zip(coeffs, rounded)):
                 candidate = IntPolynomial.from_coefficients(rounded)
                 try:
-                    _q, rem = poly_divmod_exact_checked(f, candidate)
+                    quot, rem = poly_divmod_exact(f, candidate)
                 except ValueError:
                     continue
                 if not rem:
-                    return False
-    return True
-
-
-def poly_divmod_exact_checked(f, g):
-    from .algebra import poly_divmod_exact
-    return poly_divmod_exact(f, g)
+                    return (candidate.text(),
+                            IntPolynomial.from_coefficients(quot).text())
+    return None
 
 
 def _integer_root_witness(f: IntPolynomial):
@@ -475,22 +454,27 @@ def _cofactor_text(f: IntPolynomial, root: int):
 # Building the field
 # ----------------------------------------------------------------------
 
-_FIELD_CACHE: dict = {}
+_FIELDS: dict = {}  # defining coefficients -> NumberField
 
 
 def build_number_field(f: IntPolynomial) -> NumberField:
     """Maximal order, signature, index and field discriminant of Q[x]/(f).
 
-    f must be monic; irreducibility is certified first (cheap) and a
-    DomainError raised if the certificate is inconclusive.
+    f must be monic and irreducible: the mod-p certificate runs first
+    (cheap), the complete decision only when it is inconclusive without a
+    witness, and a DomainError carrying the witness is raised for reducible f.
+    Fields are memoized by polynomial, so every caller shares one state.
     """
-    key = f.coefficients
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key].field
+    K = _FIELDS.get(f.coefficients)
+    if K is not None:
+        return K
     if not f.is_monic:
         raise DomainError("defining polynomial must be monic")
-    if not is_irreducible(f):
-        raise DomainError(f"{f.text()} is reducible over the rationals")
+    cert = irreducibility_certificate(f)
+    witness = cert.witness or (None if cert.certified else _rational_factor(f))
+    if witness is not None:
+        raise DomainError(f"{f.text()} is reducible over the rationals: "
+                          f"witness {witness}")
     n = f.degree
     poly_disc = discriminant(f)
     r1_exact = sturm_real_root_count(f)
@@ -502,11 +486,6 @@ def build_number_field(f: IntPolynomial) -> NumberField:
         assert r1 == r1_exact, "root-based signature disagrees with Sturm count"
     r2 = (n - r1) // 2
     assert r1 + 2 * r2 == n
-
-    if n == 1:
-        field = NumberField(f, 1, 1, 0, 1, 1, 1, ((Fraction(1),),))
-        _FIELD_CACHE[key] = _FieldData(field)
-        return field
 
     disc_factors = factorize(poly_disc)
     index = 1
@@ -546,37 +525,25 @@ def build_number_field(f: IntPolynomial) -> NumberField:
     assert (field_disc < 0) == (r2 % 2 == 1), "discriminant sign vs signature"
     integral_basis = tuple(
         tuple(Fraction(x, max_order.den) for x in row) for row in max_order.basis)
-    field = NumberField(f, n, r1, r2, poly_disc, index, field_disc, integral_basis)
-    data = _FieldData(field)
-    data.max_order = max_order
-    _FIELD_CACHE[key] = data
-    return field
+    K = NumberField(f, n, r1, r2, poly_disc, index, field_disc, integral_basis,
+                    _FieldState(max_order))
+    _FIELDS[f.coefficients] = K
+    return K
 
 
-class _FieldData:
-    """Per-field cache: max order, splitting shapes, coefficient arrays."""
+class _FieldState:
+    """Everything computed about one field after it is built: the maximal
+    order, splitting shapes, the coefficient array, and zeta evaluators."""
 
-    def __init__(self, field: NumberField):
-        self.field = field
-        self.max_order = None
-        self.shapes: dict = {}       # p -> tuple of (e, f) pairs
+    def __init__(self, max_order: _Order):
+        self.max_order = max_order
+        self.shapes: dict = {}         # p -> tuple of (e, f) pairs
         self.linear_counts: dict = {}  # p -> N_p for large good primes
         self.shape_limit = 0
-        self.bad_primes = None       # primes dividing the polynomial discriminant
-        self.coeff_array = None      # float64 a_n, 1-indexed via [n]
+        self.bad_primes = None         # primes dividing the polynomial discriminant
+        self.coeff_array = None        # float64 a_n, 1-indexed via [n]
         self.coeff_limit = 0
-
-    def order(self) -> _Order:
-        if self.max_order is None:
-            self.max_order = _Order(self.field.defining_poly)
-        return self.max_order
-
-
-def _field_data(K: NumberField) -> _FieldData:
-    key = K.defining_poly.coefficients
-    if key not in _FIELD_CACHE:
-        build_number_field(K.defining_poly)
-    return _FIELD_CACHE[key]
+        self.evaluators: dict = {}     # RunConfig.cache_key() -> ZetaEvaluator
 
 
 # ----------------------------------------------------------------------
@@ -595,25 +562,24 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     """
     if override and p in override:
         return PrimeSplitting(p, _forced_shape(override[p]))
-    data = _field_data(K)
-    if p in data.shapes:
-        return PrimeSplitting(p, data.shapes[p])
-    if K.index % p != 0:
-        shape = tuple(sorted((mult, d) for d, mult in
-                             modp.factor_shape_mod_p(K.defining_poly, p)))
-    else:
-        shape = _split_index_prime(K, data, p)
-    assert sum(e * f for e, f in shape) == K.n_K
-    data.shapes[p] = shape
-    return PrimeSplitting(p, shape)
+    shapes = K.state.shapes
+    if p not in shapes:
+        if K.index % p != 0:
+            shape = tuple(sorted((mult, d) for d, mult in
+                                 modp.factor_shape_mod_p(K.defining_poly, p)))
+        else:
+            shape = _split_index_prime(K, p)
+        assert sum(e * f for e, f in shape) == K.n_K
+        shapes[p] = shape
+    return PrimeSplitting(p, shapes[p])
 
 
 def _forced_shape(entry):
     return tuple(sorted(tuple(ef) for ef in entry))
 
 
-def _split_index_prime(K: NumberField, data: _FieldData, p: int):
-    order = data.order()
+def _split_index_prime(K: NumberField, p: int):
+    order = K.state.max_order
     n = K.n_K
     struct = order.structure_constants()
     rad = _radical_mod_p(struct, p, n)
@@ -641,36 +607,25 @@ def _split_semisimple(struct, rad, p, n):
     F_p coordinate rows of O/pO spanning the component's preimage together
     with the radical quotient structure).
     """
-    # complement of the radical inside O/pO
-    quotient_basis = _complement_basis(rad, p, n)
+    # complement of the radical inside O/pO: unit vectors off its pivots
+    _, rad_pivots = la.rref_mod_p(rad, p)
+    quotient_basis = [[1 if j == c else 0 for j in range(n)] for c in range(n)
+                      if c not in rad_pivots]
     rng = random.Random(zlib.crc32(repr((p, n, tuple(map(tuple, quotient_basis)))).encode()))
 
-    def project(vec, rad_rows, comp_rows):
-        # coords of vec in basis rad_rows + comp_rows; return comp part
-        full = rad_rows + comp_rows
-        sol = _solve_mod_p(full, vec, p)
-        return sol[len(rad_rows):]
-
     def algebra_mult(u_coords, v_coords, comp_rows):
-        n_c = len(comp_rows)
-        u = [0] * n
-        v = [0] * n
-        for i in range(n_c):
-            for j in range(n):
-                u[j] = (u[j] + u_coords[i] * comp_rows[i][j]) % p
-                v[j] = (v[j] + v_coords[i] * comp_rows[i][j]) % p
-        w = _mul_mod_p(struct, u, v, p)
-        return project(w, rad, comp_rows)
+        w = _mul_in_order(struct, _lift(u_coords, comp_rows, p),
+                          _lift(v_coords, comp_rows, p))
+        # coords of w in basis rad + comp_rows; return the comp part
+        full = rad + comp_rows
+        sol = la.solve_mod_p([list(col) for col in zip(*full)], w, p)
+        return sol[len(rad):]
 
     def split(comp_rows):
         dim = len(comp_rows)
         if dim == 1:
             return [comp_rows]
-        attempts = []
-        for i in range(dim):
-            e = [0] * dim
-            e[i] = 1
-            attempts.append(e)
+        attempts = la.identity(dim)
         for _ in range(_SPLIT_ATTEMPT_CAP):
             attempts.append([rng.randrange(p) for _ in range(dim)])
         for x in attempts:
@@ -697,161 +652,40 @@ def _split_semisimple(struct, rad, p, n):
     return split(quotient_basis)
 
 
-def _unit_rows(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _complement_basis(rad, p, n):
-    rows = [list(v) for v in rad]
-    pivots = set()
-    reduced = []
-    for row in rows:
-        row = row[:]
-        for pr, pc in reduced:
-            if row[pc]:
-                f = row[pc]
-                row = [(a - f * b) % p for a, b in zip(row, pr)]
-        for c in range(n):
-            if row[c]:
-                inv = pow(row[c], -1, p)
-                row = [a * inv % p for a in row]
-                reduced.append((row, c))
-                pivots.add(c)
-                break
-    return [[1 if j == c else 0 for j in range(n)] for c in range(n)
-            if c not in pivots]
-
-
-def _solve_mod_p(rows, vec, p):
-    """Coefficients c with sum c_i rows_i = vec over F_p."""
-    m = len(rows)
-    n = len(vec)
-    aug = [[rows[i][j] for i in range(m)] + [vec[j]] for j in range(n)]
-    # Gaussian elimination on the n x (m+1) system
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [0] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][m]
-    for i in range(r, n):
-        assert aug[i][m] % p == 0, "inconsistent projection"
-    return sol
+def _lift(coords, comp_rows, p):
+    """O/pO coordinates of the element with these coordinates in comp_rows."""
+    out = [0] * len(comp_rows[0])
+    for ci, row in zip(coords, comp_rows):
+        if ci:
+            out = [(a + ci * b) % p for a, b in zip(out, row)]
+    return out
 
 
 def _minimal_poly(x_coords, comp_rows, mult, p):
-    dim = len(comp_rows)
-    one = _solve_for_identity(comp_rows, mult, p)
-    vectors = [one]
-    power = one
+    """Monic minimal polynomial of x over F_p (ascending coefficients)."""
+    vectors = [_solve_for_identity(comp_rows, mult, p)]
     while True:
-        power = mult(power, x_coords, comp_rows)
-        rel = _dependency(vectors + [power], p)
-        if rel is not None:
-            return rel
-        vectors.append(power)
-        assert len(vectors) <= dim + 1
+        power = mult(vectors[-1], x_coords, comp_rows)
+        try:
+            coeffs = la.solve_mod_p([list(col) for col in zip(*vectors)], power, p)
+        except ValueError:  # x^k is independent of the lower powers
+            vectors.append(power)
+            assert len(vectors) <= len(comp_rows)
+            continue
+        return [(-c) % p for c in coeffs] + [1]
 
 
 def _solve_for_identity(comp_rows, mult, p):
     """Coordinates of the multiplicative identity of the component."""
-    dim = len(comp_rows)
-    # solve e * b_i = b_i for all i: stack linear systems
-    rows = []
-    rhs = []
-    for i in range(dim):
-        basis_vec = [0] * dim
-        basis_vec[i] = 1
-        cols = []
-        for j in range(dim):
-            ej = [0] * dim
-            ej[j] = 1
-            cols.append(mult(ej, basis_vec, comp_rows))
-        for slot in range(dim):
-            rows.append([cols[j][slot] for j in range(dim)])
-            rhs.append(basis_vec[slot])
-    sol = _solve_linear_mod_p(rows, rhs, p)
-    return sol
-
-
-def _solve_linear_mod_p(rows, rhs, p):
-    m = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [0] * m
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][m]
-    return sol
-
-
-def _dependency(vectors, p):
-    """If the last vector depends on the previous ones, return the monic
-    polynomial relation coefficients (ascending); else None."""
-    k = len(vectors) - 1
-    dim = len(vectors[0])
-    rows = [[vectors[i][j] for i in range(k)] + [vectors[k][j]] for j in range(dim)]
-    piv_cols = []
-    r = 0
-    aug = rows
-    for c in range(k):
-        piv = None
-        for i in range(r, dim):
-            if aug[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if aug[i][k] % p:
-            return None  # independent
-    coeffs = [0] * k
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = aug[i][k]
-    rel = [(-c) % p for c in coeffs] + [1]
-    return modp.trim(rel) if rel[-1] else rel
+    units = la.identity(len(comp_rows))
+    # solve e * b_i = b_i for all i: one equation per coordinate slot
+    rows, rhs = [], []
+    for b in units:
+        cols = [mult(e, b, comp_rows) for e in units]
+        for slot, target in enumerate(b):
+            rows.append([col[slot] for col in cols])
+            rhs.append(target)
+    return la.solve_mod_p(rows, rhs, p)
 
 
 def _factor_list(mu, p, rng):
@@ -892,38 +726,10 @@ def _eval_poly_in_algebra(poly, x_coords, comp_rows, mult, p):
 
 
 def _idempotent_image(idem, comp_rows, mult, p):
-    dim = len(comp_rows)
-    images = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        images.append(mult(idem, e, comp_rows))
-    # row-reduce to a basis of the image, expressed in O/pO coordinates
-    n = len(comp_rows[0])
-    rows = []
-    for img in images:
-        vec = [0] * n
-        for i, ci in enumerate(img):
-            if ci:
-                for j in range(n):
-                    vec[j] = (vec[j] + ci * comp_rows[i][j]) % p
-        rows.append(vec)
-    basis = []
-    reduced = []
-    for row in rows:
-        row = row[:]
-        for pr, pc in reduced:
-            if row[pc]:
-                f = row[pc]
-                row = [(a - f * b) % p for a, b in zip(row, pr)]
-        for c in range(n):
-            if row[c]:
-                inv = pow(row[c], -1, p)
-                row = [a * inv % p for a in row]
-                reduced.append((row, c))
-                basis.append(row)
-                break
-    return basis
+    """Basis of idem times the component, in O/pO coordinates."""
+    images = [_lift(mult(idem, e, comp_rows), comp_rows, p)
+              for e in la.identity(len(comp_rows))]
+    return la.rref_mod_p(images, p)[0]
 
 
 def _ramification_index(order, struct, rad, components, comp, p, n):
@@ -973,53 +779,53 @@ def _ensure_shapes(K: NumberField, limit: int, override=None):
     left to the override: above an index divisor the true computation may
     be what the override is there to avoid.
     """
-    data = _field_data(K)
+    state = K.state
     f = K.defining_poly
-    if data.bad_primes is None:
-        data.bad_primes = sorted(factorize(K.poly_disc * f.leading))
-    for p in data.bad_primes:
+    if state.bad_primes is None:
+        state.bad_primes = sorted(factorize(K.poly_disc * f.leading))
+    for p in state.bad_primes:
         if p <= limit and not (override and p in override):
             prime_splitting(K, p)
-    if data.shape_limit >= limit:
-        return data
-    bad = set(data.bad_primes)
+    if state.shape_limit >= limit:
+        return state
+    bad = set(state.bad_primes)
     plist = sieve_primes(limit).tolist()
     small_cut = max(int(limit ** 0.5) + 1, 1000)
     small = [p for p in plist if p not in bad and p <= small_cut
-             and p not in data.shapes]
+             and p not in state.shapes]
     large = np.array([p for p in plist
                       if p not in bad and p > small_cut
-                      and p > data.shape_limit and p not in data.shapes],
+                      and p > state.shape_limit and p not in state.shapes],
                      dtype=np.int64)
     for p in small:
-        data.shapes[p] = tuple(sorted((mult, d) for d, mult in
-                                      modp.factor_shape_mod_p(f, p)))
+        state.shapes[p] = tuple(sorted((mult, d) for d, mult in
+                                       modp.factor_shape_mod_p(f, p)))
     if len(large):
         counts = modp.batch_root_counts(f, large)
         for p, c in zip(large.tolist(), counts.tolist()):
-            data.linear_counts[p] = int(c)
-    data.shape_limit = limit
-    return data
+            state.linear_counts[p] = int(c)
+    state.shape_limit = limit
+    return state
 
 
-def _shape_for(data, p, override):
+def _shape_for(state, p, override):
     """Shape of p with the override laid over the cache; None when only the
     linear count is known."""
     if override and p in override:
         return _forced_shape(override[p])
-    return data.shapes.get(p)
+    return state.shapes.get(p)
 
 
-def _norm_counts_for(data, p, override=None):
+def _norm_counts_for(state, p, override=None):
     """dict f -> N_{p^f} for one prime, from whichever cache layer has it."""
-    shape = _shape_for(data, p, override)
+    shape = _shape_for(state, p, override)
     if shape is not None:
         out = {}
         for e, f in shape:
             out[f] = out.get(f, 0) + 1
         return out
-    if p in data.linear_counts:
-        return {1: data.linear_counts[p]}
+    if p in state.linear_counts:
+        return {1: state.linear_counts[p]}
     raise KeyError(p)
 
 
@@ -1031,10 +837,10 @@ def splitting_table(K: NumberField, X: int, override=None) -> SplittingTable:
     """
     if X < 2:
         raise DomainError("cutoff must be >= 2")
-    data = _ensure_shapes(K, X, override)
+    state = _ensure_shapes(K, X, override)
     counts = {}
     for q, p, k in prime_powers(X):
-        counts[q] = _norm_counts_for(data, p, override).get(k, 0)
+        counts[q] = _norm_counts_for(state, p, override).get(k, 0)
     return SplittingTable(cutoff=X, counts=counts)
 
 
@@ -1053,10 +859,10 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     Only the override-free array is cached; with an override the array is
     built afresh from the cached shapes with the forced ones laid over them.
     """
-    data = _field_data(K)
-    if (not override and data.coeff_array is not None
-            and data.coeff_limit >= N):
-        return data.coeff_array[: N + 1]
+    state = K.state
+    if (not override and state.coeff_array is not None
+            and state.coeff_limit >= N):
+        return state.coeff_array[: N + 1]
     _ensure_shapes(K, N, override)
     a = np.zeros(N + 1, dtype=np.float64)
     a[1] = 1.0
@@ -1065,7 +871,7 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
         kmax = 1
         while p ** (kmax + 1) <= N:
             kmax += 1
-        shape = _shape_for(data, p, override)
+        shape = _shape_for(state, p, override)
         if shape is not None:
             c = [1.0] + [0.0] * kmax
             for _e, f in shape:
@@ -1075,7 +881,7 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
                     c[k] += c[k - f]
         else:
             # only the linear count is known; p^2 > N so only c_1 matters
-            c = [1.0, float(data.linear_counts[p])]
+            c = [1.0, float(state.linear_counts[p])]
         idx = np.arange(1, N // p + 1)
         idx = idx[idx % p != 0]
         base_vals = a[idx]
@@ -1088,8 +894,8 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
             pk *= p
             k += 1
     if not override:
-        data.coeff_array = a
-        data.coeff_limit = N
+        state.coeff_array = a
+        state.coeff_limit = N
     return a
 
 
@@ -1131,31 +937,38 @@ def variance_profile(f: IntPolynomial, K: NumberField, p: int) -> VarianceProfil
     return VarianceProfile(q=q, e_p=e_p, f_p=f_p, V_p=v_p, bz_term=bz_term)
 
 
+def uniform_splittings(K: NumberField, m: int):
+    """(p, e_p, q = p^{f_p}) for each prime p < m with q < m.
+
+    Every prime p < m must split uniformly (one e_p and one f_p), else
+    NotUniformSplittingError.
+    """
+    p = 2
+    while p < m:
+        factors = prime_splitting(K, p).factors
+        if len(set(factors)) != 1:
+            raise NotUniformSplittingError(f"nonuniform splitting at p={p}")
+        e_p, f_p = factors[0]
+        q = p ** f_p
+        if q < m:
+            yield p, e_p, q
+        p = next_prime(p)
+
+
 def bz_disc_lower_bound(f: IntPolynomial, K: NumberField) -> BoundReport:
     """log|D(f)| against the splitting-variance sum over q = p^{f_p} < m."""
     m = f.degree
     lhs = math.log(abs(K.poly_disc))
     terms = {}
     flags = []
-    p = 2
-    while p < m:
-        sp = prime_splitting(K, p)
-        degs = {ff for _, ff in sp.factors}
-        es = {e for e, _ in sp.factors}
-        if len(degs) != 1 or len(es) != 1:
-            raise NotUniformSplittingError(f"nonuniform splitting at p={p}")
-        f_p = degs.pop()
-        e_p = es.pop()
-        q = p ** f_p
-        if q < m:
-            if K.index % p != 0:
-                vp = variance_profile(f, K, p)
-                terms[f"p={p}"] = m * m * vp.bz_term
-            else:
-                term = (1.0 / (q + 1) - 1.0 / m) * math.log(p) / e_p
-                terms[f"p={p}"] = m * m * term
-                flags.append(p)
-        p = _next_prime(p)
+    for p, e_p, q in uniform_splittings(K, m):
+        if K.index % p != 0:
+            vp = variance_profile(f, K, p)
+            terms[f"p={p}"] = m * m * vp.bz_term
+        else:
+            term = (1.0 / (q + 1) - 1.0 / m) * math.log(p) / e_p
+            terms[f"p={p}"] = m * m * term
+            flags.append(p)
     report = BoundReport(
         theorem_id="splitting-variance-disc-bound",
         lhs=lhs,

@@ -131,40 +131,62 @@ def lattice_contains(basis_hnf, v):
     return all(x == 0 for x in v)
 
 
-def nullspace_mod_p(m, p):
-    """Basis of the right nullspace of matrix m over F_p (rows of output)."""
-    if not m:
-        return []
-    rows = len(m)
-    cols = len(m[0])
-    a = [[x % p for x in row] for row in m]
+def rref_mod_p(rows, p):
+    """Reduced row echelon form over F_p: (reduced_rows, pivot_cols).
+
+    reduced_rows are the nonzero rows of the RREF of `rows`, in pivot order;
+    each has a 1 at its pivot column and 0 at every other pivot column.
+    """
+    a = [[x % p for x in row] for row in rows]
+    cols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] % p:
-                piv = i
-                break
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = pow(a[r][c], -1, p)
         a[r] = [x * inv % p for x in a[r]]
-        for i in range(rows):
+        for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return a[:r], pivots
+
+
+def nullspace_mod_p(m, p):
+    """Basis of the right nullspace of matrix m over F_p (rows of output)."""
+    if not m:
+        return []
+    reduced, pivots = rref_mod_p(m, p)
+    cols = len(m[0])
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         vec = [0] * cols
         vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-a[i][fc]) % p
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = (-row[fc]) % p
         basis.append(vec)
     return basis
+
+
+def solve_mod_p(rows, rhs, p):
+    """One x with sum_j rows[i][j] x_j = rhs[i] over F_p (free variables 0).
+
+    Raises ValueError when the system is inconsistent.
+    """
+    reduced, pivots = rref_mod_p([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    m = len(rows[0])
+    if pivots and pivots[-1] == m:
+        raise ValueError("inconsistent system")
+    x = [0] * m
+    for row, c in zip(reduced, pivots):
+        x[c] = row[m]
+    return x

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import IntPolynomial
 from .errors import LeadingCoeffVanishesError
-from .primes import jacobi, sieve_primes
+from .primes import jacobi
 
 
 def reduce_mod(f: IntPolynomial, p: int):
@@ -304,32 +304,3 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, chunk: int = 200_000
             counts[start + i] = _root_count_from_power(pwl[i], fml[i], p)
     return counts
 
-
-def splitting_shapes(f: IntPolynomial, limit: int):
-    """(e, f)-shape data for all good primes <= limit, Dedekind-style.
-
-    Returns (shapes, bad_primes): shapes maps p -> sorted tuple of (e_i, f_i)
-    for primes not dividing lc(f)*disc(f); bad primes (dividing lc or disc)
-    are left for the exact path.
-    """
-    from .algebra import discriminant
-    bad = set()
-    disc = discriminant(f) * f.leading
-    primes = sieve_primes(limit)
-    good_mask = np.ones(len(primes), dtype=bool)
-    for i, p in enumerate(primes.tolist()):
-        if disc % p == 0:
-            bad.add(p)
-            good_mask[i] = False
-    shapes = {}
-    good = primes[good_mask]
-    # full shape only needed where p^2 <= limit; above that only root counts
-    small_cut = int(limit ** 0.5) + 1
-    small = good[good <= small_cut]
-    large = good[good > small_cut]
-    for p in small.tolist():
-        shapes[p] = tuple((1, d) for d, _ in factor_shape_mod_p(f, p))
-    counts = batch_root_counts(f, large)
-    for p, c in zip(large.tolist(), counts.tolist()):
-        shapes[p] = ("linear_count", int(c))
-    return shapes, sorted(bad)

@@ -59,6 +59,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def next_prime(p: int) -> int:
+    """The least prime above p."""
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
 def _pollard_rho(n: int, seed: int) -> int:
     """Brent-cycle Pollard rho; returns a nontrivial factor or 0 on budget."""
     if n % 2 == 0:

@@ -10,7 +10,6 @@ stretch rows, which are excluded from the default gate).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .algebra import parse_polynomial
@@ -65,7 +64,6 @@ class RowResult:
     column: float
     column_printed: float
     column_tolerance: float
-    seconds: float
     known_discrepancy: str | None = None
 
     @property
@@ -99,7 +97,6 @@ class RowResult:
             "column_error": abs(self.column - self.column_printed),
             "column_tolerance": self.column_tolerance,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "known_discrepancy": self.known_discrepancy,
         }
 
@@ -107,7 +104,6 @@ class RowResult:
 def verify_row(poly_text: str, config: RunConfig | None = None) -> RowResult:
     printed = {row[0]: row for row in ROWS}[poly_text]
     config = config or default_config()
-    t0 = time.time()
     f = parse_polynomial(poly_text)
     K = build_number_field(f)
     ev = get_evaluator(K, config)
@@ -125,7 +121,6 @@ def verify_row(poly_text: str, config: RunConfig | None = None) -> RowResult:
         column=column,
         column_printed=float(printed[2]),
         column_tolerance=column_tolerance(K.n_K),
-        seconds=time.time() - t0,
         known_discrepancy=KNOWN_DISCREPANCIES.get(poly_text),
     )
 

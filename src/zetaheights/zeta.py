@@ -247,6 +247,8 @@ class ZetaEvaluator:
 
     @property
     def residue(self) -> float:
+        """Residue of zeta_K at s = 1, solved from the AFE at s = 2 and
+        checked at s = 3 to 1e-8 relative (InconsistentResidueError)."""
         if self._residue is None:
             self._solve_residue()
         return self._residue
@@ -297,14 +299,13 @@ class ZetaEvaluator:
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-_EVALUATOR_CACHE: dict = {}
-
-
 def get_evaluator(K: NumberField, config: RunConfig | None = None) -> ZetaEvaluator:
-    key = (K.defining_poly.coefficients, (config or default_config()).cache_key())
-    if key not in _EVALUATOR_CACHE:
-        _EVALUATOR_CACHE[key] = ZetaEvaluator(K, config)
-    return _EVALUATOR_CACHE[key]
+    """The field's evaluator for this config, built once per numerical config."""
+    cache = K.state.evaluators
+    key = (config or default_config()).cache_key()
+    if key not in cache:
+        cache[key] = ZetaEvaluator(K, config)
+    return cache[key]
 
 
 # ----------------------------------------------------------------------
@@ -342,20 +343,6 @@ def direct_series(K: NumberField, s: complex, N: int) -> SeriesValue:
                   * N ** (1.0 - sigma) / (sigma - 1.0))
     return SeriesValue(value=value + correction, tail_bound=tail_bound,
                        correction=abs(correction))
-
-
-def residue_at_one(ev: ZetaEvaluator) -> float:
-    """Residue of zeta_K at s = 1, solved from the AFE at s = 2.
-
-    Consistency is verified at s = 3 to 1e-8 relative before accepting;
-    InconsistentResidueError signals an over-aggressive truncation.
-    """
-    return ev.residue
-
-
-def completed_zeta(ev: ZetaEvaluator, s: complex) -> complex:
-    """S(s) = s(s-1) |d|^{s/2} Gamma_R^{r1} Gamma_C^{r2} zeta_K(s), entire."""
-    return ev.completed(s)
 
 
 # ----------------------------------------------------------------------
@@ -439,8 +426,7 @@ def _completeness_checks(ev: ZetaEvaluator, zl: ZeroList, run_closure: bool):
     ok = ok and in_window
     if run_closure and zl.T >= 2.0:
         try:
-            ledger = identity_exponential(K, zl, ev.config.prime_cutoff,
-                                          evaluator=ev)
+            ledger = identity_exponential(K, zl, ev.config.prime_cutoff)
             report["closure"] = {"arithmetic": ledger.arithmetic_side,
                                  "bracket": ledger.zero_side_bracket}
         except ClosureFailureError as exc:

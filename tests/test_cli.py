@@ -110,6 +110,19 @@ def test_artifacts_deterministic(tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+def test_verify_table1_deterministic(tmp_path, capsys, monkeypatch):
+    from zetaheights import table1
+    monkeypatch.setattr(table1, "ROWS", table1.ROWS[:1])  # x^3+18*x^2+312
+    out = tmp_path / "t"
+    digests = []
+    for _ in range(2):
+        assert main(["verify-table1", "--output-dir", str(out)]) == 0
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in sorted(out.iterdir())})
+    assert digests[0] == digests[1]
+    assert "table1-verification.json" in digests[0]
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "zh.conf"
     cfg.write_text("scan_step = 0.02\nprime_cutoff = 100000\n")

@@ -85,7 +85,7 @@ def IntPoly_nonmonic():
 
 def test_reducible_rejected():
     for bad in ("x^2-1", "x^4+4", "x^6+1"):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="reducible .*witness"):
             build_number_field(P(bad))
 
 
@@ -116,6 +116,14 @@ def test_prime_splitting_dedekind_index_field():
 
 
 def test_prime_splitting_ramified_index_prime():
+    # index divisors of the reference-table fields (sympy's prime_decomp
+    # cannot serve as the oracle: it fails at 7 for x^3+18x^2+312)
+    for text, p, shape in (("x^3+18*x^2+312", 2, ((1, 3),)),
+                           ("x^3+18*x^2+312", 7, ((1, 1), (1, 2))),
+                           ("x^4+18*x^2+60", 2, ((2, 2),))):
+        K = build_number_field(P(text))
+        assert K.index % p == 0
+        assert prime_splitting(K, p).factors == shape, (text, p)
     K = build_number_field(P("x^4+3*x^2+1650"))
     assert K.index == 845  # 5 * 13^2
     assert prime_splitting(K, 13).factors == ((2, 2),)
@@ -167,9 +175,9 @@ def test_override_stands_in_for_an_index_prime(monkeypatch):
     """The escape hatch: an index-divisor prime whose splitting cannot be
     computed still has tables and coefficients when the override names it."""
     from zetaheights import fields
-    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    monkeypatch.setattr(fields, "_FIELDS", {})
 
-    def unsplittable(K, data, p):
+    def unsplittable(K, p):
         raise OverrideRequiredError(p)
 
     monkeypatch.setattr(fields, "_split_index_prime", unsplittable)

@@ -178,6 +178,15 @@ def test_evaluator_diagnostics_truncation(ctx):
     assert ev.residue > 0
 
 
+def test_evaluator_cache_ignores_output_settings(ctx):
+    from zetaheights import get_evaluator
+    from zetaheights.config import RunConfig
+    K = ctx.field("x^2+1")
+    ev = get_evaluator(K, RunConfig(output_dir="a"))
+    assert get_evaluator(K, RunConfig(output_dir="b", format="csv")) is ev
+    assert get_evaluator(K, RunConfig(output_dir="a", scan_step=0.02)) is not ev
+
+
 def test_grid_miss_beyond_height(ctx):
     from zetaheights.errors import GridMissError
     with pytest.raises(GridMissError):
