@@ -14,7 +14,8 @@ from .explicit import (archimedean_integrals, aux_functions, gaussian,
 from .fields import (DirichletCoefficients, NumberField, PrimeSplitting,
                      SplittingTable, build_number_field, bz_disc_lower_bound,
                      dirichlet_coefficients, irreducibility_certificate,
-                     prime_splitting, splitting_table, variance_profile)
+                     norm_counts, prime_splitting, splitting_table,
+                     variance_profile)
 from .modp import factor_mod_p
 from .bounds import (corollary_S_check, disc_bound2_report, lehmer_grh_report,
                      northcott_report, uncond_membership,

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .algebra import IntPolynomial, height_profile, is_root_of_unity
 from .errors import DomainError
 from .explicit import (EULER_GAMMA, EXPONENTIAL, LOG_8PI,
-                       archimedean_integrals, aux_functions, gaussian,
-                       prime_side)
-from .fields import NumberField, splitting_table, uniform_splittings
+                       archimedean_integrals, aux_functions, density_tail,
+                       gaussian, prime_side, single_m_prime_sum)
+from .fields import NumberField, norm_counts, uniform_splittings
 from .primes import sieve_primes
 from .reports import BoundReport, SMembership
 from .zeta import ZeroList, zero_statistics
@@ -29,19 +31,6 @@ C2_BOUND = 9.3572
 LEMMA46_CONST = 1.808
 LEMMA46_LOGD = 0.548
 LEMMA46_DEGREE = 0.309
-
-
-def _gaussian_prime_sum_single(K: NumberField, X: int, y: float = Y_STAR):
-    """sum_q N_q (log q / sqrt q) e^{-y log^2 q} with a density tail estimate."""
-    table = splitting_table(K, X)
-    total = math.fsum(c * math.log(q) / math.sqrt(q)
-                      * math.exp(-y * math.log(q) ** 2)
-                      for q, c in table.counts.items() if c)
-    from scipy.integrate import quad
-    lx = math.log(X)
-    u_max = (0.5 + math.sqrt(0.25 + 4.0 * y * 300.0)) / (2.0 * y) + lx
-    tail, _ = quad(lambda u: math.exp(0.5 * u - y * u * u), lx, u_max)
-    return total + tail
 
 
 def lehmer_grh_report(f: IntPolynomial, K: NumberField,
@@ -109,17 +98,18 @@ def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
         candidates = [y for y in range(int(math.floor(y_low)) + 1,
                                        int(math.ceil(y_high)))
                       if y_low < y < y_high]
+    # N_p for every prime up to the largest candidate, read once
+    top = max(candidates, default=2)
+    primes = sieve_primes(top)
+    if table is not None:
+        n_p = np.array([table.counts.get(p, 0) for p in primes.tolist()])
+    else:
+        q, n_q = norm_counts(K, max(top, 2))
+        n_p = n_q[np.searchsorted(q, primes)]
     for Y_try in candidates:
-        primes = [int(p) for p in sieve_primes(Y_try)]
-        if not primes:
-            continue
-        if table is not None:
-            counts = {p: table.counts.get(p, 0) for p in primes}
-        else:
-            tab = splitting_table(K, max(Y_try, 2))
-            counts = {p: tab.counts.get(p, 0) for p in primes}
-        quals = tuple(p for p in primes if counts[p] > delta * n)
-        if quals and len(quals) >= epsilon * len(primes):
+        k = int(np.searchsorted(primes, Y_try, side="right"))  # pi(Y_try)
+        quals = tuple(primes[:k][n_p[:k] > delta * n].tolist())
+        if quals and len(quals) >= epsilon * k:
             witness = Y_try
             qualifying = quals
             break
@@ -151,7 +141,8 @@ def northcott_report(K: NumberField, zeros: ZeroList,
     stats1 = zero_statistics(zeros, 1.0)
     y = Y_STAR
     aux = aux_functions(y)
-    prime_single = _gaussian_prime_sum_single(K, X, y)
+    prime_single = (single_m_prime_sum(K, gaussian(y), X)
+                    + density_tail(gaussian(y), X))
     terms_a = {
         "constant": 2.0,
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N / n,
@@ -207,7 +198,8 @@ def corollary_S_check(f: IntPolynomial, K: NumberField, zeros: ZeroList,
         raise DomainError("zeros must be located at least to T = 1")
     n = K.n_K
     stats1 = zero_statistics(zeros, 1.0)
-    prime_single = _gaussian_prime_sum_single(K, X, Y_STAR)
+    prime_single = (single_m_prime_sum(K, gaussian(Y_STAR), X)
+                    + density_tail(gaussian(Y_STAR), X))
     lhs_terms = {
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N,
         "prime_term": 2.0 * prime_single,
@@ -312,11 +304,8 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
                          for t in zeros.ordinates if t < 2.0)
     if zeros.zero_at_origin:
         zero_sum += 1.0 - 1.0 / n
-    prime_sum = 0.0
-    table = splitting_table(K, max(2, int(logn)))
-    for q, c in table.counts.items():
-        if q <= logn and c:
-            prime_sum += (c / n) * math.log(q) / math.sqrt(q)
+    q, c = norm_counts(K, int(logn))
+    prime_sum = math.fsum(((c / n) * np.log(q) / np.sqrt(q)).tolist())
     terms = {
         "euler_log8pi": EULER_GAMMA + LOG_8PI,
         "zero_term": math.sqrt(math.pi * logn) / n * zero_sum,

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from .errors import ClosureFailureError, DomainError, QuadratureFailureError
-from .fields import NumberField, splitting_table
+from .fields import NumberField, norm_counts
 from .zeta import ZeroList
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -199,6 +199,13 @@ def _kernel_msum(kind: TestFunctionKind, qs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _nonzero_counts(K: NumberField, X: int):
+    """The prime powers q <= X with N_q(K) > 0, and those N_q, as floats."""
+    q, n = norm_counts(K, X)
+    keep = n > 0
+    return q[keep].astype(float), n[keep].astype(float)
+
+
 def prime_side(K: NumberField, kind: TestFunctionKind, X: int) -> PrimeSideResult:
     """2 sum_{q<=X} N_q(K) log q sum_m q^{-m/2} F(m log q), with tails.
 
@@ -206,22 +213,39 @@ def prime_side(K: NumberField, kind: TestFunctionKind, X: int) -> PrimeSideResul
     tail_estimate replaces the prime-counting measure by its density
     (theta_K(x) ~ x), which is what the closure identities consume.
     """
-    table = splitting_table(K, X)
-    qs, counts = [], []
-    for q in sorted(table.counts):
-        c = table.counts[q]
-        if c:
-            qs.append(float(q))
-            counts.append(float(c))
-    if qs:
-        qs = np.array(qs)
-        counts = np.array(counts)
-        value = 2.0 * float(np.dot(counts * np.log(qs), _kernel_msum(kind, qs)))
-    else:
-        value = 0.0
+    qs, counts = _nonzero_counts(K, X)
+    value = (2.0 * float(np.dot(counts * np.log(qs), _kernel_msum(kind, qs)))
+             if len(qs) else 0.0)
     tail_bound, tail_estimate = _prime_tails(K.n_K, kind, X)
     return PrimeSideResult(value=value, tail_bound=tail_bound,
                            tail_estimate=tail_estimate)
+
+
+def single_m_prime_sum(K: NumberField, kind: TestFunctionKind, X: int) -> float:
+    """sum_{q<=X} N_q log q q^{-1/2} F(log q): the prime side's m = 1
+    terms alone, undoubled and without a tail."""
+    qs, counts = _nonzero_counts(K, X)
+    weighted = counts * np.log(qs)
+    if kind.kind == "exponential":
+        terms = weighted / qs ** 1.5
+    else:
+        terms = weighted / np.sqrt(qs) * np.exp(-kind.y * np.log(qs) ** 2)
+    return math.fsum(terms.tolist())
+
+
+def density_tail(kind: TestFunctionKind, X: int) -> float:
+    """int_X^inf t^{-1/2} F(log t) dt: the m = 1 prime sum beyond X with
+    N_q log q replaced by its density."""
+    if kind.kind == "exponential":
+        return 2.0 / math.sqrt(X)
+    lx, y = math.log(X), kind.y
+    return _quad(lambda u: math.exp(0.5 * u - y * u * u),
+                 lx, _gaussian_u_max(y, lx), tol=1e-13)
+
+
+def _gaussian_u_max(y, lx):
+    # where e^{u/2 - y u^2} has fallen below e^{-300} beyond u = lx
+    return (0.5 + math.sqrt(0.25 + 4.0 * y * 300.0)) / (2.0 * y) + lx
 
 
 def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
@@ -234,7 +258,6 @@ def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
             return math.log(t) / (t ** 1.5 - 1.0)
         integral_h = _quad(lambda u: u * math.exp(u) / (math.exp(1.5 * u) - 1.0),
                            lx, lx + 300.0, tol=1e-13)
-        integral_density = 2.0 / math.sqrt(X)
     else:
         y = kind.y
 
@@ -242,15 +265,12 @@ def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
             u = math.log(t)
             return u * math.exp(-0.5 * u - y * u * u) * (
                 1.0 + math.exp(-0.5 * u - 3.0 * y * u * u))
-        u_max = (0.5 + math.sqrt(0.25 + 4.0 * y * 300.0)) / (2.0 * y) + lx
         integral_h = _quad(lambda u: math.exp(u) * h(math.exp(u)),
-                           lx, u_max, tol=1e-13)
-        integral_density = _quad(lambda u: math.exp(0.5 * u - y * u * u),
-                                 lx, u_max, tol=1e-13)
+                           lx, _gaussian_u_max(y, lx), tol=1e-13)
     # sum_{q > X} Lambda-weighted h against dpsi, bounded by parts
     tail_bound = 2.0 * n_K * (PSI_UPPER * (X * h(X) + integral_h)
                               - PSI_LOWER * X * h(X))
-    tail_estimate = 2.0 * integral_density
+    tail_estimate = 2.0 * density_tail(kind, X)
     return tail_bound, tail_estimate
 
 
@@ -354,9 +374,7 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLed
                located + tail_hi + ps.tail_bound)
     accepted = bracket[0] - 1e-6 <= arithmetic <= bracket[1] + 1e-6
     # single-term rendering of the prime sum, kept as a labeled diagnostic
-    table = splitting_table(K, X)
-    single = 2.0 * math.fsum(c * math.log(q) / q ** 1.5
-                             for q, c in table.counts.items() if c)
+    single = 2.0 * single_m_prime_sum(K, EXPONENTIAL, X)
     ledger = IdentityLedger(
         kernel="exponential",
         arithmetic_side=arithmetic,

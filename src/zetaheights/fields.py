@@ -23,7 +23,7 @@ from .algebra import (IntPolynomial, complex_roots, discriminant,
                       sturm_real_root_count)
 from .errors import (DomainError, NotUniformSplittingError,
                      OverrideRequiredError)
-from .primes import factorize, next_prime, prime_powers, sieve_primes
+from .primes import factorize, is_prime, next_prime, sieve_primes
 from .reports import BoundReport
 
 _SPLIT_ATTEMPT_CAP = 60
@@ -64,9 +64,6 @@ class NumberField:
 class PrimeSplitting:
     p: int
     factors: tuple  # tuple of (e_i, f_i)
-
-    def norm_count(self, f: int) -> int:
-        return sum(1 for _, fi in self.factors if fi == f)
 
 
 @dataclass(frozen=True)
@@ -526,21 +523,30 @@ def build_number_field(f: IntPolynomial) -> NumberField:
     integral_basis = tuple(
         tuple(Fraction(x, max_order.den) for x in row) for row in max_order.basis)
     K = NumberField(f, n, r1, r2, poly_disc, index, field_disc, integral_basis,
-                    _FieldState(max_order))
+                    _FieldState(max_order, sorted(disc_factors)))
     _FIELDS[f.coefficients] = K
     return K
 
 
 class _FieldState:
     """Everything computed about one field after it is built: the maximal
-    order, splitting shapes, the coefficient array, and zeta evaluators."""
+    order, splitting shapes, the norm-count table, the coefficient array,
+    and zeta evaluators.
 
-    def __init__(self, max_order: _Order):
+    The norm-count table is the one store of N_q(K), read through
+    norm_counts: norm_q holds every prime power up to norm_limit in
+    increasing order and norm_n its N_q, zeros included. It is built
+    without any override and grows when a larger cutoff is asked for; -1
+    marks the powers of a discriminant prime not split yet.
+    """
+
+    def __init__(self, max_order: _Order, bad_primes: list):
         self.max_order = max_order
+        self.bad_primes = bad_primes   # primes dividing the polynomial discriminant
         self.shapes: dict = {}         # p -> tuple of (e, f) pairs
-        self.linear_counts: dict = {}  # p -> N_p for large good primes
-        self.shape_limit = 0
-        self.bad_primes = None         # primes dividing the polynomial discriminant
+        self.norm_q = np.zeros(0, dtype=np.int64)
+        self.norm_n = np.zeros(0, dtype=np.int64)
+        self.norm_limit = 1
         self.coeff_array = None        # float64 a_n, 1-indexed via [n]
         self.coeff_limit = 0
         self.evaluators: dict = {}     # RunConfig.cache_key() -> ZetaEvaluator
@@ -565,8 +571,7 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     shapes = K.state.shapes
     if p not in shapes:
         if K.index % p != 0:
-            shape = tuple(sorted((mult, d) for d, mult in
-                                 modp.factor_shape_mod_p(K.defining_poly, p)))
+            shape = _dedekind_shape(K.defining_poly, p)
         else:
             shape = _split_index_prime(K, p)
         assert sum(e * f for e, f in shape) == K.n_K
@@ -576,6 +581,11 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
 
 def _forced_shape(entry):
     return tuple(sorted(tuple(ef) for ef in entry))
+
+
+def _dedekind_shape(f: IntPolynomial, p: int):
+    """Shape of a prime not dividing the index, from the factors of f mod p."""
+    return tuple(sorted((mult, d) for d, mult in modp.factor_shape_mod_p(f, p)))
 
 
 def _split_index_prime(K: NumberField, p: int):
@@ -769,79 +779,87 @@ def _ramification_index(order, struct, rad, components, comp, p, n):
 
 
 # ----------------------------------------------------------------------
-# Splitting tables and Dirichlet coefficients
+# The norm-count table and Dirichlet coefficients
 # ----------------------------------------------------------------------
 
-def _ensure_shapes(K: NumberField, limit: int, override=None):
-    """Cache the true shape (or linear count) of every prime <= limit.
+def _put_counts(q, n, p, shape, X):
+    """Write N_{p^k} for every power p^k <= X into n, indexed like q."""
+    pk, k = p, 1
+    while pk <= X:
+        n[np.searchsorted(q, pk)] = sum(1 for _e, f in shape if f == k)
+        pk *= p
+        k += 1
 
-    A prime dividing the polynomial discriminant that the override names is
-    left to the override: above an index divisor the true computation may
-    be what the override is there to avoid.
+
+def _extend_norm_table(K: NumberField, X: int):
+    """Grow the field's override-free norm-count table to cover X.
+
+    A good prime p <= max(sqrt X, 1000) gets its shape by factoring f mod
+    p. Above that only N_p is in the table: kept from the old table where
+    it reaches, else the batched root count. A prime dividing the
+    polynomial discriminant takes its cached shape, or -1 until
+    norm_counts needs it.
     """
     state = K.state
     f = K.defining_poly
-    if state.bad_primes is None:
-        state.bad_primes = sorted(factorize(K.poly_disc * f.leading))
+    primes = sieve_primes(X)
+    powers = []
+    for p in primes[primes * primes <= X].tolist():
+        pk = p * p
+        while pk <= X:
+            powers.append(pk)
+            pk *= p
+    q = np.sort(np.concatenate([primes, np.array(powers, dtype=np.int64)]))
+    n = np.full(len(q), -1, dtype=np.int64)
+    at = np.searchsorted(q, primes)
+    large = ((primes > max(int(X ** 0.5) + 1, 1000))
+             & ~np.isin(primes, state.bad_primes))
+    known = large & (primes <= state.norm_limit)
+    n[at[known]] = state.norm_n[np.searchsorted(state.norm_q, primes[known])]
+    swept = large & ~known
+    n[at[swept]] = modp.batch_root_counts(f, primes[swept])
+    for p in primes[~large].tolist():
+        if p not in state.shapes and p not in state.bad_primes:
+            state.shapes[p] = _dedekind_shape(f, p)
+        if p in state.shapes:
+            _put_counts(q, n, p, state.shapes[p], X)
+    state.norm_q, state.norm_n, state.norm_limit = q, n, X
+
+
+def norm_counts(K: NumberField, X: int, override=None):
+    """The prime powers q <= X in increasing order and their N_q(K), zeros
+    included, as two read-only int64 arrays sliced from the field's cached
+    table. An override is laid over a copy for this call only; a forced
+    prime dividing the polynomial discriminant is never split for real.
+    """
+    state = K.state
+    if X > state.norm_limit:
+        _extend_norm_table(K, X)
+    forced = {p: _forced_shape(shape) for p, shape in (override or {}).items()
+              if p <= X and is_prime(p)}
     for p in state.bad_primes:
-        if p <= limit and not (override and p in override):
-            prime_splitting(K, p)
-    if state.shape_limit >= limit:
-        return state
-    bad = set(state.bad_primes)
-    plist = sieve_primes(limit).tolist()
-    small_cut = max(int(limit ** 0.5) + 1, 1000)
-    small = [p for p in plist if p not in bad and p <= small_cut
-             and p not in state.shapes]
-    large = np.array([p for p in plist
-                      if p not in bad and p > small_cut
-                      and p > state.shape_limit and p not in state.shapes],
-                     dtype=np.int64)
-    for p in small:
-        state.shapes[p] = tuple(sorted((mult, d) for d, mult in
-                                       modp.factor_shape_mod_p(f, p)))
-    if len(large):
-        counts = modp.batch_root_counts(f, large)
-        for p, c in zip(large.tolist(), counts.tolist()):
-            state.linear_counts[p] = int(c)
-    state.shape_limit = limit
-    return state
-
-
-def _shape_for(state, p, override):
-    """Shape of p with the override laid over the cache; None when only the
-    linear count is known."""
-    if override and p in override:
-        return _forced_shape(override[p])
-    return state.shapes.get(p)
-
-
-def _norm_counts_for(state, p, override=None):
-    """dict f -> N_{p^f} for one prime, from whichever cache layer has it."""
-    shape = _shape_for(state, p, override)
-    if shape is not None:
-        out = {}
-        for e, f in shape:
-            out[f] = out.get(f, 0) + 1
-        return out
-    if p in state.linear_counts:
-        return {1: state.linear_counts[p]}
-    raise KeyError(p)
+        if p <= X and p not in forced and (
+                state.norm_n[np.searchsorted(state.norm_q, p)] < 0):
+            _put_counts(state.norm_q, state.norm_n, p,
+                        prime_splitting(K, p).factors, state.norm_limit)
+    end = int(np.searchsorted(state.norm_q, X, side="right"))
+    q, n = state.norm_q[:end], state.norm_n[:end]
+    if forced:
+        n = n.copy()
+        for p, shape in forced.items():
+            _put_counts(q, n, p, shape, X)
+    q.flags.writeable = n.flags.writeable = False
+    return q, n
 
 
 def splitting_table(K: NumberField, X: int, override=None) -> SplittingTable:
-    """N_q(K) for every prime power q <= X (zeros included).
-
-    Primes named in the override count with their forced shape in this
-    call only; the field's cached shapes are left untouched.
-    """
+    """N_q(K) for every prime power q <= X (zeros included): a dict view
+    of norm_counts, built per call and never cached. Primes named in the
+    override count with their forced shape in this call only."""
     if X < 2:
         raise DomainError("cutoff must be >= 2")
-    state = _ensure_shapes(K, X, override)
-    counts = {}
-    for q, p, k in prime_powers(X):
-        counts[q] = _norm_counts_for(state, p, override).get(k, 0)
-    return SplittingTable(cutoff=X, counts=counts)
+    q, n = norm_counts(K, X, override)
+    return SplittingTable(cutoff=X, counts=dict(zip(q.tolist(), n.tolist())))
 
 
 def dirichlet_coefficients(K: NumberField, N: int, override=None) -> DirichletCoefficients:
@@ -856,39 +874,35 @@ def dirichlet_coefficients(K: NumberField, N: int, override=None) -> DirichletCo
 def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     """Float array a[0..N] with a[n] = #ideals of norm n (a[0] unused).
 
-    Only the override-free array is cached; with an override the array is
-    built afresh from the cached shapes with the forced ones laid over them.
+    Built from the norm counts to N. Only the override-free array is
+    cached; with an override it is built afresh from the forced counts.
     """
     state = K.state
     if (not override and state.coeff_array is not None
             and state.coeff_limit >= N):
         return state.coeff_array[: N + 1]
-    _ensure_shapes(K, N, override)
+    q, n = norm_counts(K, N, override)
     a = np.zeros(N + 1, dtype=np.float64)
     a[1] = 1.0
-    for p in sieve_primes(N).tolist():
-        # local coefficients c_k of prod_i (1 - T^{f_i})^{-1}
+    primes = sieve_primes(N)
+    for p, n_p in zip(primes.tolist(), n[np.searchsorted(q, primes)].tolist()):
+        # local coefficients c_k of prod over the primes P above p of
+        # (1 - T^{f_P})^{-1}; N_{p^f} of those P have f_P = f
         kmax = 1
         while p ** (kmax + 1) <= N:
             kmax += 1
-        shape = _shape_for(state, p, override)
-        if shape is not None:
-            c = [1.0] + [0.0] * kmax
-            for _e, f in shape:
-                if f > kmax:
-                    continue
+        c = [1.0] + [0.0] * kmax
+        for f in range(1, kmax + 1):
+            for _ in range(n_p if f == 1 else n[np.searchsorted(q, p ** f)]):
                 for k in range(f, kmax + 1):
                     c[k] += c[k - f]
-        else:
-            # only the linear count is known; p^2 > N so only c_1 matters
-            c = [1.0, float(state.linear_counts[p])]
         idx = np.arange(1, N // p + 1)
         idx = idx[idx % p != 0]
         base_vals = a[idx]
         pk = p
         k = 1
         while pk <= N:
-            if k < len(c) and c[k]:
+            if c[k]:
                 targets = idx[idx <= N // pk] * pk
                 a[targets] += base_vals[: len(targets)] * c[k]
             pk *= p

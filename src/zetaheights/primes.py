@@ -22,19 +22,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def prime_powers(limit: int):
-    """Sorted list of (q, p, k) with q = p**k <= limit, k >= 1."""
-    out = []
-    for p in sieve_primes(limit).tolist():
-        q, k = p, 1
-        while q <= limit:
-            out.append((q, p, k))
-            q *= p
-            k += 1
-    out.sort()
-    return out
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid far beyond 64-bit inputs we use)."""
     if n < 2:

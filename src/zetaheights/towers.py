@@ -6,9 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateDiscriminantError, DegreeMismatchError, DomainError
-from .fields import NumberField, build_number_field, splitting_table
-from .primes import prime_powers
+from .fields import NumberField, build_number_field, norm_counts
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ def monotone_prime_sums(K: NumberField, L: NumberField, x: int,
 
 
 def _weighted_sum(K: NumberField, x: int, override=None) -> float:
-    table = splitting_table(K, x, override)
-    return math.fsum(c * math.log(q) for q, c in table.counts.items() if c) / K.n_K
+    q, c = norm_counts(K, x, override)
+    return math.fsum((c * np.log(q)).tolist()) / K.n_K
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,12 @@ def psi_estimates(tower: Tower, q_cutoff: int) -> PsiEstimates:
     taken as the estimate of the limiting ratio."""
     if not tower.levels:
         raise DomainError("empty tower")
-    tables = [splitting_table(K, q_cutoff, tower.override(i))
+    levels = [norm_counts(K, q_cutoff, tower.override(i))
               for i, K in enumerate(tower.levels)]
-    ratios = {}
-    for q, _p, _k in prime_powers(q_cutoff):
-        ratios[q] = tuple(t.counts.get(q, 0) / K.n_K
-                          for t, K in zip(tables, tower.levels))
-    psi_hat = {q: seq[-1] for q, seq in ratios.items()}
+    q = levels[0][0].tolist()
+    by_level = [(c / K.n_K).tolist() for (_q, c), K in zip(levels, tower.levels)]
+    ratios = dict(zip(q, zip(*by_level)))
+    psi_hat = dict(zip(q, by_level[-1]))
     return PsiEstimates(cutoff=q_cutoff, ratios=ratios, psi_hat=psi_hat,
                         asymptotically_positive=any(v > 0 for v in psi_hat.values()))
 
@@ -119,8 +119,8 @@ def family_constants(tower: Tower, q_cutoff: int = 30) -> FamilyConstants:
     if top.abs_disc <= 1:
         raise DegenerateDiscriminantError("family constants need |d| > 1")
     denom = 0.5 * top.log_abs_disc
-    table = splitting_table(top, q_cutoff, tower.override(len(tower.levels) - 1))
-    phi_q = {q: c / denom for q, c in sorted(table.counts.items())}
+    q, c = norm_counts(top, q_cutoff, tower.override(len(tower.levels) - 1))
+    phi_q = dict(zip(q.tolist(), (c / denom).tolist()))
     phi_r = top.r1 / denom
     phi_c = top.r2 / denom
     bad = (all(abs(v) <= 1e-12 for v in phi_q.values())
@@ -144,12 +144,8 @@ def tower_corollary_report(tower: Tower, slack: float = 0.0):
     rows = []
     for i, K in enumerate(tower.levels):
         logn = math.log(K.n_K) if K.n_K > 1 else 0.0
-        est = psi_estimates(Tower(tower.levels[: i + 1],
-                                  overrides=tower.overrides[: i + 1]),
-                            max(2, int(logn)))
-        lhs = 0.5 * math.fsum(v * math.log(q) / math.sqrt(q)
-                              for q, v in est.psi_hat.items()
-                              if v and q <= logn)
+        q, c = norm_counts(K, int(logn), tower.override(i))
+        lhs = 0.5 * math.fsum((c / K.n_K * np.log(q) / np.sqrt(q)).tolist())
         rhs = 0.5 * (K.log_abs_disc / K.n_K) * (1.0 + slack)
         rows.append(CorollaryRow(degree=K.n_K, lhs=lhs, rhs=rhs,
                                  holds=lhs <= rhs + 1e-12))

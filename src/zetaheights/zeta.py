@@ -158,7 +158,6 @@ class ZetaEvaluator:
         idx = below[below > int(np.argmax(logw))]
         self.y_threshold = float(np.exp(grid[idx[0]])) if len(idx) else float(np.exp(grid[-1]))
         self.y_max = float(np.exp(grid[-1]))
-        self._contour_halfwidth = halfwidth
 
     def _mellin_barnes_logw(self, ys, halfwidth):
         cfg = self.config
@@ -370,24 +369,24 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
     Completeness checks: the counting window must contain the located
     count, and (for T >= 2) the exponential-kernel explicit-formula
     identity must close. On failure the scan step halves, up to 3 times;
-    IncompleteZeroSetError carries the per-attempt diagnostics.
+    IncompleteZeroSetError carries one report per attempt, each with the
+    scan step it used, and names the finest step scanned.
     """
     if not 0.0 < T <= 40.0:
         raise DomainError("T must lie in (0, 40]")
     cfg = ev.config
-    step = cfg.scan_step
     attempts = []
-    for _attempt in range(4):
+    for halvings in range(4):
+        step = cfg.scan_step * 0.5 ** halvings
         zeros, widths, origin = _scan_once(ev, T, step, cfg.bisect_tol)
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
                       zero_at_origin=origin,
                       diagnostics={"scan_step": step})
         ok, report = _completeness_checks(ev, zl, run_closure)
-        attempts.append(report)
         if ok:
             zl.diagnostics["completeness"] = report
             return zl
-        step *= 0.5
+        attempts.append({"scan_step": step, **report})
     raise IncompleteZeroSetError(
         f"zero scan failed completeness checks up to step {step}",
         diagnostics={"attempts": attempts})
@@ -439,13 +438,7 @@ def zero_statistics(zl: ZeroList, T: float) -> ZeroStatistics:
     """N_K(T) with conjugate pairs, and lambda_K(T) = sum 1/(1+t^2)."""
     if T > zl.T + 1e-12:
         raise DomainError("statistics height exceeds located range")
-    n = 0
-    lam_terms = []
-    for t in zl.ordinates:
-        if t < T:
-            n += 2
-            lam_terms.append(2.0 / (1.0 + t * t))
+    lam_terms = [2.0 / (1.0 + t * t) for t in zl.ordinates if t < T]
     if zl.zero_at_origin:
-        n += 1
         lam_terms.append(1.0)
-    return ZeroStatistics(N=n, lam=math.fsum(lam_terms))
+    return ZeroStatistics(N=zl.count_below(T), lam=math.fsum(lam_terms))

@@ -40,3 +40,40 @@ def test_traced_positional_arguments():
     assert leading(fields.coefficient_array, 2) == ["K", "N"]
     assert leading(zeta.direct_series, 3) == ["K", "s", "N"]
     assert leading(zeta.locate_zeros, 1) == ["ev"]
+
+
+def _prime_powers(limit):
+    """Every prime power <= limit, from a sieve of its own."""
+    prime = [True] * (limit + 1)
+    out = []
+    for p in range(2, limit + 1):
+        if prime[p]:
+            prime[p * p:: p] = [False] * len(range(p * p, limit + 1, p))
+            q = p
+            while q <= limit:
+                out.append(q)
+                q *= p
+    return set(out)
+
+
+def test_tables_keyed_by_every_prime_power(ctx):
+    """The benchmark compares splitting tables and tower ratios key for key,
+    above the cut (1000) past which only linear counts are kept too."""
+    from zetaheights import Tower, psi_estimates, splitting_table
+    X = 20000
+    want = _prime_powers(X)
+    counts = splitting_table(ctx.field("x^3+3*x+213"), X).counts
+    assert set(counts) == want
+    assert 0 in counts.values()
+    est = psi_estimates(Tower((ctx.field("x"), ctx.field("x^2+1"))), X)
+    assert set(est.ratios) == want
+    assert est.ratios[9] == (0.0, 0.5)
+
+
+def test_synthetic_table_drives_membership():
+    from zetaheights import uncond_membership
+    from zetaheights.fields import SplittingTable
+    table = SplittingTable(cutoff=10, counts={2: 4, 3: 0, 5: 4, 7: 4})
+    res = uncond_membership(None, 0.5, 0.5, table=table, degree=4, Y=10)
+    assert res.in_S and res.witness_Y == 10
+    assert res.qualifying_primes == (2, 5, 7)

@@ -1,0 +1,127 @@
+"""The one cached norm-count table per field, and the prime sums over it.
+
+Each prime sum is checked against a brute-force math.fsum over the dict
+that splitting_table returns, so the vectorized sums and the dict view
+must agree to rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from zetaheights import (EXPONENTIAL, Tower, build_number_field, build_tower,
+                         corollary_S_check, gaussian, identity_exponential,
+                         monotone_prime_sums, norm_counts, parse_polynomial,
+                         prime_side, psi_estimates, splitting_table,
+                         tower_corollary_report)
+from zetaheights.bounds import Y_STAR
+from zetaheights.explicit import density_tail
+
+P = parse_polynomial
+X = 20000
+FIELDS = ("x", "x^2+1", "x^3+18*x^2+312", "x^4+18*x^2+60")
+
+
+def _close(got, want):
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def _brute(counts, term):
+    return math.fsum(c * term(q) for q, c in counts.items() if c)
+
+
+def _gauss_msum(q, y):
+    u = math.log(q)
+    total, m = 0.0, 1
+    while True:
+        t = math.exp(-0.5 * m * u - y * (m * u) ** 2)
+        total += t
+        if t < 1e-20 * total:
+            return total
+        m += 1
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_prime_side_matches_brute_force(ctx, text):
+    K = ctx.field(text)
+    counts = splitting_table(K, X).counts
+    exp_side = prime_side(K, EXPONENTIAL, X).value
+    _close(exp_side, 2.0 * _brute(counts, lambda q: math.log(q) / (q ** 1.5 - 1.0)))
+    y = 0.1
+    gauss_side = prime_side(K, gaussian(y), X).value
+    _close(gauss_side, 2.0 * _brute(counts, lambda q: math.log(q) * _gauss_msum(q, y)))
+
+
+@pytest.mark.parametrize("text", ("x^2+1", "x^3+3*x+213"))
+def test_single_m_and_corollary_terms_match_brute_force(ctx, text):
+    K = ctx.field(text)
+    zl = ctx.zeros(text, 2.0)
+    counts = splitting_table(K, X).counts
+    ledger = identity_exponential(K, zl, X)
+    _close(ledger.notes["prime_sum_single_m"],
+           2.0 * _brute(counts, lambda q: math.log(q) / q ** 1.5))
+    rep = corollary_S_check(ctx.poly(text), K, zl, X)
+    single = _brute(counts, lambda q: math.log(q) / math.sqrt(q)
+                    * math.exp(-Y_STAR * math.log(q) ** 2))
+    _close(rep.notes["lhs_terms"]["prime_term"],
+           2.0 * (single + density_tail(gaussian(Y_STAR), X)))
+
+
+@pytest.mark.parametrize("override", (None, {5: [(1, 2)], 13: [(1, 2)]}))
+def test_tower_sums_match_brute_force(ctx, override):
+    lower, upper = ctx.field("x"), ctx.field("x^2+1")
+    ms = monotone_prime_sums(lower, upper, X, None, override)
+    for K, ov, got in ((lower, None, ms.lower_level_sum),
+                       (upper, override, ms.upper_level_sum)):
+        counts = splitting_table(K, X, ov).counts
+        _close(got, _brute(counts, math.log) / K.n_K)
+    assert ms.holds
+    tower = build_tower([P("x"), P("x^8-2")], overrides=(None, {2: [(1, 8)]}))
+    row = tower_corollary_report(tower)[1]
+    counts = splitting_table(tower.levels[1], 2, {2: [(1, 8)]}).counts
+    assert counts == {2: 0}
+    assert row.lhs == 0.0
+    tower = build_tower([P("x"), P("x^8-2")])
+    row = tower_corollary_report(tower)[1]
+    _close(row.lhs, 0.5 * math.log(2) / math.sqrt(2) / 8)  # 2 = P^8: N_2 = 1
+
+
+def test_table_after_larger_cutoff_equals_fresh_build(monkeypatch):
+    from zetaheights import fields
+    for text in ("x^2+1", "x^3+18*x^2+312", "x^4+18*x^2+60"):
+        K = build_number_field(P(text))
+        splitting_table(K, 5 * X)
+        sliced = splitting_table(K, X).counts
+        q, n = norm_counts(K, X)
+        monkeypatch.setattr(fields, "_FIELDS", {})
+        fresh = build_number_field(P(text))
+        assert fresh.state is not K.state
+        assert splitting_table(fresh, X).counts == sliced
+        q2, n2 = norm_counts(fresh, X)
+        assert np.array_equal(q, q2) and np.array_equal(n, n2)
+        monkeypatch.undo()
+
+
+def test_norm_counts_read_only_and_override_scoped():
+    K = build_number_field(P("x^2+1"))
+    q, n = norm_counts(K, 200)
+    assert not q.flags.writeable and not n.flags.writeable
+    with pytest.raises(ValueError):
+        n[0] = 7
+    i, j = np.searchsorted(q, [13, 169])
+    _, forced = norm_counts(K, 200, {13: [(1, 2)], 15: [(1, 2)]})
+    assert forced[i] == 0 and forced[j] == 1
+    # 15 is not a prime: its key changes nothing
+    assert np.array_equal(np.delete(forced, [i, j]), np.delete(n, [i, j]))
+    assert norm_counts(K, 200)[1][i] == 2
+    assert list(norm_counts(K, 1)[0]) == []
+
+
+def test_psi_ratios_read_each_level(ctx):
+    tower = Tower((ctx.field("x"), ctx.field("x^2+1")),
+                  overrides=(None, {5: [(1, 2)]}))
+    est = psi_estimates(tower, 50)
+    assert est.ratios[5] == (1.0, 0.0)
+    assert est.ratios[25] == (0.0, 0.5)
+    assert est.ratios[13] == (1.0, 1.0)

@@ -164,6 +164,33 @@ def test_locate_zeros_domain(ctx):
         locate_zeros(ctx.evaluator("x"), 41.0)
 
 
+def test_incomplete_zero_set_names_the_steps_scanned(ctx, tmp_path, monkeypatch,
+                                                    capsys):
+    import json
+
+    from zetaheights import zeta
+    from zetaheights.cli import main
+    from zetaheights.errors import IncompleteZeroSetError
+    monkeypatch.setattr(zeta, "_completeness_checks",
+                        lambda ev, zl, run_closure: (False, {"hsw": "forced"}))
+    with pytest.raises(IncompleteZeroSetError) as info:
+        locate_zeros(ctx.evaluator("x^2+1"), 1.0)
+    steps = [a["scan_step"] for a in info.value.diagnostics["attempts"]]
+    assert steps == [0.01, 0.005, 0.0025, 0.00125]  # default scan_step, halved
+    assert str(info.value) == "zero scan failed completeness checks up to step 0.00125"
+    code = main(["zeros", "x^2+1", "--height", "1", "--output-dir", str(tmp_path)])
+    assert code == 2
+    diagnostics = json.loads((tmp_path / "zeros-diagnostics.json").read_text())
+    assert [a["scan_step"] for a in diagnostics["attempts"]] == steps
+    assert "step 0.00125" in capsys.readouterr().err
+
+
+def test_zero_statistics_count_below(ctx):
+    zl = ctx.zeros("x^2+1", 7.0)
+    for T in (1.0, 6.0, 7.0):
+        assert zero_statistics(zl, T).N == zl.count_below(T)
+
+
 def test_statistics_height_guard(ctx):
     zl = ctx.zeros("x^2+1", 2.0)
     with pytest.raises(DomainError):
