@@ -296,8 +296,9 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
     if zeros.T < 2.0:
         raise DomainError("zeros must be located to T = 2")
     n = K.n_K
-    if n < 2:
-        raise DomainError("bound needs degree >= 2")
+    if n < 3:
+        raise DomainError("bound needs degree >= 3: its Gaussian kernel takes "
+                          "y = 1/log n, which lies in (0, 1] only for n >= 3")
     lhs = K.log_abs_disc / n
     logn = math.log(n)
     zero_sum = math.fsum(2.0 * (n ** (-t * t / 4.0) - 1.0 / n)

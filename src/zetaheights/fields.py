@@ -212,13 +212,11 @@ def _radical_mod_p(struct, p, n):
     """Basis vectors of the nilradical of O/pO."""
     frob = _frobenius_matrix(struct, p, n)
     m = frob
-    steps = 1
     power = p
     while power < n:
         m = [[sum(m[i][t] * frob[t][j] for t in range(n)) % p for j in range(n)]
              for i in range(n)]
         power *= p
-        steps += 1
     mt = [[m[i][j] for i in range(n)] for j in range(n)]
     return la.nullspace_mod_p(mt, p)
 
@@ -231,12 +229,10 @@ def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
     for poly, _mult in pieces:
         g_star = modp.pmul(g_star, poly, p)
     h_star = modp.pdivmod(fp, g_star, p)[0]
-    # lift g*, h* to monic integer polynomials with coefficients in [0, p)
-    g_lift = list(g_star)
-    h_lift = list(h_star)
-    gh = [0] * (len(g_lift) + len(h_lift) - 1)
-    for i, gi in enumerate(g_lift):
-        for j, hj in enumerate(h_lift):
+    # g* h* over Z, from the monic lifts with coefficients in [0, p)
+    gh = [0] * (len(g_star) + len(h_star) - 1)
+    for i, gi in enumerate(g_star):
+        for j, hj in enumerate(h_star):
             gh[i + j] += gi * hj
     t_poly = []
     for k in range(len(gh)):
@@ -275,7 +271,6 @@ def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
         if not kernel:
             break
         new_rows = [[x * p for x in row] for row in order.basis]
-        grew = False
         for vec in kernel:
             combo = [0] * n
             for i, ci in enumerate(vec):
@@ -296,14 +291,11 @@ def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
         growth = candidate.index_in(order)
         if growth == 1:
             break
-        grew = True
-        k = 0
         g_val = Fraction(1) / growth
         while g_val % p == 0:
             g_val /= p
-            k += 1
+            exponent += 1
         assert g_val == 1
-        exponent += k
         order = candidate
     return order, exponent
 
@@ -885,7 +877,8 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     a = np.zeros(N + 1, dtype=np.float64)
     a[1] = 1.0
     primes = sieve_primes(N)
-    for p, n_p in zip(primes.tolist(), n[np.searchsorted(q, primes)].tolist()):
+    small = primes * primes <= N
+    for p in primes[small].tolist():
         # local coefficients c_k of prod over the primes P above p of
         # (1 - T^{f_P})^{-1}; N_{p^f} of those P have f_P = f
         kmax = 1
@@ -893,20 +886,24 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
             kmax += 1
         c = [1.0] + [0.0] * kmax
         for f in range(1, kmax + 1):
-            for _ in range(n_p if f == 1 else n[np.searchsorted(q, p ** f)]):
+            for _ in range(n[np.searchsorted(q, p ** f)]):
                 for k in range(f, kmax + 1):
                     c[k] += c[k - f]
         idx = np.arange(1, N // p + 1)
         idx = idx[idx % p != 0]
         base_vals = a[idx]
-        pk = p
-        k = 1
-        while pk <= N:
+        for k in range(1, kmax + 1):
             if c[k]:
-                targets = idx[idx <= N // pk] * pk
+                targets = idx[idx <= N // p ** k] * p ** k
                 a[targets] += base_vals[: len(targets)] * c[k]
-            pk *= p
-            k += 1
+    # n <= N has at most one prime factor P > sqrt N, so a[m P] = a[m] N_P
+    # with the cofactor m < sqrt N already final: one pass per m
+    large = primes[~small]
+    n_large = n[np.searchsorted(q, large)].astype(np.float64)
+    for m in range(1, math.isqrt(N) + 1):
+        if a[m]:
+            end = np.searchsorted(large, N // m, side="right")
+            a[m * large[:end]] = a[m] * n_large[:end]
     if not override:
         state.coeff_array = a
         state.coeff_limit = N

@@ -135,6 +135,11 @@ def test_disc_bound2_cubic(ctx):
     assert "remainders_at_y_1_over_log_n" in rep.notes
 
 
+def test_disc_bound2_rejects_quadratic(ctx):
+    with pytest.raises(DomainError, match=r"degree >= 3.*1/log n.*\(0, 1\]"):
+        disc_bound2_report(ctx.field("x^2+1"), ctx.zeros("x^2+1", 2.0))
+
+
 def test_bz_disc_bound_reports(ctx):
     rep = bz_disc_lower_bound(ctx.poly("x^4+1"), ctx.field("x^4+1"))
     assert rep.notes["holds"]

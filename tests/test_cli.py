@@ -63,6 +63,12 @@ def test_bound_artifact(tmp_path, capsys):
     assert rep["notes"]["holds"]
 
 
+def test_disc_bound2_quadratic_exit_3(tmp_path, capsys):
+    assert run_cli(["bound", "disc-bound2", "x^2+1"], tmp_path) == 3
+    assert "bound needs degree >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "bound-disc-bound2.json").exists()
+
+
 def test_membership_bound(tmp_path, capsys):
     code = run_cli(["bound", "membership", "x^2+1", "--delta", "0.4",
                     "--epsilon", "0.5"], tmp_path)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetaheights import (build_number_field, bz_disc_lower_bound,
@@ -11,7 +12,7 @@ from zetaheights import (build_number_field, bz_disc_lower_bound,
                          variance_profile)
 from zetaheights.errors import (DomainError, NotUniformSplittingError,
                                OverrideRequiredError)
-from zetaheights.fields import is_irreducible
+from zetaheights.fields import coefficient_array, is_irreducible, norm_counts
 from zetaheights.primes import sieve_primes
 
 P = parse_polynomial
@@ -254,6 +255,54 @@ def test_multiplicativity_to_1e4(ctx):
         t = splitting_table(K, 1000)
         for p in sieve_primes(1000).tolist():
             assert a[p] == t.counts[p]
+
+
+def _coefficients_by_definition(K, N, override=None):
+    """a_n as the multiplicative function whose value at p^k counts the
+    ideals of norm p^k: the T^k coefficient of prod_f (1 - T^f)^(-N_{p^f})."""
+    q, n = norm_counts(K, N, override)
+    count = dict(zip(q.tolist(), n.tolist()))
+    spf = list(range(N + 1))
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N + 1, p):
+                spf[m] = min(spf[m], p)
+    local = {}
+    a = [0, 1] + [0] * (N - 1)
+    for m in range(2, N + 1):
+        p, k, rest = spf[m], 0, m
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if p not in local:
+            kmax = int(math.log(N, p)) + 1
+            c = [1] + [0] * kmax
+            for f in range(1, kmax + 1):
+                for _ in range(count.get(p ** f, 0)):
+                    for j in range(f, kmax + 1):
+                        c[j] += c[j - f]
+            local[p] = c
+        a[m] = a[rest] * local[p][k]
+    return a
+
+
+@pytest.mark.parametrize("text,override", [
+    ("x", None), ("x^2+1", None), ("x^3+3*x+213", None), ("x^5+42", None),
+    ("x^4+1", None),
+    # force a small and a large split prime inert
+    ("x^2+1", {13: [(1, 2)], 157: [(1, 2)]}),
+])
+def test_coefficient_array_matches_definition(text, override):
+    N = 20000
+    K = build_number_field(P(text))
+    a = coefficient_array(K, N, override)
+    want = _coefficients_by_definition(K, N, override)
+    assert a.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    q, n = norm_counts(K, N, override)
+    for p in (149, 157, 9973, 19997):   # primes above sqrt N
+        n_p = int(n[np.searchsorted(q, p)])
+        for m in range(1, N // p + 1):
+            assert a[m * p] == a[m] * n_p
 
 
 def test_variance_profile_examples():

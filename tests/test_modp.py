@@ -1,15 +1,17 @@
 """Factorization over prime fields and the batched prime sweeps."""
 
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import nextprime, prevprime
 
-from zetaheights import factor_mod_p
-from zetaheights.algebra import IntPolynomial, parse_polynomial
-from zetaheights.errors import LeadingCoeffVanishesError
+from zetaheights import factor_mod_p, modp
+from zetaheights.algebra import IntPolynomial, discriminant, parse_polynomial
+from zetaheights.errors import DomainError, LeadingCoeffVanishesError
 from zetaheights.modp import (batch_root_counts, factor_shape_mod_p, pmul,
                               reduce_mod)
 from zetaheights.primes import sieve_primes
@@ -113,3 +115,57 @@ def test_batch_root_counts_large_prime_spot_check():
         fl = factor_list(Poly([1, 0, 0, 0, 0, 42], x), modulus=p)
         want = sum(1 for g, _m in fl[1] if g.degree() == 1)
         assert got == want, p
+
+
+def int64_prime_bound(d):
+    """Largest p with d (p - 1)^2 < 2^63."""
+    return math.isqrt((2 ** 63 - 1) // d) + 1
+
+
+# primes of very different bit lengths: below 100, near 1e3, near 1e6, and
+# the two largest below the int64 bound of each degree
+MIXED_PRIMES = (sieve_primes(100).tolist() + [991, 997, 1009, 1013]
+                + [999979, 999983, 1000003, 1000033])
+TOP_PRIMES = {d: [prevprime(prevprime(int64_prime_bound(d) + 1)),
+                  prevprime(int64_prime_bound(d) + 1)] for d in range(3, 9)}
+
+
+def linear_factor_count(f, p):
+    return sum(1 for deg, _m in factor_shape_mod_p(f, p) if deg == 1)
+
+
+@given(st.integers(3, 8).flatmap(
+           lambda d: st.lists(st.integers(-60, 60), min_size=d, max_size=d)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_batch_root_counts_mixed_bit_lengths(tail, rnd):
+    f = IntPolynomial.from_coefficients(tail + [1])
+    disc = discriminant(f)
+    assume(disc != 0)
+    primes = [p for p in MIXED_PRIMES + TOP_PRIMES[f.degree] if disc % p]
+    rnd.shuffle(primes)
+    counts = batch_root_counts(f, np.array(primes, dtype=np.int64))
+    assert counts.tolist() == [linear_factor_count(f, p) for p in primes]
+
+
+def test_batch_root_counts_across_blocks():
+    f = parse_polynomial("x^7+3*x^4-5*x+11")
+    disc = discriminant(f)
+    distinct = [p for p in MIXED_PRIMES + TOP_PRIMES[7] if disc % p]
+    primes = distinct * (modp._BLOCK // len(distinct) + 2)
+    random.Random(3).shuffle(primes)
+    assert len(primes) > modp._BLOCK
+    want = {p: linear_factor_count(f, p) for p in distinct}
+    counts = batch_root_counts(f, np.array(primes, dtype=np.int64))
+    assert counts.tolist() == [want[p] for p in primes]
+
+
+def test_batch_root_counts_int64_bound():
+    f = parse_polynomial("x^3+3*x+213")
+    below = prevprime(int64_prime_bound(3) + 1)
+    above = nextprime(int64_prime_bound(3))
+    counts = batch_root_counts(f, np.array([7, below], dtype=np.int64))
+    assert counts.tolist() == [linear_factor_count(f, 7),
+                               linear_factor_count(f, below)]
+    with pytest.raises(DomainError, match=r"2\^63"):
+        batch_root_counts(f, np.array([7, above], dtype=np.int64))
