@@ -318,11 +318,10 @@ def _cmd_verify_table1(args, config):
     art.add_json("table1-verification", summary)
     for row in summary["rows"]:
         status = "PASS" if row["passed"] else "FAIL"
-        note = f"  [{row['known_discrepancy']}]" if row["known_discrepancy"] else ""
         print(f"{status} {row['poly']}: logd_err={row['log_dK_error']:.2e} "
               f"N={row['N_K_2']}/{row['N_K_2_printed']} "
               f"col_err={row['column_error']:.2e} "
-              f"(tol {row['column_tolerance']:.0e}){note}")
+              f"(tol {row['column_tolerance']:.0e})")
     code = EXIT_OK if summary["gate_passed"] else EXIT_CLOSURE
     print("gate:", "PASS" if summary["gate_passed"] else
           f"FAIL ({', '.join(summary['failures'])})")

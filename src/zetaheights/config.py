@@ -29,8 +29,6 @@ class RunConfig:
     panel_order: int = 16
     weight_rel_tol: float = 1e-18
     max_height: float = 40.0
-    direct_n_small: int = 10 ** 6
-    direct_n_large: int = 1_500_000
     output_dir: str = "out"
     format: str = "json"
 
@@ -43,9 +41,6 @@ class RunConfig:
             raise UsageError("scan_step must be <= 0.05")
         if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
-
-    def direct_series_N(self, degree: int) -> int:
-        return self.direct_n_small if degree <= 2 else self.direct_n_large
 
     def cache_key(self) -> tuple:
         """The numerical fields: what a ZetaEvaluator depends on."""

@@ -54,7 +54,7 @@ class GridMissError(ZetaHeightsError, RuntimeError):
 
 
 class InconsistentResidueError(ZetaHeightsError, RuntimeError):
-    """Residue solved at s=2 fails the s=3 consistency check."""
+    """The theta functional equation gives two disagreeing residues."""
 
 
 class IncompleteZeroSetError(ZetaHeightsError, RuntimeError):

@@ -35,15 +35,6 @@ ROWS = (
     ("x^6+85", "32.9638130978199", "16.3097029958646", "10.7505568153683", 12),
 )
 
-# The second quintic row's printed zero statistic carries ~1.4e-5 of
-# numerical error (parameter-independent recomputation and the identity
-# closure both pin the true column near 8.7223430); its check against the
-# 1e-5 tolerance is reported as a known discrepancy rather than silenced.
-KNOWN_DISCREPANCIES = {
-    "x^5+2*x^2+26": "printed zero-statistic column off by ~1.4e-5",
-}
-
-
 def column_tolerance(degree: int) -> float:
     if degree <= 4:
         return 1e-6
@@ -64,7 +55,6 @@ class RowResult:
     column: float
     column_printed: float
     column_tolerance: float
-    known_discrepancy: str | None = None
 
     @property
     def log_dK_ok(self) -> bool:
@@ -97,7 +87,6 @@ class RowResult:
             "column_error": abs(self.column - self.column_printed),
             "column_tolerance": self.column_tolerance,
             "passed": self.passed,
-            "known_discrepancy": self.known_discrepancy,
         }
 
 
@@ -121,7 +110,6 @@ def verify_row(poly_text: str, config: RunConfig | None = None) -> RowResult:
         column=column,
         column_printed=float(printed[2]),
         column_tolerance=column_tolerance(K.n_K),
-        known_discrepancy=KNOWN_DISCREPANCIES.get(poly_text),
     )
 
 

@@ -26,7 +26,7 @@ from scipy.special import loggamma
 from .config import RunConfig, default_config
 from .errors import (DomainError, GridMissError, InconsistentResidueError,
                      IncompleteZeroSetError)
-from .fields import NumberField, coefficient_array
+from .fields import NumberField, coefficient_array, norm_counts
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,13 +182,20 @@ class ZetaEvaluator:
         return out
 
     def kernel(self, ys: np.ndarray) -> np.ndarray:
-        """W(y) for y inside the cached grid, 0 beyond its decayed end."""
-        ys = np.asarray(ys, dtype=float)
-        out = np.zeros_like(ys)
-        mask = (ys > 0) & (np.log(np.maximum(ys, 1e-300)) <= self._log_grid[-1])
-        lny = np.log(ys[mask])
-        lny = np.clip(lny, self._log_grid[0], self._log_grid[-1])
-        out[mask] = np.exp(self._spline(lny))
+        """W(y) for y inside the cached grid, 0 beyond its decayed end.
+
+        A y below the grid's first point raises GridMissError: the spline
+        knows nothing of W there.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lny = np.log(np.asarray(ys, dtype=float))
+        if lny.size and not lny.min() >= self._log_grid[0]:
+            raise GridMissError(
+                f"kernel asked for y = {math.exp(lny.min()):.6g}, below the "
+                f"grid's first point {math.exp(self._log_grid[0]):.6g}")
+        out = np.zeros_like(lny)
+        mask = lny <= self._log_grid[-1]
+        out[mask] = np.exp(self._spline(lny[mask]))
         return out
 
     # -- theta ----------------------------------------------------------
@@ -201,6 +208,9 @@ class ZetaEvaluator:
         if self.N > 2 * 10 ** 8:
             raise DomainError(
                 f"evaluator needs {self.N} coefficients; field too large")
+        # the closure check in locate_zeros sums primes to prime_cutoff;
+        # sweep them once here, with the coefficients
+        norm_counts(self.field, max(self.N, cfg.prime_cutoff))
         self.a = coefficient_array(self.field, self.N)
         tau_max = math.log(max(self.y_max * Q, math.e))
         n_panels = max(int(math.ceil(tau_max / cfg.panel_width)), 2)
@@ -232,22 +242,10 @@ class ZetaEvaluator:
         return self.gamma.front * complex(
             np.dot(self.tau_weights, phase * self.theta_values))
 
-    def mellin_weight(self, s: complex, n: int) -> complex:
-        """Single smoothed coefficient weight F(s, n) (test support)."""
-        u = n / self.gamma.scale
-        if u >= self.y_max:
-            return 0.0
-        lo = math.log(u)
-        taus = 0.5 * (self._log_grid[-1] - lo) * _GL64_NODES + 0.5 * (self._log_grid[-1] + lo)
-        wts = 0.5 * (self._log_grid[-1] - lo) * _GL64_WEIGHTS
-        ys = np.exp(taus)
-        vals = self.kernel(ys) * np.exp(s * taus)
-        return self.gamma.front * (u ** (-s)) * complex(np.dot(wts, vals))
-
     @property
     def residue(self) -> float:
-        """Residue of zeta_K at s = 1, solved from the AFE at s = 2 and
-        checked at s = 3 to 1e-8 relative (InconsistentResidueError)."""
+        """Residue of zeta_K at s = 1, solved from the theta functional
+        equation (InconsistentResidueError when its two solutions differ)."""
         if self._residue is None:
             self._solve_residue()
         return self._residue
@@ -258,23 +256,27 @@ class ZetaEvaluator:
         return self.residue * math.exp(self.gamma.log_gamma_hat(1.0).real)
 
     def _solve_residue(self):
-        from_afe = {}
-        for s in (2.0, 3.0):
-            from_afe[s] = self.smoothed_sum(s) + self.smoothed_sum(1.0 - s)
-        n_direct = self.config.direct_series_N(self.field.n_K)
-        ghat2 = math.exp(self.gamma.log_gamma_hat(2.0).real)
-        ghat3 = math.exp(self.gamma.log_gamma_hat(3.0).real)
-        d2 = direct_series(self.field, 2.0, n_direct).value.real
-        d3 = direct_series(self.field, 3.0, n_direct).value.real
-        # Lambda(2) = AFE sums + R/2  =>  R from the s=2 equation
-        R = 2.0 * (ghat2 * d2 - from_afe[2.0].real)
-        ghat1 = math.exp(self.gamma.log_gamma_hat(1.0).real)
-        rho = R / ghat1
-        lam3 = from_afe[3.0].real + R * (1.0 / 2.0 - 1.0 / 3.0)
-        rel = abs(lam3 / (ghat3 * d3) - 1.0)
-        if not rel <= 1e-8:
+        """R from Theta(1/t) = t Theta(t) + R (t - 1), where Theta(x) =
+        2^{r2} sum_{n<=N} a_n W(n x / Q), solved at t = 1.005 and t = 1.02.
+
+        Both points keep n x / Q inside the kernel grid, which starts at
+        0.98 / Q. The two solutions must agree to 1e-10 relative: a wrong
+        coefficient, kernel or conductor breaks the functional equation
+        and moves them apart.
+        """
+        ys = np.arange(1, self.N + 1, dtype=float) / self.gamma.scale
+        coeffs = self.a[1: self.N + 1]
+
+        def theta(x):
+            return self.gamma.front * float(np.dot(coeffs, self.kernel(ys * x)))
+
+        near, far = ((theta(1.0 / t) - t * theta(t)) / (t - 1.0)
+                     for t in (1.005, 1.02))
+        if not abs(near - far) <= 1e-10 * abs(far):
             raise InconsistentResidueError(
-                f"s=3 consistency check failed: relative error {rel:.3e}")
+                f"theta functional equation gives R = {near!r} at t = 1.005 "
+                f"and R = {far!r} at t = 1.02")
+        rho = far / math.exp(self.gamma.log_gamma_hat(1.0).real)
         if not rho > 0:
             raise InconsistentResidueError(f"nonpositive residue {rho}")
         self._residue = rho
@@ -293,9 +295,6 @@ class ZetaEvaluator:
         phase = np.exp(s * self.tau_nodes.astype(complex))
         i1 = complex(np.dot(self.tau_weights, phase * self.theta_values))
         return -(0.25 + t * t) * self.gamma.front * 2.0 * i1.real + self.pole_term
-
-
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def get_evaluator(K: NumberField, config: RunConfig | None = None) -> ZetaEvaluator:
@@ -368,17 +367,53 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
 
     Completeness checks: the counting window must contain the located
     count, and (for T >= 2) the exponential-kernel explicit-formula
-    identity must close. On failure the scan step halves, up to 3 times;
-    IncompleteZeroSetError carries one report per attempt, each with the
-    scan step it used, and names the finest step scanned.
+    identity must close. On failure the scan grid halves its step, up to 3
+    times. The grids are nested, n = ceil(T / scan_step) 2^h steps, so a
+    finer grid keeps every sign change of a coarser one. A grid whose sign
+    changes alone exceed the window's upper end therefore ends the scan at
+    once. IncompleteZeroSetError carries one report per attempt, each with
+    the scan step it used, and names the finest step scanned.
     """
     if not 0.0 < T <= 40.0:
         raise DomainError("T must lie in (0, 40]")
+    from .explicit import hsw_window
     cfg = ev.config
+    K = ev.field
+    window = hsw_window(K.n_K, K.log_abs_disc, max(1.0, T)).window
+    n = int(math.ceil(T / cfg.scan_step))
+    ts = np.arange(n + 1) * T / n
+    vals = np.array([ev.hardy(t) for t in ts])
     attempts = []
     for halvings in range(4):
-        step = cfg.scan_step * 0.5 ** halvings
-        zeros, widths, origin = _scan_once(ev, T, step, cfg.bisect_tol)
+        if halvings:
+            n *= 2
+            ts = np.arange(n + 1) * T / n  # bitwise the old points at even i
+            finer = np.empty(n + 1)
+            finer[::2] = vals
+            finer[1::2] = [ev.hardy(t) for t in ts[1::2]]
+            vals = finer
+        step = T / n
+        hits = np.nonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
+                          | (vals[:-1] * vals[1:] < 0))[0]
+        origin = abs(vals[0]) < 1e-9 * (float(np.max(np.abs(vals))) or 1.0)
+        count = 2 * len(hits) + int(origin)
+        if count > window[1] + 1e-9:
+            attempts.append({"scan_step": step,
+                             "hsw": {"count": count, "window": window}})
+            raise IncompleteZeroSetError(
+                f"zero scan failed completeness checks up to step {step}: "
+                f"its sign changes alone give {count} zeros, above the "
+                f"counting window's upper end {window[1]:.6g}",
+                diagnostics={"attempts": attempts})
+        zeros, widths = [], []
+        for i in hits.tolist():
+            if vals[i] == 0.0:
+                zeros.append(ts[i])
+                widths.append(0.0)
+            else:
+                z, w = _bisect_zero(ev, ts[i], ts[i + 1], vals[i], cfg.bisect_tol)
+                zeros.append(z)
+                widths.append(w)
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
                       zero_at_origin=origin,
                       diagnostics={"scan_step": step})
@@ -390,25 +425,6 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
     raise IncompleteZeroSetError(
         f"zero scan failed completeness checks up to step {step}",
         diagnostics={"attempts": attempts})
-
-
-def _scan_once(ev: ZetaEvaluator, T: float, step: float, tol: float):
-    n_steps = int(math.ceil(T / step))
-    ts = np.linspace(0.0, T, n_steps + 1)
-    vals = np.array([ev.hardy(t) for t in ts])
-    scale = float(np.max(np.abs(vals))) or 1.0
-    zeros, widths = [], []
-    origin = abs(vals[0]) < 1e-9 * scale
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0 and ts[i] > 0.0:
-            zeros.append(ts[i])
-            widths.append(0.0)
-            continue
-        if vals[i] * vals[i + 1] < 0:
-            z, w = _bisect_zero(ev, ts[i], ts[i + 1], vals[i], tol)
-            zeros.append(z)
-            widths.append(w)
-    return zeros, widths, origin
 
 
 def _completeness_checks(ev: ZetaEvaluator, zl: ZeroList, run_closure: bool):

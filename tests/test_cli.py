@@ -129,6 +129,16 @@ def test_verify_table1_deterministic(tmp_path, capsys, monkeypatch):
     assert "table1-verification.json" in digests[0]
 
 
+def test_verify_table1_second_quintic_meets_its_tolerance(tmp_path, capsys,
+                                                         monkeypatch):
+    from zetaheights import table1
+    monkeypatch.setattr(table1, "ROWS",
+                        tuple(r for r in table1.ROWS if r[0] == "x^5+2*x^2+26"))
+    assert main(["verify-table1", "--output-dir", str(tmp_path)]) == 0
+    (row,) = json.loads((tmp_path / "table1-verification.json").read_text())["rows"]
+    assert row["passed"] and row["column_error"] <= 1e-9
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "zh.conf"
     cfg.write_text("scan_step = 0.02\nprime_cutoff = 100000\n")

@@ -6,10 +6,27 @@ import numpy as np
 import pytest
 
 from zetaheights import direct_series, locate_zeros, zero_statistics
-from zetaheights.errors import DomainError
-from zetaheights.zeta import ZeroList
+from zetaheights.errors import (DomainError, GridMissError,
+                                IncompleteZeroSetError,
+                                InconsistentResidueError)
+from zetaheights.zeta import ZeroList, ZetaEvaluator
 
 CATALAN = 0.915965594177219015054603514932
+
+_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _mellin_weight(ev, s, n):
+    """Single smoothed coefficient weight F(s, n), by 64-point Gauss-Legendre
+    on the kernel's log grid."""
+    u = n / ev.gamma.scale
+    if u >= ev.y_max:
+        return 0.0
+    lo, hi = math.log(u), ev._log_grid[-1]
+    taus = 0.5 * (hi - lo) * _GL64_NODES + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * _GL64_WEIGHTS
+    vals = ev.kernel(np.exp(taus)) * np.exp(s * taus)
+    return ev.gamma.front * (u ** (-s)) * complex(np.dot(wts, vals))
 
 
 def _afe_vs_direct(ctx, text, s, n_direct):
@@ -47,11 +64,29 @@ def test_direct_series_domain():
 
 
 def test_residues(ctx):
-    assert ctx.evaluator("x").residue == pytest.approx(1.0, abs=1e-9)
-    assert ctx.evaluator("x^2+1").residue == pytest.approx(math.pi / 4, abs=1e-7)
+    """Residues from the theta functional equation against the class number
+    formula 2^r1 (2 pi)^r2 h R / (w sqrt|d|)."""
     phi = (1 + math.sqrt(5)) / 2
-    want = 2 * math.log(phi) / math.sqrt(5)
-    assert ctx.evaluator("x^2-x-1").residue == pytest.approx(want, abs=1e-6)
+    for text, want in (("x", 1.0),
+                       ("x^2+1", math.pi / 4),
+                       ("x^2-x-1", 2 * math.log(phi) / math.sqrt(5)),
+                       ("x^2+x+1", math.pi / (3 * math.sqrt(3)))):
+        assert ctx.evaluator(text).residue == pytest.approx(want, rel=1e-12), text
+
+
+def test_residue_rejects_a_wrong_coefficient(ctx):
+    ev = ZetaEvaluator(ctx.field("x^3+3*x+213"))
+    ev.a = ev.a.copy()  # the field's cached array stays intact
+    ev.a[2] += 1
+    with pytest.raises(InconsistentResidueError, match="t = 1.005"):
+        ev.residue
+
+
+def test_kernel_below_grid_raises(ctx):
+    ev = ctx.evaluator("x^3+3*x+213")
+    assert ev.kernel(np.array([1.0 / ev.gamma.scale]))[0] > 0  # theta's smallest y
+    with pytest.raises(GridMissError):
+        ev.kernel(np.array([0.5 * math.exp(ev._log_grid[0])]))
 
 
 def test_afe_direct_agreement_small_fields(ctx):
@@ -84,8 +119,8 @@ def test_mellin_weight_sum_matches_completed(ctx):
     """The per-coefficient smoothed weights recombine to Lambda(s)."""
     ev = ctx.evaluator("x^2-x-1")
     for s in (complex(0.6, 0.9), complex(2.0, 0.0)):
-        total = sum(float(ev.a[n]) * (ev.mellin_weight(s, n)
-                                      + ev.mellin_weight(1 - s, n))
+        total = sum(float(ev.a[n]) * (_mellin_weight(ev, s, n)
+                                      + _mellin_weight(ev, 1 - s, n))
                     for n in range(1, ev.N + 1) if ev.a[n])
         lam = total + ev.pole_term * (1.0 / (s - 1) - 1.0 / s)
         want = ev.completed(s) / (s * (s - 1))
@@ -183,6 +218,21 @@ def test_incomplete_zero_set_names_the_steps_scanned(ctx, tmp_path, monkeypatch,
     diagnostics = json.loads((tmp_path / "zeros-diagnostics.json").read_text())
     assert [a["scan_step"] for a in diagnostics["attempts"]] == steps
     assert "step 0.00125" in capsys.readouterr().err
+
+
+def test_too_many_sign_changes_end_the_scan_at_once(ctx, tmp_path, capsys):
+    """Z(t) for x^2+1 decays like e^{-pi t / 2} against the pole term, so the
+    scan to T = 40 sees far more sign changes than the counting window
+    allows; a finer grid keeps them all, so no rescan is tried."""
+    from zetaheights.cli import main
+    with pytest.raises(IncompleteZeroSetError) as info:
+        locate_zeros(ctx.evaluator("x^2+1"), 40.0)
+    (attempt,) = info.value.diagnostics["attempts"]
+    assert attempt["scan_step"] == 0.01
+    assert attempt["hsw"]["count"] > attempt["hsw"]["window"][1]
+    code = main(["zeros", "x^2+1", "--height", "40", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert (tmp_path / "zeros-diagnostics.json").exists()
 
 
 def test_zero_statistics_count_below(ctx):
