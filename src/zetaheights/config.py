@@ -21,7 +21,6 @@ class RunConfig:
     scan_step: float = 0.01
     bisect_tol: float = 1e-9
     prime_cutoff: int = 10 ** 6
-    contour_offset: float = 2.0
     contour_step: float = 0.05
     contour_halfwidth_log: float = 48.0
     wgrid_step_factor: float = 3.0e-3

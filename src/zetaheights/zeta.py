@@ -7,10 +7,10 @@ single cached kernel
 
     W(y) = (1/2 pi i) int_(c) Gamma(z/2)^r1 Gamma(z)^r2 y^{-z} dz,
 
-computed once by trapezoid rule on a geometric grid with cubic
-interpolation in log y. Swapping the n-sum and the x-integral turns every
-S(s) evaluation into a short fixed quadrature, which is what makes dense
-zero scans affordable.
+computed once on a uniform grid in log y, one saddle-point contour per
+block of the grid, and cubic-splined in log y. Swapping the n-sum and the
+x-integral turns every S(s) evaluation into a short fixed quadrature,
+which is what makes dense zero scans affordable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import k0 as bessel_k0
-from scipy.special import loggamma
+from scipy.special import digamma, loggamma
 
 from .config import RunConfig, default_config
 from .errors import (DomainError, GridMissError, InconsistentResidueError,
@@ -29,6 +29,7 @@ from .errors import (DomainError, GridMissError, InconsistentResidueError,
 from .fields import NumberField, coefficient_array, norm_counts
 
 TWO_PI = 2.0 * math.pi
+KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,41 @@ class ZeroStatistics:
     lam: float
 
 
+def _contour_halfwidth(degree: int, config: RunConfig) -> float:
+    """v where the Gamma factors' decay e^{-pi degree v / 4} is e^{-contour_halfwidth_log}."""
+    return config.contour_halfwidth_log / (math.pi / 4.0 * degree)
+
+
+def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray,
+                        config: RunConfig) -> np.ndarray:
+    """log W on a uniform grid of u = log y, -inf where W is not positive:
+    W(e^u) = (1/pi) Re int_0^vmax G(c+iv) e^{-(c+iv)u} dv, G(z) =
+    Gamma(z/2)^r1 Gamma(z)^r2, by the trapezoid rule. Block J of
+    KERNEL_BLOCK points from u_J takes c_J in [0.5, 2] nearest the saddle
+    point of |G(c) e^{-cu}| at its midpoint, (r1/2) psi(c/2) + r2 psi(c) = u;
+    off it the terms cancel and rounding swamps W. Split as e^{-(c+iv)u_J}
+    e^{-(c+iv)(u-u_J)}, the grid is one (blocks x nodes) @ (nodes x
+    KERNEL_BLOCK) product."""
+    step = config.contour_step
+    v = np.arange(0.0, _contour_halfwidth(r1 + 2 * r2, config) + step, step)
+    weights = np.where(v == 0.0, 0.5 * step, step)
+    starts = log_grid[::KERNEL_BLOCK]
+    offsets = np.arange(KERNEL_BLOCK) * ((log_grid[-1] - log_grid[0])
+                                         / max(len(log_grid) - 1, 1))
+    cs = np.linspace(0.5, 2.0, 151)  # psi increases, so interp inverts it
+    c = np.interp(starts + offsets.mean(),
+                  0.5 * r1 * digamma(0.5 * cs) + r2 * digamma(cs), cs)
+    z = c[:, None] + 1j * v
+    head = weights * np.exp(r1 * loggamma(z / 2.0) + r2 * loggamma(z)
+                            - z * starts[:, None])
+    vals = (head @ np.exp(-1j * np.outer(v, offsets))).real
+    vals *= np.exp(-np.outer(c, offsets)) / math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(vals.ravel()[: len(log_grid)])
+    out[~np.isfinite(out)] = -np.inf
+    return out
+
+
 class ZetaEvaluator:
     """Cached analytic data for one field: kernel grid, theta nodes, residue."""
 
@@ -103,8 +139,7 @@ class ZetaEvaluator:
             "N": self.N,
             "weight_rel_tol": self.config.weight_rel_tol,
             "y_threshold": self.y_threshold,
-            "contour": {"offset": self.config.contour_offset,
-                        "step": self.config.contour_step,
+            "contour": {"step": self.config.contour_step,
                         "halfwidth_log": self.config.contour_halfwidth_log},
             "kernel": self.kernel_kind,
         }
@@ -138,47 +173,39 @@ class ZetaEvaluator:
         else:
             self.kernel_kind = "mellin-barnes"
             vec_log_w = None
-        halfwidth = cfg.contour_halfwidth_log / (math.pi / 4.0 * n)
-        step_log = cfg.wgrid_step_factor / halfwidth
+        step_log = cfg.wgrid_step_factor / _contour_halfwidth(n, cfg)
         lo, hi = math.log(y_lo), math.log(y_hi)
         npts = max(int((hi - lo) / step_log) + 2, 64)
         grid = np.linspace(lo, hi, npts)
         if vec_log_w is None:
-            logw = self._mellin_barnes_logw(np.exp(grid), halfwidth)
+            logw = _mellin_barnes_logw(r1, r2, grid, cfg)
         else:
             logw = vec_log_w(np.exp(grid))
-        finite = np.isfinite(logw)
-        if not finite.all():
-            last = np.nonzero(finite)[0][-1]
-            grid, logw = grid[: last + 1], logw[: last + 1]
+        # past the peak, the first W <= 0 marks the rounding floor: stop
+        top = int(np.argmax(logw))
+        bad = np.flatnonzero(~np.isfinite(logw[top:]))
+        if len(bad):
+            grid, logw = grid[: top + bad[0]], logw[: top + bad[0]]
         self._log_grid = grid
-        self._spline = CubicSpline(grid, logw)
+        self._pieces = CubicSpline(grid, logw).c
         peak = float(logw.max())
         below = np.nonzero(logw <= peak + math.log(cfg.weight_rel_tol))[0]
-        idx = below[below > int(np.argmax(logw))]
+        idx = below[below > top]
         self.y_threshold = float(np.exp(grid[idx[0]])) if len(idx) else float(np.exp(grid[-1]))
         self.y_max = float(np.exp(grid[-1]))
 
-    def _mellin_barnes_logw(self, ys, halfwidth):
-        cfg = self.config
-        c = cfg.contour_offset
-        v = np.arange(0.0, halfwidth + cfg.contour_step, cfg.contour_step)
-        z = c + 1j * v
-        log_g = (self.gamma.r1 * loggamma(z / 2.0)
-                 + self.gamma.r2 * loggamma(z))
-        weights = np.full(len(v), cfg.contour_step)
-        weights[0] = 0.5 * cfg.contour_step
-        vals = np.empty(len(ys))
-        lny = np.log(ys)
-        # W(y) = (1/pi) Re int_0^vmax G(c+iv) e^{-(c+iv) ln y} dv
-        chunk = max(1, 4_000_000 // max(len(v), 1))
-        for start in range(0, len(lny), chunk):
-            block = lny[start: start + chunk]
-            integrand = np.exp(log_g[None, :] - np.outer(block, z))
-            vals[start: start + len(block)] = integrand.real @ weights / math.pi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(vals)
-        out[~np.isfinite(out)] = -np.inf
+    def _log_w(self, u: np.ndarray) -> np.ndarray:
+        """log W at log-points u inside the grid: the spline piece
+        int((u - u_0) / h), capped at the last, as a cubic in u minus its
+        stored breakpoint (never u_0 + i h, which drifts by rounding)."""
+        knots, pieces = self._log_grid, self._pieces
+        i = ((u - knots[0]) / (knots[1] - knots[0])).astype(np.intp)
+        np.minimum(i, pieces.shape[1] - 1, out=i)
+        dx = u - knots.take(i)
+        out = pieces[0].take(i)
+        for row in pieces[1:]:
+            out *= dx
+            out += row.take(i)
         return out
 
     def kernel(self, ys: np.ndarray) -> np.ndarray:
@@ -195,7 +222,7 @@ class ZetaEvaluator:
                 f"grid's first point {math.exp(self._log_grid[0]):.6g}")
         out = np.zeros_like(lny)
         mask = lny <= self._log_grid[-1]
-        out[mask] = np.exp(self._spline(lny[mask]))
+        out[mask] = np.exp(self._log_w(lny[mask]))
         return out
 
     # -- theta ----------------------------------------------------------
@@ -212,33 +239,38 @@ class ZetaEvaluator:
         # sweep them once here, with the coefficients
         norm_counts(self.field, max(self.N, cfg.prime_cutoff))
         self.a = coefficient_array(self.field, self.N)
-        tau_max = math.log(max(self.y_max * Q, math.e))
+        # _theta sums n <= min(N, y_max Q) e^{-tau}: none past this tau
+        self._log_n_cut = math.log(min(self.N, self.y_max * Q))
+        tau_max = max(self._log_n_cut, 1.0)
         n_panels = max(int(math.ceil(tau_max / cfg.panel_width)), 2)
         nodes, weights = np.polynomial.legendre.leggauss(cfg.panel_order)
-        taus, ws = [], []
         edges = np.linspace(0.0, tau_max, n_panels + 1)
-        for a_edge, b_edge in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a_edge + b_edge), 0.5 * (b_edge - a_edge)
-            taus.append(mid + half * nodes)
-            ws.append(half * weights)
-        self.tau_nodes = np.concatenate(taus)
-        self.tau_weights = np.concatenate(ws)
-        ns = np.arange(1, self.N + 1, dtype=float)
-        coeffs = self.a[1: self.N + 1]
-        vals = np.empty(len(self.tau_nodes))
-        for j, tau in enumerate(self.tau_nodes):
-            scale = math.exp(tau) / Q
-            n_eff = min(self.N, int(self.y_max / scale) + 1)
-            ys = ns[:n_eff] * scale
-            vals[j] = float(np.dot(coeffs[:n_eff], self.kernel(ys)))
-        self.theta_values = vals
-        self.tau_max = tau_max
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        self.tau_nodes = (mid[:, None] + half[:, None] * nodes).ravel()
+        self.tau_weights = (half[:, None] * weights).ravel()
+        terms = self._nonzero_terms()
+        self.theta_values = np.array([self._theta(terms, tau)
+                                      for tau in self.tau_nodes])
+
+    def _nonzero_terms(self):
+        """(log n, a_n) over the nonzero a_n with n <= N, n increasing."""
+        n = np.flatnonzero(self.a[1: self.N + 1]) + 1
+        return np.log(n), self.a[n]
+
+    def _theta(self, terms, tau: float) -> float:
+        """sum a_n W(n e^tau / Q) over n <= min(N, y_max Q) e^{-tau}: the cut
+        N makes at tau = 0, where W has decayed past weight_rel_tol."""
+        log_n, coeffs = terms
+        k = int(np.searchsorted(log_n, self._log_n_cut - tau, side="right"))
+        w = self._log_w(log_n[:k] + (tau - math.log(self.gamma.scale)))
+        np.exp(w, out=w)
+        return float(np.dot(coeffs[:k], w))
 
     # -- Lambda / S -----------------------------------------------------
 
     def smoothed_sum(self, s: complex) -> complex:
         """sum_n a_n F(s, n) = C int_1^inf x^{s-1} Theta(x) dx."""
-        phase = np.exp(s * self.tau_nodes.astype(complex))
+        phase = np.exp(s * self.tau_nodes)
         return self.gamma.front * complex(
             np.dot(self.tau_weights, phase * self.theta_values))
 
@@ -253,7 +285,9 @@ class ZetaEvaluator:
     @property
     def pole_term(self) -> float:
         """R = residue of Lambda at s=1 (gamma-hat(1) times residue)."""
-        return self.residue * math.exp(self.gamma.log_gamma_hat(1.0).real)
+        if self._residue is None:
+            self._solve_residue()
+        return self._pole_term
 
     def _solve_residue(self):
         """R from Theta(1/t) = t Theta(t) + R (t - 1), where Theta(x) =
@@ -264,11 +298,10 @@ class ZetaEvaluator:
         coefficient, kernel or conductor breaks the functional equation
         and moves them apart.
         """
-        ys = np.arange(1, self.N + 1, dtype=float) / self.gamma.scale
-        coeffs = self.a[1: self.N + 1]
+        terms = self._nonzero_terms()  # from self.a as it is now
 
         def theta(x):
-            return self.gamma.front * float(np.dot(coeffs, self.kernel(ys * x)))
+            return self.gamma.front * self._theta(terms, math.log(x))
 
         near, far = ((theta(1.0 / t) - t * theta(t)) / (t - 1.0)
                      for t in (1.005, 1.02))
@@ -279,7 +312,7 @@ class ZetaEvaluator:
         rho = far / math.exp(self.gamma.log_gamma_hat(1.0).real)
         if not rho > 0:
             raise InconsistentResidueError(f"nonpositive residue {rho}")
-        self._residue = rho
+        self._residue, self._pole_term = rho, far
 
     def completed(self, s: complex) -> complex:
         """Entire S(s) = s(s-1) Lambda(s); S(s) = S(1-s) by construction."""
@@ -291,10 +324,8 @@ class ZetaEvaluator:
 
     def hardy(self, t: float) -> float:
         """Real S(1/2 + it) along the critical line."""
-        s = complex(0.5, t)
-        phase = np.exp(s * self.tau_nodes.astype(complex))
-        i1 = complex(np.dot(self.tau_weights, phase * self.theta_values))
-        return -(0.25 + t * t) * self.gamma.front * 2.0 * i1.real + self.pole_term
+        lam_sum = 2.0 * self.smoothed_sum(complex(0.5, t)).real
+        return -(0.25 + t * t) * lam_sum + self.pole_term
 
 
 def get_evaluator(K: NumberField, config: RunConfig | None = None) -> ZetaEvaluator:

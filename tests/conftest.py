@@ -1,8 +1,9 @@
 """Shared fixtures: one cached pipeline per field across the whole session.
 
-Field construction, evaluators, and zero scans are expensive; the package
-keeps module-level caches, and this context object adds a zeros cache so
-acceptance and unit tests share work.
+Field construction, evaluators, and zero scans are expensive. The package
+builds each field once per defining polynomial and keeps its coefficient
+tables and evaluators on the field itself; this context object adds a
+zeros cache so acceptance and unit tests share work.
 """
 
 import pytest

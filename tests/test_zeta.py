@@ -9,7 +9,7 @@ from zetaheights import direct_series, locate_zeros, zero_statistics
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import ZeroList, ZetaEvaluator
+from zetaheights.zeta import ZeroList, ZetaEvaluator, _mellin_barnes_logw
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -140,17 +140,62 @@ def test_mellin_barnes_matches_exact_kernels(ctx):
         ("x^2+1", lambda y: np.exp(-y), 0.4, 12.0, 23.0),
         ("x^2-2", lambda y: 4.0 * k0(2.0 * y), 1.2, 6.5, 12.0),
     ):
-        ev = ctx.evaluator(text)
-        halfwidth = 48.0 / (math.pi / 4.0 * ev.field.n_K)
+        K = ctx.field(text)
+
+        def mellin_barnes(ys):  # ys geometric: a uniform grid in log y
+            return np.exp(_mellin_barnes_logw(K.r1, K.r2, np.log(ys), ctx.config))
         bright = np.geomspace(lo, mid, 20)
-        mb = np.exp(ev._mellin_barnes_logw(bright, halfwidth))
+        mb = mellin_barnes(bright)
         assert np.max(np.abs(mb / exact(bright) - 1.0)) < 1e-11, text
         dim = np.geomspace(mid, hi, 10)
-        mb_dim = np.exp(ev._mellin_barnes_logw(dim, halfwidth))
+        mb_dim = mellin_barnes(dim)
         assert np.max(np.abs(mb_dim / exact(dim) - 1.0)) < 1e-7, text
         deep = np.geomspace(hi, 1.6 * hi, 5)
-        absolute = np.exp(ev._mellin_barnes_logw(deep, halfwidth)) - exact(deep)
+        absolute = mellin_barnes(deep) - exact(deep)
         assert np.max(np.abs(absolute)) < 1e-15 * float(exact(np.array([lo]))[0])
+
+
+@pytest.mark.parametrize("r1, r2, y_tail", [(1, 1, 60.0), (0, 2, 60.0),
+                                             (1, 2, 100.0), (0, 3, 150.0)])
+def test_kernel_matches_meijer_g(ctx, r1, r2, y_tail):
+    """The Mellin-Barnes kernel on a grid at the evaluator's step, from
+    y = 3.3e-5 (the first grid point of x^6+65) into the tail, against
+    W(y) = 2^{1-r2} pi^{-r2/2} G^{n,0}_{0,n}(y^2 / 4^{r2} | 0 x (r1+r2),
+    1/2 x r2) at 30 digits: within 1e-13 of the peak at five points."""
+    import mpmath as mp
+
+    from zetaheights.zeta import _contour_halfwidth
+    step = ctx.config.wgrid_step_factor / _contour_halfwidth(r1 + 2 * r2, ctx.config)
+    lo, hi = math.log(3.3e-5), math.log(y_tail)
+    grid = np.linspace(lo, hi, int((hi - lo) / step) + 2)
+    logw = _mellin_barnes_logw(r1, r2, grid, ctx.config)
+    peak = math.exp(logw.max())
+    with mp.workdps(30):
+        for i in np.linspace(0, len(grid) - 1, 5).astype(int):
+            g = mp.meijerg([[], []], [[0] * (r1 + r2) + [0.5] * r2, []],
+                           mp.exp(2 * mp.mpf(grid[i])) / 4 ** r2)
+            want = float(2 ** (1 - r2) * mp.pi ** (-mp.mpf(r2) / 2) * g)
+            err = abs(math.exp(logw[i]) - want) / peak
+            assert err <= 1e-13, (math.exp(grid[i]), err)
+
+
+@pytest.mark.parametrize("text", ["x^3+3*x+213", "x^4+1", "x^5+2*x^2+26"])
+def test_theta_values_match_the_plain_loop(ctx, text):
+    """Theta at every tau node against the plain sum over every n <= N with
+    y = n e^tau / Q <= y_max, W from CubicSpline through the same knots."""
+    from scipy.interpolate import CubicSpline
+    ev = ctx.evaluator(text)
+    spline = CubicSpline(ev._log_grid, _mellin_barnes_logw(
+        ev.gamma.r1, ev.gamma.r2, ev._log_grid, ev.config))
+    ns = np.arange(1, ev.N + 1, dtype=float)
+    coeffs = ev.a[1: ev.N + 1]
+    want = np.empty(len(ev.tau_nodes))
+    for j, tau in enumerate(ev.tau_nodes):
+        ys = ns * (math.exp(tau) / ev.gamma.scale)
+        k = np.searchsorted(ys, ev.y_max, side="right")
+        want[j] = np.dot(coeffs[:k], np.exp(spline(np.log(ys[:k]))))
+    err = np.max(np.abs(ev.theta_values - want)) / np.max(np.abs(want))
+    assert err <= 1e-13, err
 
 
 def test_first_zero_riemann(ctx):
