@@ -9,7 +9,8 @@ from zetaheights import direct_series, locate_zeros, zero_statistics
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import ZeroList, ZetaEvaluator, _mellin_barnes_logw
+from zetaheights.zeta import (ZeroList, ZetaEvaluator, _contour_halfwidth,
+                              _mellin_barnes_logw)
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -163,8 +164,6 @@ def test_kernel_matches_meijer_g(ctx, r1, r2, y_tail):
     W(y) = 2^{1-r2} pi^{-r2/2} G^{n,0}_{0,n}(y^2 / 4^{r2} | 0 x (r1+r2),
     1/2 x r2) at 30 digits: within 1e-13 of the peak at five points."""
     import mpmath as mp
-
-    from zetaheights.zeta import _contour_halfwidth
     step = ctx.config.wgrid_step_factor / _contour_halfwidth(r1 + 2 * r2, ctx.config)
     lo, hi = math.log(3.3e-5), math.log(y_tail)
     grid = np.linspace(lo, hi, int((hi - lo) / step) + 2)
