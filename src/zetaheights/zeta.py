@@ -9,8 +9,10 @@ single cached kernel
 
 computed once on a uniform grid in log y, one saddle-point contour per
 block of the grid, and cubic-splined in log y. Swapping the n-sum and the
-x-integral turns every S(s) evaluation into a short fixed quadrature,
-which is what makes dense zero scans affordable.
+x-integral turns every S(s) evaluation into a short fixed quadrature over
+the theta profile sum_n a_n W(n x / Q), which is what makes dense zero scans
+affordable. That profile sums the small n term by term and the rest through
+masses spread onto a uniform log-n grid, fine enough for the band-limited W.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .fields import NumberField, coefficient_array, norm_counts
 
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
+SPREAD_POINTS = 8  # Lagrange stencil that spreads one far a_n onto the log-n grid
+SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ class ZetaEvaluator:
         self.config = config or default_config()
         self.gamma = GammaFactor.of(K)
         self._build_kernel()
-        self._build_theta()
+        theta = self._build_theta()
         self._residue = None
         self.diagnostics = {
             "N": self.N,
@@ -142,6 +146,7 @@ class ZetaEvaluator:
             "contour": {"step": self.config.contour_step,
                         "halfwidth_log": self.config.contour_halfwidth_log},
             "kernel": self.kernel_kind,
+            "theta": theta,
         }
 
     # -- kernel ---------------------------------------------------------
@@ -248,23 +253,64 @@ class ZetaEvaluator:
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
         self.tau_nodes = (mid[:, None] + half[:, None] * nodes).ravel()
         self.tau_weights = (half[:, None] * weights).ravel()
-        terms = self._nonzero_terms()
-        self.theta_values = np.array([self._theta(terms, tau)
-                                      for tau in self.tau_nodes])
+        split = self._split_terms()
+        self.theta_values = self._theta(split, self.tau_nodes)
+        (log_n, _), (_, _, masses) = split
+        terms = int(np.count_nonzero(self.a[1: self.N + 1]))
+        return {"near_terms": len(log_n), "far_terms": terms - len(log_n),
+                "grid_points": len(masses)}
 
-    def _nonzero_terms(self):
-        """(log n, a_n) over the nonzero a_n with n <= N, n increasing."""
+    def _split_terms(self):
+        """Near terms (log n, a_n), the nonzero a_n with n <= n0, and far
+        masses (eta, first, masses): the a_n with n0 < n <= N spread by
+        SPREAD_POINTS-point Lagrange rows onto log n = m eta, m >= first.
+        W(e^u) is band-limited in u to the contour halfwidth v, so at eta =
+        SPREAD_STEP / v the rows reproduce each a_n W(n e^tau / Q) to
+        rounding. Below n0 = SPREAD_POINTS / eta a stencil holds too few a_n
+        to save work; n0 >= 204 up to degree 8, so none reaches n = 1."""
+        eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree, self.config)
         n = np.flatnonzero(self.a[1: self.N + 1]) + 1
-        return np.log(n), self.a[n]
+        cut = int(np.searchsorted(n, SPREAD_POINTS / eta, side="right"))
+        near, far = n[:cut], n[cut:]
+        offsets = range(1 - SPREAD_POINTS // 2, SPREAD_POINTS // 2 + 1)
+        # grid cell j = floor(log n / eta); a j rounded off by one at either
+        # end is clipped, and the rows still hold for t just outside [0, 1)
+        j_lo, j_hi = ((int(math.log(far[0]) / eta), int(math.log(far[-1]) / eta))
+                      if len(far) else (0, -SPREAD_POINTS))
+        first = j_lo + offsets[0]
+        masses = np.zeros(j_hi - j_lo + SPREAD_POINTS)
+        for lo in range(0, len(far), 1 << 16):
+            chunk = far[lo: lo + (1 << 16)]
+            t = np.log(chunk) / eta
+            j = np.clip(t.astype(np.intp), j_lo, j_hi)
+            t -= j
+            coeffs = self.a[chunk]
+            for o in offsets:
+                row = coeffs / math.prod(o - p for p in offsets if p != o)
+                for p in offsets:
+                    if p != o:
+                        row *= t - p
+                masses += np.bincount(j + (o - first), row, len(masses))
+        return (np.log(near), self.a[near]), (eta, first, masses)
 
-    def _theta(self, terms, tau: float) -> float:
-        """sum a_n W(n e^tau / Q) over n <= min(N, y_max Q) e^{-tau}: the cut
-        N makes at tau = 0, where W has decayed past weight_rel_tol."""
-        log_n, coeffs = terms
-        k = int(np.searchsorted(log_n, self._log_n_cut - tau, side="right"))
-        w = self._log_w(log_n[:k] + (tau - math.log(self.gamma.scale)))
-        np.exp(w, out=w)
-        return float(np.dot(coeffs[:k], w))
+    def _theta(self, split, taus: np.ndarray) -> np.ndarray:
+        """sum a_n W(n e^tau / Q) at each tau. Near n term by term, over n <=
+        min(N, y_max Q) e^{-tau}: the cut N makes at tau = 0, where W has
+        decayed past weight_rel_tol. Far n through the spread masses, with
+        W = 0 past the kernel grid's end."""
+        (log_n, coeffs), (eta, first, masses) = split
+        out = np.empty(len(taus))
+        for i, tau in enumerate(taus):
+            k = int(np.searchsorted(log_n, self._log_n_cut - tau, side="right"))
+            w = self._log_w(log_n[:k] + (tau - math.log(self.gamma.scale)))
+            np.exp(w, out=w)
+            out[i] = float(np.dot(coeffs[:k], w))
+        if len(masses):
+            u = ((first + np.arange(len(masses))) * eta
+                 + (taus[:, None] - math.log(self.gamma.scale)))
+            w = np.exp(self._log_w(np.minimum(u, self._log_grid[-1])))
+            out += np.where(u <= self._log_grid[-1], w, 0.0) @ masses
+        return out
 
     # -- Lambda / S -----------------------------------------------------
 
@@ -298,13 +344,12 @@ class ZetaEvaluator:
         coefficient, kernel or conductor breaks the functional equation
         and moves them apart.
         """
-        terms = self._nonzero_terms()  # from self.a as it is now
-
-        def theta(x):
-            return self.gamma.front * self._theta(terms, math.log(x))
-
-        near, far = ((theta(1.0 / t) - t * theta(t)) / (t - 1.0)
-                     for t in (1.005, 1.02))
+        ts = (1.005, 1.02)
+        taus = np.array([math.log(x) for t in ts for x in (1.0 / t, t)])
+        theta = [self.gamma.front * float(v)  # from self.a as it is now
+                 for v in self._theta(self._split_terms(), taus)]
+        near, far = ((theta[2 * i] - t * theta[2 * i + 1]) / (t - 1.0)
+                     for i, t in enumerate(ts))
         if not abs(near - far) <= 1e-10 * abs(far):
             raise InconsistentResidueError(
                 f"theta functional equation gives R = {near!r} at t = 1.005 "

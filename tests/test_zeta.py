@@ -75,10 +75,13 @@ def test_residues(ctx):
         assert ctx.evaluator(text).residue == pytest.approx(want, rel=1e-12), text
 
 
-def test_residue_rejects_a_wrong_coefficient(ctx):
-    ev = ZetaEvaluator(ctx.field("x^3+3*x+213"))
+@pytest.mark.parametrize("text, n", [("x^3+3*x+213", 2),
+                                     ("x^4+18*x^2+60", 415)],  # first far a_n
+                         ids=["x^3+3*x+213", "x^4+18*x^2+60"])
+def test_residue_rejects_a_wrong_coefficient(ctx, text, n):
+    ev = ZetaEvaluator(ctx.field(text))
     ev.a = ev.a.copy()  # the field's cached array stays intact
-    ev.a[2] += 1
+    ev.a[n] += 1
     with pytest.raises(InconsistentResidueError, match="t = 1.005"):
         ev.residue
 
@@ -178,23 +181,44 @@ def test_kernel_matches_meijer_g(ctx, r1, r2, y_tail):
             assert err <= 1e-13, (math.exp(grid[i]), err)
 
 
-@pytest.mark.parametrize("text", ["x^3+3*x+213", "x^4+1", "x^5+2*x^2+26"])
-def test_theta_values_match_the_plain_loop(ctx, text):
-    """Theta at every tau node against the plain sum over every n <= N with
-    y = n e^tau / Q <= y_max, W from CubicSpline through the same knots."""
+@pytest.mark.parametrize("text, stride", [("x^3+3*x+213", 1), ("x^4+1", 1),
+                                          ("x^5+2*x^2+26", 1), ("x^5+42", 16)],
+                         ids=["x^3+3*x+213", "x^4+1", "x^5+2*x^2+26", "x^5+42"])
+def test_theta_values_match_the_plain_loop(ctx, text, stride):
+    """Theta at every stride-th tau node against the plain sum over every
+    n <= N with y = n e^tau / Q <= y_max, W from CubicSpline through the same
+    knots. On x^5+42 this bounds the error of spreading the far a_n."""
     from scipy.interpolate import CubicSpline
     ev = ctx.evaluator(text)
     spline = CubicSpline(ev._log_grid, _mellin_barnes_logw(
         ev.gamma.r1, ev.gamma.r2, ev._log_grid, ev.config))
     ns = np.arange(1, ev.N + 1, dtype=float)
     coeffs = ev.a[1: ev.N + 1]
-    want = np.empty(len(ev.tau_nodes))
-    for j, tau in enumerate(ev.tau_nodes):
+    taus = ev.tau_nodes[::stride]
+    want = np.empty(len(taus))
+    for j, tau in enumerate(taus):
         ys = ns * (math.exp(tau) / ev.gamma.scale)
         k = np.searchsorted(ys, ev.y_max, side="right")
         want[j] = np.dot(coeffs[:k], np.exp(spline(np.log(ys[:k]))))
-    err = np.max(np.abs(ev.theta_values - want)) / np.max(np.abs(want))
+    err = np.max(np.abs(ev.theta_values[::stride] - want)) / np.max(np.abs(want))
     assert err <= 1e-13, err
+
+
+@pytest.mark.parametrize("text", ["x", "x^2+1", "x^4+1"])
+def test_theta_without_far_terms_is_the_per_node_sum(ctx, text):
+    """With every n <= N below the spreading split, theta is the term-by-term
+    sum over the nonzero a_n at each node, bit for bit."""
+    ev = ctx.evaluator(text)
+    assert ev.diagnostics["theta"]["far_terms"] == 0
+    assert ev.diagnostics["theta"]["grid_points"] == 0
+    n = np.flatnonzero(ev.a[1: ev.N + 1]) + 1
+    log_n, coeffs = np.log(n), ev.a[n]
+    want = np.empty(len(ev.tau_nodes))
+    for j, tau in enumerate(ev.tau_nodes):
+        k = int(np.searchsorted(log_n, ev._log_n_cut - tau, side="right"))
+        w = np.exp(ev._log_w(log_n[:k] + (tau - math.log(ev.gamma.scale))))
+        want[j] = float(np.dot(coeffs[:k], w))
+    assert np.array_equal(ev.theta_values, want)
 
 
 def test_first_zero_riemann(ctx):
@@ -297,6 +321,14 @@ def test_evaluator_diagnostics_truncation(ctx):
     assert d["N"] == ev.N
     assert d["weight_rel_tol"] <= 1e-16
     assert ev.residue > 0
+
+
+def test_evaluator_diagnostics_theta_split(ctx):
+    """n0 = 407.4 on quartics: 86 nonzero a_n below it, 1,012 spread onto
+    grid points floor(log 415 / eta) - 3 = 304 to floor(log 7209 / eta) + 4
+    = 456, the first and last nonzero a_n above it."""
+    d = ctx.evaluator("x^4+18*x^2+60").diagnostics
+    assert d["theta"] == {"near_terms": 86, "far_terms": 1012, "grid_points": 153}
 
 
 def test_evaluator_cache_ignores_output_settings(ctx):
