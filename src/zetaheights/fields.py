@@ -867,7 +867,8 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     """Float array a[0..N] with a[n] = #ideals of norm n (a[0] unused).
 
     Built from the norm counts to N. Only the override-free array is
-    cached; with an override it is built afresh from the forced counts.
+    cached, read-only; with an override it is built afresh from the forced
+    counts.
     """
     state = K.state
     if (not override and state.coeff_array is not None
@@ -905,6 +906,7 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
             end = np.searchsorted(large, N // m, side="right")
             a[m * large[:end]] = a[m] * n_large[:end]
     if not override:
+        a.flags.writeable = False   # shared by every caller of this field
         state.coeff_array = a
         state.coeff_limit = N
     return a

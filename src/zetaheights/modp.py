@@ -3,7 +3,11 @@
 Dense coefficient lists (ascending, values in [0, p)) for the exact
 single-prime path. Root counts over hundreds of thousands of primes are
 swept in numpy, one prime per column: x^p mod f by square-and-multiply and
-deg gcd(x^p - x, f) by an inverse-free Euclid, in exact int64 arithmetic.
+deg gcd(x^p - x, f) by an inverse-free Euclid. Residues are balanced and
+reduced as x - p rint(x / p) in float64, exact while every intermediate
+stays within 2^53 (p up to about 6.7e7 at degree 8, 1.1e8 at degree 3);
+primes past that run the same loop in int64. Quadratics take Euler's
+criterion on the discriminant instead.
 """
 
 from __future__ import annotations
@@ -220,89 +224,167 @@ def factor_shape_mod_p(f: IntPolynomial, p: int):
 _BLOCK = 1 << 13
 
 
-def _times_x(r, fmod, ps):
-    """x r mod (f, p) per column: a shift plus one reduction row."""
-    return (np.concatenate([np.zeros_like(r[:1]), r[:-1]]) - r[-1] * fmod[:-1]) % ps
+def _float_bound(terms: int) -> int:
+    """Largest p for which the float64 sweep is exact with `terms` products
+    of two residues summed before a reduction: terms m^2 + p + 4 <= 2^53,
+    m = p/2 + 2.
+
+    A reduction maps an integer x with |x| < 2^53 to r = x - p rint(x (1/p)).
+    x (1/p) carries two roundings, so it is within |x/p| 2^-52 (1 + 2^-54)
+    of x/p, and |r| < p/2 + 2 + 2^-53: r is an integer, so |r| <= m. Every
+    input is a sum of at most `terms` products of residues plus one residue,
+    |x| <= terms m^2 + m, so p rint(x (1/p)) = x - r stays within terms m^2
+    + 2m = terms m^2 + p + 4 <= 2^53, where every integer is a float64: the
+    product, the difference and so r are exact. terms = d gives p up to
+    about 1.1e8 at d = 3 and 6.7e7 at d = 8.
+    """
+    p = 2 * math.isqrt(2 ** 53 // terms)
+    while terms * (p + 4) ** 2 + 4 * p + 16 > 2 ** 55:
+        p -= 1
+    return p
 
 
-def _square(r, fold, ps):
-    """r^2 mod (f, p) per column, with fold[k] = x^(d+k) mod (f, p)."""
-    d = len(r)
-    conv = np.zeros((2 * d - 1, r.shape[1]), dtype=np.int64)
-    for i in range(d):
-        conv[i: i + d] += r[i] * r
-    conv %= ps
-    return (conv[:d] + sum(conv[d + k] * fold[k] for k in range(d - 1))) % ps
+def _modulus(ps: np.ndarray, terms: int):
+    """(p, mod) for one block of primes: mod(x) overwrites an array of exact
+    integers by balanced residues, |r| <= p/2 + 2. Float64 with rint while
+    the block's largest prime is within _float_bound(terms), else int64 with
+    floor division, |r| <= p/2."""
+    if ps.max() <= _float_bound(terms):
+        p = ps.astype(np.float64)
+        inv = 1.0 / p
+
+        def mod(x):
+            q = x * inv
+            np.rint(q, out=q)
+            q *= p
+            x -= q
+            return x
+        return p, mod
+    half = ps // 2
+
+    def mod(x):
+        q = x + half
+        q //= ps
+        q *= ps
+        x -= q
+        return x
+    return ps, mod
 
 
-def _degrees(a):
-    """Degree of every column polynomial, -1 for zero."""
-    return np.where(a.any(axis=0), len(a) - 1 - np.argmax(a[::-1] != 0, axis=0), -1)
-
-
-def _gcd_degrees(a, b, ps):
-    """deg gcd(a, b) mod p per column by an inverse-free Euclid: once deg a
-    >= deg b, a becomes lc(b) a - lc(a) x^(deg a - deg b) b mod p, which
-    lowers deg a and keeps the gcd, since lc(b) is a unit."""
-    col, row = np.arange(a.shape[1]), np.arange(len(a))[:, None]
-    da, db = _degrees(a), _degrees(b)
-    while (db >= 0).any():
-        swap = da < db
+def _gcd_degrees(a, b, mod):
+    """deg gcd(a, b) mod p per column by an inverse-free Euclid on
+    top-aligned polynomials: row i holds the coefficient of x^(deg - i),
+    and a has more rows than b. Of the pair, call hi the one of higher
+    degree and lo the other. While lc(lo) = 0, lo drops that row;
+    otherwise hi becomes lc(lo) hi - lc(hi) x^(deg hi - deg lo) lo, row by
+    row with no shift, and drops its zero leading row. lc(lo) is a unit, so
+    the gcd is kept. Each step first swaps the polynomial it replaces into
+    a. A column is done once lo is zero (degree < 0); hi is the gcd."""
+    n = a.shape[1]
+    da, db = np.full(n, len(a) - 1), np.full(n, len(b) - 1)
+    b = np.concatenate([b, np.zeros((len(a) - len(b), n), dtype=b.dtype)])
+    while (np.minimum(da, db) >= 0).any():
+        hi = da >= db
+        live = np.where(hi, b[0], a[0]) != 0
+        swap = hi != live
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.where(swap, db, da), np.where(swap, da, db)
-        shifted = np.take_along_axis(np.concatenate([np.zeros_like(b), b]),
-                                     row + len(b) - (da - db), axis=0)
-        lc_b = np.where(db >= 0, b[db, col], 1)
-        a = (lc_b * a - a[da, col] * shifted) % ps
-        da = _degrees(a)
-    return da
+        lc_lo, lc_hi = np.where(live, b[0], 1), np.where(live, a[0], 0)
+        a = mod(lc_lo * a - lc_hi * b)
+        a = np.concatenate([a[1:], np.zeros_like(a[:1])])   # drop the zero lc
+        da -= 1
+    return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
+
+
+def _sweep_block(coeffs, ps):
+    """Root counts of monic f (ascending int64 coefficients) for one block
+    of primes: x^p mod (f, p), then deg gcd(x^p - x, f)."""
+    d, n = len(coeffs) - 1, len(ps)
+    p, mod = _modulus(ps, d)
+    f = mod((coeffs % ps).astype(p.dtype))
+    fold = np.empty((d, d, n), dtype=p.dtype)   # fold[k] = x^(d+k) mod (f, p)
+    fold[0] = -f[:d]
+    for k in range(1, d):
+        fold[k, 0], fold[k, 1:] = 0, fold[k - 1, :-1]
+        fold[k] = mod(fold[k] - fold[k - 1, -1] * f[:d])
+    r = np.zeros((d, n), dtype=p.dtype)
+    r[0] = 1
+    sq = np.zeros((2 * d + 1, n), dtype=p.dtype)   # r^2 in rows 1 .. 2d - 1
+    for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
+        twice = 2 * r
+        sq[1] = r[0] * r[0]
+        sq[2: d + 1] = twice[0] * r[1:]
+        sq[d + 1: 2 * d] = 0
+        for i in range(1, d):
+            sq[1 + 2 * i] += r[i] * r[i]
+            sq[2 + 2 * i: 1 + i + d] += twice[i] * r[i + 1:]
+        # x r^2 (rows 0 .. 2d - 1) where the bit is set, else r^2
+        r = mod(np.where((ps >> bit) & 1 == 1, sq[:-1], sq[1:]))
+        r = mod(r[:d] + np.einsum("kc,kjc->jc", r[d:], fold))
+    r[1] = mod(r[1] - 1)   # x^p - x
+    return _gcd_degrees(f[::-1], r[::-1], mod)
+
+
+def _euler_counts(f: IntPolynomial, ps: np.ndarray):
+    """1 + (disc | p) for quadratic f and odd p, by Euler's criterion
+    disc^((p-1)/2) mod p in float64; jacobi past the float bound."""
+    a0, a1, a2 = f.coefficients
+    counts = np.empty(len(ps), dtype=np.int64)
+    fast = ps <= _float_bound(1)
+    for i in np.flatnonzero(~fast).tolist():
+        counts[i] = 1 + jacobi((a1 * a1 - 4 * a2 * a0) % int(ps[i]), int(ps[i]))
+    ps = ps[fast]
+    if len(ps):
+        p, mod = _modulus(ps, 1)
+        c0, c1, c2 = (c % ps for c in np.array(f.coefficients, dtype=np.int64))
+        base = mod(((c1 * c1 - 4 * (c2 * c0 % ps)) % ps).astype(np.float64))
+        e, r = ps // 2, np.ones(len(ps))
+        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+            r = mod(r * r)
+            r = mod(np.where((e >> bit) & 1 == 1, r * base, r))
+        counts[fast] = np.where(r == 0, 1, np.where((r - 1) % p == 0, 2, 0))
+    return counts
 
 
 def batch_root_counts(f: IntPolynomial, primes: np.ndarray):
     """Number of roots of monic f mod p for every prime in `primes`.
 
-    Primes dividing lc or disc must be excluded by the caller. Degree <= 2
-    uses closed forms. For degree d >= 3 the primes go in fixed-size blocks,
-    one prime per column and one coefficient per row: x^p mod f by
-    left-to-right square-and-multiply, where the multiply is by x and each
-    column takes its own exponent bits, then deg gcd(x^p - x, f) by a
-    batched Euclid that needs no inverses. Each product is reduced mod p
-    once, so the int64 arithmetic is exact while d (p - 1)^2 < 2^63: p up to
-    about 1.07e9 at d = 8 and 1.75e9 at d = 3. A larger prime raises
-    DomainError.
+    Primes dividing lc or disc must be excluded by the caller. Degree 1
+    has one root; degree 2 takes Euler's criterion on the discriminant (p =
+    2 by trying both residues). For degree d >= 3 the primes are sorted and
+    go in fixed-size blocks, one prime per column and one coefficient per
+    row. x^p mod f comes by left-to-right square-and-multiply: each bit
+    squares r by symmetric products into 2d + 1 rows, takes the rows
+    shifted by one (times x) where the column's exponent bit is set,
+    reduces them, and folds rows d .. 2d - 1 back with x^(d..2d-1) mod f.
+    deg gcd(x^p - x, f) then comes by a batched Euclid that needs no
+    inverses. Residues are balanced; a block runs in exact float64 while
+    its largest prime is within _float_bound(d), about 1.1e8 at d = 3 and
+    6.7e7 at d = 8, and in int64 past it, exact while d (p - 1)^2 < 2^63:
+    p up to about 1.07e9 at d = 8 and 1.75e9 at d = 3. A larger prime
+    raises DomainError.
     """
     d = f.degree
     primes = np.asarray(primes, dtype=np.int64)
     if d == 1:
         return np.ones(len(primes), dtype=np.int64)
-    counts = np.zeros(len(primes), dtype=np.int64)
     if d == 2:
         a0, a1, a2 = f.coefficients
-        disc = a1 * a1 - 4 * a2 * a0
-        for i, p in enumerate(primes.tolist()):
-            if p == 2:
-                counts[i] = sum((a2 * x * x + a1 * x + a0) % 2 == 0 for x in (0, 1))
-            else:
-                counts[i] = 1 + jacobi(disc % p, p)
+        even = primes == 2
+        counts = np.zeros(len(primes), dtype=np.int64)
+        counts[even] = (a0 % 2 == 0) + ((a0 + a1 + a2) % 2 == 0)
+        counts[~even] = _euler_counts(f, primes[~even])
         return counts
     p_max = math.isqrt((2 ** 63 - 1) // d) + 1
     if primes.max(initial=0) > p_max:
         raise DomainError(f"degree-{d} batched root counts need p <= {p_max}, "
                           f"so that d (p - 1)^2 < 2^63; got {primes.max()}")
     coeffs = np.array(f.coefficients, dtype=np.int64)[:, None]
-    for start in range(0, len(primes), _BLOCK):
-        ps = primes[start: start + _BLOCK]
-        fmod, fold, r = coeffs % ps, [], np.zeros((d, len(ps)), dtype=np.int64)
-        r[-1] = 1
-        for _ in range(d - 1):   # fold[k] = x^(d+k) mod (f, p)
-            r = _times_x(r, fmod, ps)
-            fold.append(r)
-        r = np.zeros_like(r)
-        r[0] = 1
-        for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
-            r = _square(r, fold, ps)
-            r = np.where((ps >> bit) & 1 == 1, _times_x(r, fmod, ps), r)
-        r[1] = (r[1] - 1) % ps   # x^p - x, padded to the d + 1 rows of f
-        g = np.concatenate([r, np.zeros_like(r[:1])])
-        counts[start: start + len(ps)] = _gcd_degrees(fmod, g, ps)
+    order = np.argsort(primes, kind="stable")
+    split = int(np.searchsorted(primes[order], _float_bound(d), side="right"))
+    counts = np.zeros(len(primes), dtype=np.int64)
+    for part in (order[:split], order[split:]):   # float64, then int64
+        for start in range(0, len(part), _BLOCK):
+            at = part[start: start + _BLOCK]
+            counts[at] = _sweep_block(coeffs, primes[at])
     return counts

@@ -254,6 +254,7 @@ class ZetaEvaluator:
         self.tau_nodes = (mid[:, None] + half[:, None] * nodes).ravel()
         self.tau_weights = (half[:, None] * weights).ravel()
         split = self._split_terms()
+        self._split = (self.a, split)   # reused while self.a is this array
         self.theta_values = self._theta(split, self.tau_nodes)
         (log_n, _), (_, _, masses) = split
         terms = int(np.count_nonzero(self.a[1: self.N + 1]))
@@ -346,8 +347,12 @@ class ZetaEvaluator:
         """
         ts = (1.005, 1.02)
         taus = np.array([math.log(x) for t in ts for x in (1.0 / t, t)])
-        theta = [self.gamma.front * float(v)  # from self.a as it is now
-                 for v in self._theta(self._split_terms(), taus)]
+        # from self.a as it is now: the field's array is read-only, so the
+        # theta split holds unless self.a was rebound
+        a, split = self._split
+        if self.a is not a:
+            split = self._split_terms()
+        theta = [self.gamma.front * float(v) for v in self._theta(split, taus)]
         near, far = ((theta[2 * i] - t * theta[2 * i + 1]) / (t - 1.0)
                      for i, t in enumerate(ts))
         if not abs(near - far) <= 1e-10 * abs(far):

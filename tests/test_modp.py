@@ -14,7 +14,7 @@ from zetaheights.algebra import IntPolynomial, discriminant, parse_polynomial
 from zetaheights.errors import DomainError, LeadingCoeffVanishesError
 from zetaheights.modp import (batch_root_counts, factor_shape_mod_p, pmul,
                               reduce_mod)
-from zetaheights.primes import sieve_primes
+from zetaheights.primes import jacobi, sieve_primes
 
 
 def brute_force_roots(f, p):
@@ -122,10 +122,19 @@ def int64_prime_bound(d):
     return math.isqrt((2 ** 63 - 1) // d) + 1
 
 
-# primes of very different bit lengths: below 100, near 1e3, near 1e6, and
-# the two largest below the int64 bound of each degree
+def float_edge_primes(terms):
+    """The two primes on each side of the float64 sweep's bound."""
+    bound = modp._float_bound(terms)
+    below, above = prevprime(bound + 1), nextprime(bound)
+    return [prevprime(below), below, above, nextprime(above)]
+
+
+# primes of very different bit lengths: below 100, near 1e3, near 1e6, the
+# two on each side of every degree's float64 bound, and the two largest
+# below the int64 bound of each degree
 MIXED_PRIMES = (sieve_primes(100).tolist() + [991, 997, 1009, 1013]
-                + [999979, 999983, 1000003, 1000033])
+                + [999979, 999983, 1000003, 1000033]
+                + [q for d in range(3, 9) for q in float_edge_primes(d)])
 TOP_PRIMES = {d: [prevprime(prevprime(int64_prime_bound(d) + 1)),
                   prevprime(int64_prime_bound(d) + 1)] for d in range(3, 9)}
 
@@ -169,3 +178,28 @@ def test_batch_root_counts_int64_bound():
                                linear_factor_count(f, below)]
     with pytest.raises(DomainError, match=r"2\^63"):
         batch_root_counts(f, np.array([7, above], dtype=np.int64))
+
+
+@pytest.mark.parametrize("terms", range(1, 9))
+def test_float_bound_is_the_largest_exact_prime(terms):
+    """terms m^2 + p + 4 <= 2^53 with m = p/2 + 2, and no larger p."""
+    def fits(p):
+        return terms * (p + 4) ** 2 + 4 * p + 16 <= 2 ** 55
+    bound = modp._float_bound(terms)
+    assert fits(bound) and not fits(bound + 1)
+
+
+@pytest.mark.parametrize("text", ["x^2+1", "x^2-x-1", "x^2+x+1",
+                                  "3*x^2+7*x-1000003"])
+def test_batch_root_counts_quadratic_matches_jacobi(text):
+    """Euler's criterion against 1 + (disc | p) on every prime to 1e5, p = 2
+    and the primes dividing disc included, and on both sides of the float
+    bound, where the jacobi loop takes over."""
+    f = parse_polynomial(text)
+    a0, a1, a2 = f.coefficients
+    disc = a1 * a1 - 4 * a2 * a0
+    primes = sieve_primes(10 ** 5).tolist() + float_edge_primes(1)
+    random.Random(7).shuffle(primes)
+    want = [len(brute_force_roots(f, p)) if p == 2 else 1 + jacobi(disc % p, p)
+            for p in primes]
+    assert batch_root_counts(f, np.array(primes, dtype=np.int64)).tolist() == want

@@ -86,6 +86,15 @@ def test_residue_rejects_a_wrong_coefficient(ctx, text, n):
         ev.residue
 
 
+def test_cached_coefficients_are_read_only(ctx):
+    """The residue reuses theta's split of ev.a, so ev.a cannot change in
+    place; a changed coefficient needs a rebound copy, as above."""
+    ev = ZetaEvaluator(ctx.field("x^3+3*x+213"))
+    with pytest.raises(ValueError, match="read-only"):
+        ev.a[2] += 1
+    assert ev.residue > 0
+
+
 def test_kernel_below_grid_raises(ctx):
     ev = ctx.evaluator("x^3+3*x+213")
     assert ev.kernel(np.array([1.0 / ev.gamma.scale]))[0] > 0  # theta's smallest y
