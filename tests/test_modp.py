@@ -181,7 +181,7 @@ def test_batch_root_counts_int64_bound():
 
 
 @pytest.mark.parametrize("terms", range(1, 9))
-def test_float_bound_is_the_largest_exact_prime(terms):
+def test_float_bound_is_the_largest_p_within_2_to_the_53(terms):
     """terms m^2 + p + 4 <= 2^53 with m = p/2 + 2, and no larger p."""
     def fits(p):
         return terms * (p + 4) ** 2 + 4 * p + 16 <= 2 ** 55
