@@ -34,9 +34,7 @@ class IntPolynomial:
     @classmethod
     def from_coefficients(cls, coeffs) -> "IntPolynomial":
         """Build from any coefficient iterable, trimming trailing zeros."""
-        coeffs = [int(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = trim([int(c) for c in coeffs])
         if not coeffs:
             raise ZeroPolynomialError("zero polynomial")
         return cls(tuple(coeffs))
@@ -97,35 +95,34 @@ def _mul(a, b):
     return out
 
 
-def _trim(a):
+def trim(a):
+    """Drop trailing zero coefficients of the list a, in place; returns a."""
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
+def _divmod(a, b):
+    """Quotient and remainder of Fraction lists a / b over Q, both trimmed;
+    b must have a nonzero leading coefficient."""
+    r = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = r[shift + len(b) - 1] / b[-1]
+        q[shift] = factor
+        if factor:
+            for i, bc in enumerate(b):
+                r[shift + i] -= factor * bc
+    return trim(q), trim(r[:len(b) - 1])
+
+
 def poly_divmod_exact(f: IntPolynomial, g: IntPolynomial):
     """Quotient/remainder over Q, requiring both to land back in Z[x]."""
-    num = [Fraction(c) for c in f.coefficients]
-    den = [Fraction(c) for c in g.coefficients]
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        num.pop()
-    for c in q + num:
-        if c.denominator != 1:
-            raise ValueError("division does not stay integral")
-    quot = [int(c) for c in q]
-    rem = [int(c) for c in num]
-    _trim(quot), _trim(rem)
-    return quot, rem
+    q, r = _divmod([Fraction(c) for c in f.coefficients],
+                   [Fraction(c) for c in g.coefficients])
+    if any(c.denominator != 1 for c in q + r):
+        raise ValueError("division does not stay integral")
+    return [int(c) for c in q], [int(c) for c in r]
 
 
 _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
@@ -237,21 +234,11 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
             if da % 2 == 1 and db % 2 == 1:
                 res = -res
             continue
-        lead = b[-1]
-        r = list(a)
-        for k in range(da, db - 1, -1):
-            coef = r[k]
-            if coef:
-                factor = coef / lead
-                for i, bc in enumerate(b):
-                    r[k - db + i] -= factor * bc
-        r = r[:db]
-        while r and r[-1] == 0:
-            r.pop()
+        r = _divmod(a, b)[1]
         if not r:
             return 0
         dr = len(r) - 1
-        res *= lead ** (da - dr)
+        res *= b[-1] ** (da - dr)
         if da % 2 == 1 and db % 2 == 1:
             res = -res
         a, b = b, r
@@ -277,24 +264,6 @@ def discriminant(f: IntPolynomial) -> int:
 # Exact real-root counting (Sturm) and squarefree decomposition over Q
 # ----------------------------------------------------------------------
 
-def _frac_rem(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def sturm_real_root_count(f: IntPolynomial) -> int:
     """Number of distinct real roots, exactly."""
     if f.degree == 0:
@@ -302,7 +271,7 @@ def sturm_real_root_count(f: IntPolynomial) -> int:
     chain = [[Fraction(c) for c in f.coefficients],
              [Fraction(k * c) for k, c in enumerate(f.coefficients) if k]]
     while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0] != 0):
-        r = _frac_rem(chain[-2], chain[-1])
+        r = _divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
@@ -331,49 +300,29 @@ def squarefree_part(f: IntPolynomial):
     f = lc * prod factor_i^k (factors primitive with positive leading term).
     """
     work = [Fraction(c) for c in f.coefficients]
-    if len(work) == 2:
-        return [(IntPolynomial.from_coefficients(_primitive_int(work)), 1)]
     der = [Fraction(k) * c for k, c in enumerate(work) if k]
     g = _frac_gcd(work, der)
     if len(g) == 1:
         return [(IntPolynomial.from_coefficients(_primitive_int(work)), 1)]
     out = []
-    w = _frac_div(work, g)
+    w = _divmod(work, g)[0]
     k = 1
     while len(w) > 1:
         y = _frac_gcd(w, g)
-        piece = _frac_div(w, y)
+        piece = _divmod(w, y)[0]
         if len(piece) > 1:
             out.append((IntPolynomial.from_coefficients(_primitive_int(piece)), k))
-        g = _frac_div(g, y)
+        g = _divmod(g, y)[0]
         w = y
         k += 1
     return out
 
 
 def _frac_gcd(a, b):
-    a, b = list(a), list(b)
-    while b and any(b):
-        a, b = b, _frac_rem(a, b)
+    while b:
+        a, b = b, _divmod(a, b)[1]
     lead = a[-1]
     return [c / lead for c in a]
-
-
-def _frac_div(a, b):
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        out[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()
-    return out
 
 
 def _primitive_int(fracs):

@@ -256,25 +256,40 @@ def _cmd_bound(args, config):
     return EXIT_OK, art
 
 
+def _read_override(path: Path) -> dict:
+    """{p: [(e, f), ...]} from a JSON object that maps decimal keys to lists
+    of [e, f] pairs of positive integers; DomainError for any other shape."""
+    raw = json.loads(path.read_text())
+    if isinstance(raw, dict) and all(
+            key.isdecimal() and isinstance(shape, list) and all(
+                isinstance(ef, list) and len(ef) == 2
+                and all(type(v) is int and v > 0 for v in ef) for ef in shape)
+            for key, shape in raw.items()):
+        return {int(p): [tuple(ef) for ef in shape] for p, shape in raw.items()}
+    raise DomainError(f"override file {path.name} must map decimal keys to "
+                      f"lists of [e, f] pairs of positive integers")
+
+
 def _cmd_tower(args, config):
     spec = json.loads(Path(args.file).read_text())
-    if isinstance(spec, dict):
-        entries = spec["levels"]
-    else:
-        entries = spec
+    entries = spec.get("levels") if isinstance(spec, dict) else spec
+    if not isinstance(entries, list):
+        raise DomainError('tower spec must be a list of levels or {"levels": [...]}')
     base = Path(args.file).parent
     polys = []
     overrides = []
     for entry in entries:
-        text = entry["poly"] if isinstance(entry, dict) else entry
+        text = entry.get("poly") if isinstance(entry, dict) else entry
+        if not isinstance(text, str):
+            raise DomainError(f"tower level {entry!r} needs a polynomial string")
         polys.append(parse_polynomial(text))
         override = None
         if isinstance(entry, dict) and entry.get("override"):
             # {"p": [[e1,f1],...]} forces those shapes in this level's
             # tables only; the field's cached splitting is left untouched
-            raw = json.loads((base / entry["override"]).read_text())
-            override = {int(p): [tuple(ef) for ef in shape]
-                        for p, shape in raw.items()}
+            if not isinstance(entry["override"], str):
+                raise DomainError(f"override of level {text!r} must be a file name")
+            override = _read_override(base / entry["override"])
         overrides.append(override)
     tower = build_tower(polys, overrides=overrides)
     est = psi_estimates(tower, args.cutoff)
@@ -380,7 +395,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SyntaxError, ZeroPolynomialError, DomainError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ZetaHeightsError as exc:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import intlinalg as la
 from . import modp
-from .algebra import (IntPolynomial, complex_roots, discriminant,
+from .algebra import (IntPolynomial, _mul, complex_roots, discriminant,
                       poly_divmod_exact, squarefree_part,
-                      sturm_real_root_count)
+                      sturm_real_root_count, trim)
 from .errors import (DomainError, NotUniformSplittingError,
                      OverrideRequiredError)
 from .primes import factorize, is_prime, next_prime, sieve_primes
@@ -134,11 +134,7 @@ class _Order:
 
     def mul_power_vectors(self, u, v):
         n = self.n
-        conv = [0] * (2 * n - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    conv[i + j] += ui * vj
+        conv = _mul(u, v)
         out = conv[:n]
         for k in range(n, 2 * n - 1):
             c = conv[k]
@@ -230,17 +226,14 @@ def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
         g_star = modp.pmul(g_star, poly, p)
     h_star = modp.pdivmod(fp, g_star, p)[0]
     # g* h* over Z, from the monic lifts with coefficients in [0, p)
-    gh = [0] * (len(g_star) + len(h_star) - 1)
-    for i, gi in enumerate(g_star):
-        for j, hj in enumerate(h_star):
-            gh[i + j] += gi * hj
+    gh = _mul(g_star, h_star)
     t_poly = []
     for k in range(len(gh)):
         fk = f.coefficients[k] if k <= f.degree else 0
         diff = gh[k] - fk
         assert diff % p == 0
         t_poly.append((diff // p) % p)
-    t_poly = modp.trim(t_poly)
+    t_poly = trim(t_poly)
     g1 = modp.pgcd(t_poly, g_star, p) if t_poly else g_star
     g2 = modp.pgcd(g1, h_star, p)
     return len(g2) <= 1
@@ -329,8 +322,10 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
     """Degree-multiset intersection test mod the first 20 good primes.
 
     Certifies irreducibility when the only achievable rational factor
-    degrees are 0 and n; otherwise returns inconclusive, with a witness
-    factorization when one is cheap to exhibit.
+    degrees are 0 and n. Otherwise the result is inconclusive, and its
+    witness is the pair of rational factors found by _rational_factor
+    (the squarefree factors when disc f = 0), or None when f is
+    irreducible after all.
     """
     if f.content() != 1:
         raise DomainError("certificate requires a primitive polynomial")
@@ -341,10 +336,7 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
         return IrreducibilityCertificate("certified_irreducible", degree_sums=(0, 1))
     disc = discriminant(f)
     if disc == 0:
-        parts = squarefree_part(f)
-        witness = tuple(p.text() for p, _ in parts for _ in range(1))
-        return IrreducibilityCertificate("inconclusive", witness=witness)
-    witness = _integer_root_witness(f)
+        return IrreducibilityCertificate("inconclusive", witness=_rational_factor(f))
     mask = (1 << (n + 1)) - 1
     tested = 0
     p = 2
@@ -353,20 +345,20 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
             shape = modp.factor_shape_mod_p(f, p)
             mask &= _subset_degree_sums(shape, n)
             tested += 1
-            if mask == (1 | (1 << n)) and witness is None:
+            if mask == (1 | (1 << n)):
                 return IrreducibilityCertificate(
                     "certified_irreducible", degree_sums=(0, n))
         p = next_prime(p)
     sums = tuple(k for k in range(n + 1) if mask >> k & 1)
-    return IrreducibilityCertificate("inconclusive", witness=witness, degree_sums=sums)
+    return IrreducibilityCertificate("inconclusive", witness=_rational_factor(f),
+                                     degree_sums=sums)
 
 
 def is_irreducible(f: IntPolynomial) -> bool:
-    """Complete irreducibility decision for monic f.
-
-    Fast path: the mod-p certificate. Fallback: _rational_factor.
-    """
-    return irreducibility_certificate(f).certified or _rational_factor(f) is None
+    """Complete irreducibility decision for monic f: certified by the mod-p
+    test, or inconclusive with no rational factor as witness."""
+    cert = irreducibility_certificate(f)
+    return cert.certified or cert.witness is None
 
 
 def _rational_factor(f: IntPolynomial):
@@ -405,40 +397,6 @@ def _rational_factor(f: IntPolynomial):
     return None
 
 
-def _integer_root_witness(f: IntPolynomial):
-    a0 = f.coefficients[0]
-    if a0 == 0:
-        return ("x", _cofactor_text(f, 0))
-    try:
-        facs = factorize(a0)
-    except Exception:
-        return None
-    divisors = [1]
-    for prime, exp in facs.items():
-        if prime is None:
-            continue
-        divisors = [d * prime ** e for d in divisors for e in range(exp + 1)]
-        if len(divisors) > 4096:
-            return None
-    for d in sorted(set(divisors)):
-        for r in (d, -d):
-            if f(r) == 0:
-                return (f"x{-r:+d}".replace("+-", "-"), _cofactor_text(f, r))
-    return None
-
-
-def _cofactor_text(f: IntPolynomial, root: int):
-    coeffs = list(f.coefficients)
-    out = []
-    carry = 0
-    for c in reversed(coeffs):
-        carry = carry * root + c
-        out.append(carry)
-    out.pop()  # remainder (zero)
-    out.reverse()
-    return IntPolynomial.from_coefficients(out).text()
-
-
 # ----------------------------------------------------------------------
 # Building the field
 # ----------------------------------------------------------------------
@@ -449,9 +407,8 @@ _FIELDS: dict = {}  # defining coefficients -> NumberField
 def build_number_field(f: IntPolynomial) -> NumberField:
     """Maximal order, signature, index and field discriminant of Q[x]/(f).
 
-    f must be monic and irreducible: the mod-p certificate runs first
-    (cheap), the complete decision only when it is inconclusive without a
-    witness, and a DomainError carrying the witness is raised for reducible f.
+    f must be monic and irreducible: a DomainError carrying the witness of
+    irreducibility_certificate is raised for reducible f.
     Fields are memoized by polynomial, so every caller shares one state.
     """
     K = _FIELDS.get(f.coefficients)
@@ -459,8 +416,7 @@ def build_number_field(f: IntPolynomial) -> NumberField:
         return K
     if not f.is_monic:
         raise DomainError("defining polynomial must be monic")
-    cert = irreducibility_certificate(f)
-    witness = cert.witness or (None if cert.certified else _rational_factor(f))
+    witness = irreducibility_certificate(f).witness
     if witness is not None:
         raise DomainError(f"{f.text()} is reducible over the rationals: "
                           f"witness {witness}")
@@ -556,10 +512,11 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     with ramification indices from ideal-power valuations. An override
     dict {p: [(e, f), ...]} short-circuits the computation for every prime
     it names. It covers this call only: the forced shape is never cached,
-    so later calls without the override see the true splitting.
+    so later calls without the override see the true splitting. A forced
+    shape whose sum e*f is not n_K raises DomainError.
     """
     if override and p in override:
-        return PrimeSplitting(p, _forced_shape(override[p]))
+        return PrimeSplitting(p, _forced_shape(K, p, override[p]))
     shapes = K.state.shapes
     if p not in shapes:
         if K.index % p != 0:
@@ -571,8 +528,13 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     return PrimeSplitting(p, shapes[p])
 
 
-def _forced_shape(entry):
-    return tuple(sorted(tuple(ef) for ef in entry))
+def _forced_shape(K: NumberField, p: int, entry):
+    """An override's shape for p, sorted; DomainError unless sum e f = n_K."""
+    shape = tuple(sorted(tuple(ef) for ef in entry))
+    if sum(e * f for e, f in shape) != K.n_K:
+        raise DomainError(f"override shape {list(shape)} for p={p} does not "
+                          f"have sum e*f = {K.n_K}, the field degree")
+    return shape
 
 
 def _dedekind_shape(f: IntPolynomial, p: int):
@@ -632,7 +594,8 @@ def _split_semisimple(struct, rad, p, n):
             attempts.append([rng.randrange(p) for _ in range(dim)])
         for x in attempts:
             mu = _minimal_poly(x, comp_rows, algebra_mult, p)
-            factors = _factor_list(mu, p, rng)
+            factors = [fac for fac, mult in modp.factor_list(mu, p, rng)
+                       for _ in range(mult)]
             distinct = {tuple(f) for f in factors}
             if len(distinct) == 1 and len(factors) == 1 and len(factors[0]) - 1 == dim:
                 return [comp_rows]
@@ -642,7 +605,8 @@ def _split_semisimple(struct, rad, p, n):
                 pieces = []
                 for fac in factors:
                     cof = modp.pdivmod(mu, fac, p)[0]
-                    inv = _poly_inverse_mod(cof, fac, p)
+                    # fac is irreducible: F_p[x]/(fac) is a field of p^deg elements
+                    inv = modp.ppowmod(cof, p ** (len(fac) - 1) - 2, fac, p)
                     idem_poly = modp.pmul(cof, inv, p)
                     idem = _eval_poly_in_algebra(idem_poly, x, comp_rows,
                                                  algebra_mult, p)
@@ -688,33 +652,6 @@ def _solve_for_identity(comp_rows, mult, p):
             rows.append([col[slot] for col in cols])
             rhs.append(target)
     return la.solve_mod_p(rows, rhs, p)
-
-
-def _factor_list(mu, p, rng):
-    """Irreducible factors (with multiplicity expanded) of list-poly mu."""
-    out = []
-    for sq, mult in modp._squarefree_decomposition(list(mu), p):
-        for d, block in modp._distinct_degree(sq, p):
-            for irr in modp._equal_degree_split(block, d, p, rng):
-                out.extend([irr] * mult)
-    out.sort(key=lambda f: (len(f), tuple(f)))
-    return out
-
-
-def _poly_inverse_mod(a, m, p):
-    """a^{-1} mod m over F_p via extended Euclid."""
-    r0, r1 = list(m), modp.pdivmod(a, m, p)[1]
-    s0, s1 = [], [1]
-    while r1:
-        q, r2 = modp.pdivmod(r0, r1, p)
-        qs1 = modp.pmul(q, s1, p)
-        s2 = [(x - y) % p for x, y in
-              zip(s0 + [0] * max(0, len(qs1) - len(s0)),
-                  qs1 + [0] * max(0, len(s0) - len(qs1)))]
-        r0, r1 = r1, r2
-        s0, s1 = s1, modp.trim(s2) or []
-    inv_lead = pow(r0[-1], -1, p)
-    return modp.trim([x * inv_lead % p for x in s0])
 
 
 def _eval_poly_in_algebra(poly, x_coords, comp_rows, mult, p):
@@ -823,11 +760,13 @@ def norm_counts(K: NumberField, X: int, override=None):
     included, as two read-only int64 arrays sliced from the field's cached
     table. An override is laid over a copy for this call only; a forced
     prime dividing the polynomial discriminant is never split for real.
+    Keys that are not primes are ignored; a prime's forced shape must have
+    sum e*f = n_K, else DomainError.
     """
     state = K.state
     if X > state.norm_limit:
         _extend_norm_table(K, X)
-    forced = {p: _forced_shape(shape) for p, shape in (override or {}).items()
+    forced = {p: _forced_shape(K, p, shape) for p, shape in (override or {}).items()
               if p <= X and is_prime(p)}
     for p in state.bad_primes:
         if p <= X and p not in forced and (

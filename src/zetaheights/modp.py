@@ -18,19 +18,13 @@ import zlib
 
 import numpy as np
 
-from .algebra import IntPolynomial
+from .algebra import IntPolynomial, trim
 from .errors import DomainError, LeadingCoeffVanishesError
 from .primes import jacobi
 
 
 def reduce_mod(f: IntPolynomial, p: int):
     return trim([c % p for c in f.coefficients])
-
-
-def trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def pmul(a, b, p):
@@ -175,6 +169,26 @@ def _equal_degree_split(f, d, p, rng):
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
+def _monic_mod(f: IntPolynomial, p: int):
+    """f mod p made monic; LeadingCoeffVanishesError when lc(f) = 0 mod p."""
+    fp = reduce_mod(f, p)
+    if len(fp) != f.degree + 1:
+        raise LeadingCoeffVanishesError(f"leading coefficient of {f.text()} vanishes mod {p}")
+    inv = pow(fp[-1], -1, p)
+    return [c * inv % p for c in fp]
+
+
+def factor_list(fp, p, rng):
+    """[(monic irreducible, multiplicity)] of a monic list-poly over F_p,
+    sorted by (degree, coefficients): squarefree, then distinct-degree, then
+    equal-degree splitting with the random source rng."""
+    factors = [(irr, mult) for sq, mult in _squarefree_decomposition(fp, p)
+               for d, block in _distinct_degree(sq, p)
+               for irr in _equal_degree_split(block, d, p, rng)]
+    factors.sort(key=lambda fm: (len(fm[0]), tuple(fm[0])))
+    return factors
+
+
 def factor_mod_p(f: IntPolynomial, p: int):
     """Complete factorization of f mod p into monic irreducibles.
 
@@ -182,20 +196,8 @@ def factor_mod_p(f: IntPolynomial, p: int):
     the equal-degree stage uses a generator seeded from (f, p), so output is
     deterministic. Raises LeadingCoeffVanishesError when lc(f) = 0 mod p.
     """
-    fp = reduce_mod(f, p)
-    if len(fp) != f.degree + 1:
-        raise LeadingCoeffVanishesError(f"leading coefficient of {f.text()} vanishes mod {p}")
-    inv = pow(fp[-1], -1, p)
-    fp = [c * inv % p for c in fp]
-    rng = _rng_for(fp, p)
-    factors = []
-    for sq, mult in _squarefree_decomposition(fp, p):
-        for d, block in _distinct_degree(sq, p):
-            for irr in _equal_degree_split(block, d, p, rng):
-                factors.append((irr, mult))
-    if not factors:  # degree-0 after reduction cannot happen (lc nonzero)
-        factors = [(fp, 1)]
-    factors.sort(key=lambda fm: (len(fm[0]), tuple(fm[0])))
+    fp = _monic_mod(f, p)
+    factors = factor_list(fp, p, _rng_for(fp, p)) or [(fp, 1)]   # f constant
     return [(IntPolynomial(tuple(poly)), mult) for poly, mult in factors]
 
 
@@ -204,13 +206,8 @@ def factor_shape_mod_p(f: IntPolynomial, p: int):
 
     Cheaper than factor_mod_p when only the splitting shape is needed.
     """
-    fp = reduce_mod(f, p)
-    if len(fp) != f.degree + 1:
-        raise LeadingCoeffVanishesError(f"leading coefficient vanishes mod {p}")
-    inv = pow(fp[-1], -1, p)
-    fp = [c * inv % p for c in fp]
     shape = []
-    for sq, mult in _squarefree_decomposition(fp, p):
+    for sq, mult in _squarefree_decomposition(_monic_mod(f, p), p):
         for d, block in _distinct_degree(sq, p):
             shape.extend([(d, mult)] * ((len(block) - 1) // d))
     shape.sort()

@@ -4,7 +4,7 @@ the splitting-condition height sum, and family constants."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

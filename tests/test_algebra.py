@@ -11,6 +11,7 @@ from zetaheights.algebra import (IntPolynomial, complex_roots,
                                  cyclotomic_polynomial, discriminant,
                                  height_profile, is_root_of_unity,
                                  mahler_inequality_margin, parse_polynomial,
+                                 poly_divmod_exact, squarefree_part,
                                  sturm_real_root_count)
 from zetaheights.errors import DomainError, NonConvergenceError, ZeroPolynomialError
 
@@ -272,3 +273,64 @@ def test_discriminant_root_product_oracle():
         approx = f.leading ** (2 * f.degree - 2) * prod
         assert abs(approx - d) <= 1e-6 * abs(d), f.text()
         checked += 1
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@given(st.lists(st.integers(-20, 20), max_size=5),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       st.sampled_from([1, -1]),
+       st.lists(st.integers(-20, 20), max_size=4),
+       st.integers(2, 5))
+@settings(max_examples=150, deadline=None)
+def test_poly_divmod_exact_recovers_quotient_and_remainder(q, g_tail, lead, r, bad_lead):
+    g = g_tail + [lead]
+    r = _trimmed(r[:len(g) - 1])
+    q = _trimmed(q)
+    f = [a + b for a, b in zip(
+        _times(q, g) + [0] * len(g), r + [0] * (len(q) + len(g)))]
+    if not any(f):
+        return
+    G = IntPolynomial(tuple(g))
+    assert poly_divmod_exact(IntPolynomial.from_coefficients(f), G) == (q, r)
+    # a divisor whose leading coefficient does not divide 1: the quotient
+    # of x^deg(g) by it is lc^-1, not an integer
+    bad = IntPolynomial(tuple(g_tail + [bad_lead]))
+    x_power = IntPolynomial(tuple([0] * (len(g) - 1) + [1]))
+    with pytest.raises(ValueError):
+        poly_divmod_exact(x_power, bad)
+
+
+def test_squarefree_part_matches_sympy_sqf_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for _ in range(40):
+        coeffs = [1]
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 3)
+            factor = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([1, 2, 3])]
+            for _ in range(rng.randint(1, 3)):
+                coeffs = _times(coeffs, factor)
+        f = IntPolynomial.from_coefficients(coeffs)
+        got = sorted((g.coefficients, k) for g, k in squarefree_part(f))
+        _, pieces = sympy.Poly(list(reversed(coeffs)), x).sqf_list()
+        want = []
+        for piece, k in pieces:
+            c = [int(v) for v in reversed(piece.all_coeffs())]
+            sign = -1 if c[-1] < 0 else 1
+            want.append((tuple(sign * v for v in c), k))
+        assert got == sorted(want), f.text()

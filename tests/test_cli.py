@@ -199,3 +199,23 @@ def test_invariants_csv_exports(tmp_path, capsys):
     coeffs = (tmp_path / "coefficients.csv").read_text().splitlines()
     assert coeffs[0] == "n,a_n"
     assert coeffs[1] == "1,1"
+
+
+@pytest.mark.parametrize("spec,override", [
+    ({"lvls": ["x", "x^2+1"]}, None),
+    ([{"poly": 5}], None),
+    ({"levels": ["x", {"poly": "x^2+7", "override": "ov.json"}]}, {"q": [[1, 2]]}),
+    ({"levels": ["x", {"poly": "x^2+7", "override": "ov.json"}]}, {"11": [[1]]}),
+    # the shape of 11 does not cover the degree: sum e*f = 1, not 2
+    ({"levels": ["x", {"poly": "x^2+7", "override": "ov.json"}]}, {"11": [[1, 1]]}),
+    ({"levels": ["x", {"poly": "x^2+7", "override": "."}]}, None),   # a directory
+])
+def test_tower_malformed_spec_exit_3(tmp_path, capsys, spec, override):
+    (tmp_path / "tower.json").write_text(json.dumps(spec))
+    if override is not None:
+        (tmp_path / "ov.json").write_text(json.dumps(override))
+    out = tmp_path / "out"
+    assert main(["tower", str(tmp_path / "tower.json"), "--cutoff", "12",
+                 "--output-dir", str(out)]) == 3
+    assert not out.exists()
+    assert "input error" in capsys.readouterr().err

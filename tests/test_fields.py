@@ -349,3 +349,32 @@ def test_tower_field_degree_16():
     assert K.index == 1
     assert K.field_disc == -2 ** 79
     assert (K.r1, K.r2) == (2, 7)
+
+
+def test_certificate_witness_without_a_linear_factor():
+    # (x^2+1)(x^2+2) has no integer root, so only a search over factors of
+    # every degree finds the witness
+    f = P("x^4+3*x^2+2")
+    cert = irreducibility_certificate(f)
+    assert not cert.certified and cert.witness is not None
+    assert sorted(cert.witness) == ["x^2+1", "x^2+2"]
+    assert not is_irreducible(f)
+
+
+def test_prime_splitting_dedekind_common_index_divisor_cubic():
+    # Dedekind's cubic: 2 divides the index of every integral generator
+    K = build_number_field(P("x^3-x^2-2*x-8"))
+    assert prime_splitting(K, 2).factors == ((1, 1),) * 3
+
+
+def test_override_shape_must_match_the_degree():
+    K = build_number_field(P("x^2+1"))
+    bad = {13: [(1, 1)]}
+    with pytest.raises(DomainError, match="p=13"):
+        prime_splitting(K, 13, override=bad)
+    with pytest.raises(DomainError, match="p=13"):
+        norm_counts(K, 100, bad)
+    with pytest.raises(DomainError, match="p=13"):
+        splitting_table(K, 100, bad)
+    # 15 is not a prime: its key is ignored, whatever its shape
+    assert list(norm_counts(K, 100, {15: [(1, 1)]})[1]) == list(norm_counts(K, 100)[1])

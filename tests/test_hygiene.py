@@ -1,0 +1,55 @@
+"""Source hygiene: no unused imports and no private helper that nothing
+in the package calls."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "zetaheights"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node):
+    """Every identifier read in node, as a bare name or an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_definition_is_referenced():
+    modules = _modules()
+    # names read by each top-level statement, so that a recursive helper
+    # does not count as a use of itself
+    reads = [(name, node, _names(node))
+             for name, tree in modules.items() for node in tree.body]
+    dead = []
+    for name, node, _ in reads:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not any(node.name in names for _, other, names in reads
+                            if other is not node)):
+            dead.append(f"{name}: {node.name}")
+    assert not dead
