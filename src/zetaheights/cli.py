@@ -21,7 +21,7 @@ from . import __version__
 from .algebra import height_profile, mahler_inequality_margin, parse_polynomial
 from .bounds import (corollary_S_check, disc_bound2_report, lehmer_grh_report,
                      northcott_report, uncond_membership, zeros_theorem_report)
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, load_config
 from .errors import (ClosureFailureError, DomainError, IncompleteZeroSetError,
                      UsageError, ZeroPolynomialError, ZetaHeightsError)
 from .explicit import identity_exponential, identity_gaussian
@@ -159,10 +159,7 @@ def _resolve_config(args) -> RunConfig:
         overrides["output_dir"] = args.output_dir
     if args.format:
         overrides["format"] = args.format
-    path = args.config or os.environ.get("ZH_CONFIG")
-    if path or overrides:
-        return load_config(path, overrides)
-    return default_config()
+    return load_config(args.config or os.environ.get("ZH_CONFIG"), overrides)
 
 
 def _field_for(text: str):

@@ -27,7 +27,6 @@ class RunConfig:
     panel_width: float = 0.25
     panel_order: int = 16
     weight_rel_tol: float = 1e-18
-    max_height: float = 40.0
     output_dir: str = "out"
     format: str = "json"
 
@@ -55,15 +54,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_DEFAULT = None
-
-
 def default_config() -> RunConfig:
-    global _DEFAULT
-    if _DEFAULT is None:
-        path = os.environ.get("ZH_CONFIG")
-        _DEFAULT = load_config(path) if path else RunConfig()
-    return _DEFAULT
+    """RunConfig from the file ZH_CONFIG names, read again on every call."""
+    return load_config(os.environ.get("ZH_CONFIG"))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -355,8 +355,8 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
 
 
 def is_irreducible(f: IntPolynomial) -> bool:
-    """Complete irreducibility decision for monic f: certified by the mod-p
-    test, or inconclusive with no rational factor as witness."""
+    """Complete irreducibility decision for primitive f: certified by the
+    mod-p test, or inconclusive with no rational factor as witness."""
     cert = irreducibility_certificate(f)
     return cert.certified or cert.witness is None
 
@@ -364,9 +364,10 @@ def is_irreducible(f: IntPolynomial) -> bool:
 def _rational_factor(f: IntPolynomial):
     """Texts of rational factors of f, or None when f is irreducible.
 
-    Screens every subset of complex roots whose product polynomial has
-    near-integer coefficients, then confirms candidates by exact division,
-    so the verdict never rests on floating point alone.
+    Screens every subset of complex roots whose product polynomial, times
+    lc(f), has near-integer coefficients, then confirms the primitive part
+    of each candidate by exact division, so the verdict never rests on
+    floating point alone.
     """
     if discriminant(f) == 0:
         return tuple(g.text() for g, _ in squarefree_part(f))
@@ -376,17 +377,18 @@ def _rational_factor(f: IntPolynomial):
     from itertools import combinations
     for size in range(1, n // 2 + 1):
         for subset in combinations(range(n), size):
-            coeffs = [1.0 + 0.0j]
+            coeffs = [complex(f.leading)]
             for i in subset:
                 new = [0.0j] * (len(coeffs) + 1)
                 for k, c in enumerate(coeffs):
                     new[k + 1] += c
                     new[k] -= c * roots[i]
                 coeffs = new
-            # coeffs ascending; a true factor must be integral
+            # coeffs ascending; lc(f) times a true factor's monic form is integral
             rounded = [round(c.real) for c in coeffs]
             if all(abs(c - r) < 1e-4 for c, r in zip(coeffs, rounded)):
-                candidate = IntPolynomial.from_coefficients(rounded)
+                content = math.gcd(*rounded)
+                candidate = IntPolynomial.from_coefficients([r // content for r in rounded])
                 try:
                     quot, rem = poly_divmod_exact(f, candidate)
                 except ValueError:
@@ -478,14 +480,15 @@ def build_number_field(f: IntPolynomial) -> NumberField:
 
 class _FieldState:
     """Everything computed about one field after it is built: the maximal
-    order, splitting shapes, the norm-count table, the coefficient array,
-    and zeta evaluators.
+    order, the shapes prime_splitting has found, the norm-count table, the
+    coefficient array, and zeta evaluators.
 
     The norm-count table is the one store of N_q(K), read through
     norm_counts: norm_q holds every prime power up to norm_limit in
     increasing order and norm_n its N_q, zeros included. It is built
-    without any override and grows when a larger cutoff is asked for; -1
-    marks the powers of a discriminant prime not split yet.
+    without any override and grows when a larger cutoff is asked for, by
+    batched root counts for the primes not dividing the polynomial
+    discriminant; -1 marks the powers of a discriminant prime not split yet.
     """
 
     def __init__(self, max_order: _Order, bad_primes: list):
@@ -519,8 +522,9 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
         return PrimeSplitting(p, _forced_shape(K, p, override[p]))
     shapes = K.state.shapes
     if p not in shapes:
-        if K.index % p != 0:
-            shape = _dedekind_shape(K.defining_poly, p)
+        if K.index % p != 0:   # Dedekind: the factors of f mod p
+            shape = tuple(sorted((mult, d) for d, mult in
+                                 modp.factor_shape_mod_p(K.defining_poly, p)))
         else:
             shape = _split_index_prime(K, p)
         assert sum(e * f for e, f in shape) == K.n_K
@@ -535,11 +539,6 @@ def _forced_shape(K: NumberField, p: int, entry):
         raise DomainError(f"override shape {list(shape)} for p={p} does not "
                           f"have sum e*f = {K.n_K}, the field degree")
     return shape
-
-
-def _dedekind_shape(f: IntPolynomial, p: int):
-    """Shape of a prime not dividing the index, from the factors of f mod p."""
-    return tuple(sorted((mult, d) for d, mult in modp.factor_shape_mod_p(f, p)))
 
 
 def _split_index_prime(K: NumberField, p: int):
@@ -723,11 +722,12 @@ def _put_counts(q, n, p, shape, X):
 def _extend_norm_table(K: NumberField, X: int):
     """Grow the field's override-free norm-count table to cover X.
 
-    A good prime p <= max(sqrt X, 1000) gets its shape by factoring f mod
-    p. Above that only N_p is in the table: kept from the old table where
-    it reaches, else the batched root count. A prime dividing the
-    polynomial discriminant takes its cached shape, or -1 until
-    norm_counts needs it.
+    For a good prime p, one not dividing the polynomial discriminant, f mod
+    p is squarefree and has g_k = sum over j | k of j N_{p^j} roots in
+    F_{p^k}. N_p = g_1 comes from one batched root count, kept from the old
+    table where it reaches, and N_{p^k} from one more per k >= 2 over the
+    good p with p^k <= X. The powers of any other prime hold -1 until
+    norm_counts splits it.
     """
     state = K.state
     f = K.defining_poly
@@ -740,18 +740,20 @@ def _extend_norm_table(K: NumberField, X: int):
             pk *= p
     q = np.sort(np.concatenate([primes, np.array(powers, dtype=np.int64)]))
     n = np.full(len(q), -1, dtype=np.int64)
-    at = np.searchsorted(q, primes)
-    large = ((primes > max(int(X ** 0.5) + 1, 1000))
-             & ~np.isin(primes, state.bad_primes))
-    known = large & (primes <= state.norm_limit)
-    n[at[known]] = state.norm_n[np.searchsorted(state.norm_q, primes[known])]
-    swept = large & ~known
-    n[at[swept]] = modp.batch_root_counts(f, primes[swept])
-    for p in primes[~large].tolist():
-        if p not in state.shapes and p not in state.bad_primes:
-            state.shapes[p] = _dedekind_shape(f, p)
-        if p in state.shapes:
-            _put_counts(q, n, p, state.shapes[p], X)
+    good = primes[~np.isin(primes, state.bad_primes)]
+    known = good <= state.norm_limit
+    counts = {1: np.empty(len(good), dtype=np.int64)}
+    counts[1][known] = state.norm_n[np.searchsorted(state.norm_q, good[known])]
+    counts[1][~known] = modp.batch_root_counts(f, good[~known])
+    pk, k = good, 1
+    while True:
+        n[np.searchsorted(q, pk)] = counts[k]
+        m = int(np.count_nonzero(pk <= X // good[: len(pk)]))   # a prefix
+        if not m:
+            break
+        pk, k = pk[:m] * good[:m], k + 1
+        g = modp.batch_root_counts(f, good[:m], pk)
+        counts[k] = (g - sum(j * counts[j][:m] for j in range(1, k) if k % j == 0)) // k
     state.norm_q, state.norm_n, state.norm_limit = q, n, X
 
 

@@ -1,13 +1,14 @@
 """Polynomial arithmetic and factorization over prime fields.
 
 Dense coefficient lists (ascending, values in [0, p)) for the exact
-single-prime path. Root counts over hundreds of thousands of primes are
-swept in numpy, one prime per column: x^p mod f by square-and-multiply and
-deg gcd(x^p - x, f) by an inverse-free Euclid. Residues are balanced and
-reduced as x - p rint(x / p) in float64, exact while every intermediate
-stays within 2^53 (p up to about 6.7e7 at degree 8, 1.1e8 at degree 3);
-primes past that run the same loop in int64. Quadratics take Euler's
-criterion on the discriminant instead.
+single-prime path. Root counts in F_q, q = p^k, over hundreds of thousands
+of columns are swept in numpy, one (p, q) per column: x^q mod (f, p) by
+square-and-multiply over the bits of q and deg gcd(x^q - x, f) by an
+inverse-free Euclid. Residues are balanced and reduced as x - p rint(x / p)
+in float64, exact while every intermediate stays within 2^53 (p up to about
+6.7e7 at degree 8, 1.1e8 at degree 3); primes past that run the same loop
+in int64. Quadratics at q = p take Euler's criterion on the discriminant
+instead.
 """
 
 from __future__ import annotations
@@ -293,9 +294,9 @@ def _gcd_degrees(a, b, mod):
     return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
 
 
-def _sweep_block(coeffs, ps):
-    """Root counts of monic f (ascending int64 coefficients) for one block
-    of primes: x^p mod (f, p), then deg gcd(x^p - x, f)."""
+def _sweep_block(coeffs, ps, qs):
+    """Root counts in F_q of monic f (ascending int64 coefficients) for one
+    block of columns (p, q): x^q mod (f, p), then deg gcd(x^q - x, f)."""
     d, n = len(coeffs) - 1, len(ps)
     p, mod = _modulus(ps, d)
     f = mod((coeffs % ps).astype(p.dtype))
@@ -307,7 +308,7 @@ def _sweep_block(coeffs, ps):
     r = np.zeros((d, n), dtype=p.dtype)
     r[0] = 1
     sq = np.zeros((2 * d + 1, n), dtype=p.dtype)   # r^2 in rows 1 .. 2d - 1
-    for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(qs.max()).bit_length() - 1, -1, -1):
         twice = 2 * r
         sq[1] = r[0] * r[0]
         sq[2: d + 1] = twice[0] * r[1:]
@@ -316,9 +317,9 @@ def _sweep_block(coeffs, ps):
             sq[1 + 2 * i] += r[i] * r[i]
             sq[2 + 2 * i: 1 + i + d] += twice[i] * r[i + 1:]
         # x r^2 (rows 0 .. 2d - 1) where the bit is set, else r^2
-        r = mod(np.where((ps >> bit) & 1 == 1, sq[:-1], sq[1:]))
+        r = mod(np.where((qs >> bit) & 1 == 1, sq[:-1], sq[1:]))
         r = mod(r[:d] + np.einsum("kc,kjc->jc", r[d:], fold))
-    r[1] = mod(r[1] - 1)   # x^p - x
+    r[1] = mod(r[1] - 1)   # x^q - x
     return _gcd_degrees(f[::-1], r[::-1], mod)
 
 
@@ -343,45 +344,46 @@ def _euler_counts(f: IntPolynomial, ps: np.ndarray):
     return counts
 
 
-def batch_root_counts(f: IntPolynomial, primes: np.ndarray):
-    """Number of roots of monic f mod p for every prime in `primes`.
+def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
+    """Number of roots in F_q of monic f mod p for every column (p, q) of
+    `primes` and `field_sizes`, q a power of p; by default q = p.
 
-    Primes dividing lc or disc must be excluded by the caller. Degree 1
-    has one root; degree 2 takes Euler's criterion on the discriminant (p =
-    2 by trying both residues). For degree d >= 3 the primes are sorted and
-    go in fixed-size blocks, one prime per column and one coefficient per
-    row. x^p mod f comes by left-to-right square-and-multiply: each bit
-    squares r by symmetric products into 2d + 1 rows, takes the rows
-    shifted by one (times x) where the column's exponent bit is set,
-    reduces them, and folds rows d .. 2d - 1 back with x^(d..2d-1) mod f.
-    deg gcd(x^p - x, f) then comes by a batched Euclid that needs no
-    inverses. Residues are balanced; a block runs in exact float64 while
-    its largest prime is within _float_bound(d), about 1.1e8 at d = 3 and
-    6.7e7 at d = 8, and in int64 past it, exact while d (p - 1)^2 < 2^63:
-    p up to about 1.07e9 at d = 8 and 1.75e9 at d = 3. A larger prime
-    raises DomainError.
+    Primes dividing lc or disc must be excluded by the caller; f mod p is
+    then squarefree, and at q = p^k the count is the sum over j | k of j
+    times the number of its irreducible factors of degree j. Degree 1 has
+    one root; degree 2 at q = p odd takes Euler's criterion on the
+    discriminant. Every other column is swept, in fixed-size blocks sorted
+    by p, one column per (p, q) and one row per coefficient. x^q mod f
+    comes by square-and-multiply over the bits of q: each bit squares r by
+    symmetric products into 2d + 1 rows, takes the rows shifted by one
+    (times x) where the bit is set, reduces them, and folds rows d .. 2d - 1
+    back with x^(d..2d-1) mod f. A batched Euclid with no inverses then
+    gives deg gcd(x^q - x, f). Residues are balanced; a block runs in exact
+    float64 while its largest prime is within _float_bound(d), about 1.1e8
+    at d = 3 and 6.7e7 at d = 8, and in int64 past it, exact while
+    d (p - 1)^2 < 2^63: p up to about 1.07e9 at d = 8 and 1.75e9 at d = 3.
+    A larger swept prime raises DomainError.
     """
     d = f.degree
     primes = np.asarray(primes, dtype=np.int64)
+    qs = primes if field_sizes is None else np.asarray(field_sizes, dtype=np.int64)
     if d == 1:
         return np.ones(len(primes), dtype=np.int64)
-    if d == 2:
-        a0, a1, a2 = f.coefficients
-        even = primes == 2
-        counts = np.zeros(len(primes), dtype=np.int64)
-        counts[even] = (a0 % 2 == 0) + ((a0 + a1 + a2) % 2 == 0)
-        counts[~even] = _euler_counts(f, primes[~even])
-        return counts
-    p_max = math.isqrt((2 ** 63 - 1) // d) + 1
-    if primes.max(initial=0) > p_max:
-        raise DomainError(f"degree-{d} batched root counts need p <= {p_max}, "
-                          f"so that d (p - 1)^2 < 2^63; got {primes.max()}")
-    coeffs = np.array(f.coefficients, dtype=np.int64)[:, None]
-    order = np.argsort(primes, kind="stable")
-    split = int(np.searchsorted(primes[order], _float_bound(d), side="right"))
     counts = np.zeros(len(primes), dtype=np.int64)
+    order = np.argsort(primes, kind="stable")
+    if d == 2:
+        euler = (qs == primes) & (primes != 2)
+        counts[euler] = _euler_counts(f, primes[euler])
+        order = order[~euler[order]]
+    top = int(primes[order[-1]]) if len(order) else 0
+    p_max = math.isqrt((2 ** 63 - 1) // d) + 1
+    if top > p_max:
+        raise DomainError(f"degree-{d} batched root counts need p <= {p_max}, "
+                          f"so that d (p - 1)^2 < 2^63; got {top}")
+    coeffs = np.array(f.coefficients, dtype=np.int64)[:, None]
+    split = int(np.searchsorted(primes[order], _float_bound(d), side="right"))
     for part in (order[:split], order[split:]):   # float64, then int64
         for start in range(0, len(part), _BLOCK):
             at = part[start: start + _BLOCK]
-            counts[at] = _sweep_block(coeffs, primes[at])
+            counts[at] = _sweep_block(coeffs, primes[at], qs[at])
     return counts

@@ -34,6 +34,7 @@ TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
 SPREAD_POINTS = 8  # Lagrange stencil that spreads one far a_n onto the log-n grid
 SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
+MAX_HEIGHT = 40.0  # largest scan height; completed reaches 8 beyond it
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ class ZetaEvaluator:
 
     def completed(self, s: complex) -> complex:
         """Entire S(s) = s(s-1) Lambda(s); S(s) = S(1-s) by construction."""
-        if abs(s.imag if isinstance(s, complex) else 0.0) > self.config.max_height + 8.0:
+        if abs(s.imag if isinstance(s, complex) else 0.0) > MAX_HEIGHT + 8.0:
             raise GridMissError(f"Im(s) = {s.imag} beyond quadrature coverage")
         s = complex(s)
         lam_sum = self.smoothed_sum(s) + self.smoothed_sum(1.0 - s)
@@ -455,8 +456,8 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
     once. IncompleteZeroSetError carries one report per attempt, each with
     the scan step it used, and names the finest step scanned.
     """
-    if not 0.0 < T <= 40.0:
-        raise DomainError("T must lie in (0, 40]")
+    if not 0.0 < T <= MAX_HEIGHT:
+        raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
     from .explicit import hsw_window
     cfg = ev.config
     K = ev.field

@@ -154,6 +154,18 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     assert manifest2["config"]["prime_cutoff"] == 100000
 
 
+def test_default_config_rereads_zh_config(tmp_path, monkeypatch):
+    from zetaheights.config import default_config
+    monkeypatch.delenv("ZH_CONFIG", raising=False)
+    assert default_config().scan_step == 0.01
+    cfg = tmp_path / "zh.conf"
+    cfg.write_text("scan_step = 0.02\n")
+    monkeypatch.setenv("ZH_CONFIG", str(cfg))
+    assert default_config().scan_step == 0.02
+    monkeypatch.delenv("ZH_CONFIG")
+    assert default_config().scan_step == 0.01
+
+
 def test_bad_config_key_exit_64(tmp_path, capsys):
     cfg = tmp_path / "bad.conf"
     cfg.write_text("no_such_knob = 1\n")

@@ -378,3 +378,14 @@ def test_override_shape_must_match_the_degree():
         splitting_table(K, 100, bad)
     # 15 is not a prime: its key is ignored, whatever its shape
     assert list(norm_counts(K, 100, {15: [(1, 1)]})[1]) == list(norm_counts(K, 100)[1])
+
+
+@pytest.mark.parametrize("text, factors", [("4*x^2+8*x+3", ("2*x+1", "2*x+3")),
+                                           ("6*x^2+5*x+1", ("2*x+1", "3*x+1"))])
+def test_non_monic_reducible_has_a_witness(text, factors):
+    f = parse_polynomial(text)
+    witness = irreducibility_certificate(f).witness
+    assert witness is not None and sorted(witness) == sorted(factors)
+    g, h = (parse_polynomial(w) for w in witness)
+    assert all(g(x) * h(x) == f(x) for x in range(f.degree + 1))
+    assert not is_irreducible(f)

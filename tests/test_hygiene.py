@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports and no private helper that nothing
-in the package calls."""
+"""Source hygiene: no unused imports, no private helper that nothing in
+the package calls, and no RunConfig field that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -53,3 +53,15 @@ def test_every_private_definition_is_referenced():
                             if other is not node)):
             dead.append(f"{name}: {node.name}")
     assert not dead
+
+
+def test_every_run_config_field_is_read():
+    """Each RunConfig field is read as an attribute somewhere in the package
+    outside config.py, so that no knob outlives its reader."""
+    modules = _modules()
+    config = next(node for node in modules.pop("config.py").body
+                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    knobs = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+    read = {sub.attr for tree in modules.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    assert [knob for knob in knobs if knob not in read] == []

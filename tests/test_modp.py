@@ -12,8 +12,8 @@ from sympy import nextprime, prevprime
 from zetaheights import factor_mod_p, modp
 from zetaheights.algebra import IntPolynomial, discriminant, parse_polynomial
 from zetaheights.errors import DomainError, LeadingCoeffVanishesError
-from zetaheights.modp import (batch_root_counts, factor_shape_mod_p, pmul,
-                              reduce_mod)
+from zetaheights.modp import (batch_root_counts, factor_shape_mod_p, pgcd, pmul,
+                              ppowmod, reduce_mod)
 from zetaheights.primes import jacobi, sieve_primes
 
 
@@ -203,3 +203,24 @@ def test_batch_root_counts_quadratic_matches_jacobi(text):
     want = [len(brute_force_roots(f, p)) if p == 2 else 1 + jacobi(disc % p, p)
             for p in primes]
     assert batch_root_counts(f, np.array(primes, dtype=np.int64)).tolist() == want
+
+
+def roots_in_field(f, p, q):
+    """deg gcd(x^q - x, f mod p) by the single-prime list arithmetic."""
+    fp = reduce_mod(f, p)
+    h = ppowmod([0, 1], q, fp, p) + [0, 0]
+    h[1] = (h[1] - 1) % p
+    return len(pgcd(h, fp, p)) - 1
+
+
+def test_batch_root_counts_in_prime_power_fields():
+    """Columns (p, p^k) against the list gcd, quadratics included, for every
+    p up to 11 whether or not it divides disc f."""
+    rng = random.Random(41)
+    ps = np.array([2, 3, 5, 7, 11], dtype=np.int64)
+    for deg in [1, 2, 2, 2] + list(range(3, 9)) * 3:
+        f = IntPolynomial.from_coefficients(
+            [rng.randint(-30, 30) for _ in range(deg)] + [1])
+        for k in range(1, 5):
+            want = [roots_in_field(f, p, p ** k) for p in ps.tolist()]
+            assert batch_root_counts(f, ps, ps ** k).tolist() == want, (f, k)

@@ -13,10 +13,11 @@ import pytest
 from zetaheights import (EXPONENTIAL, Tower, build_number_field, build_tower,
                          corollary_S_check, gaussian, identity_exponential,
                          monotone_prime_sums, norm_counts, parse_polynomial,
-                         prime_side, psi_estimates, splitting_table,
-                         tower_corollary_report)
+                         prime_side, prime_splitting, psi_estimates,
+                         splitting_table, tower_corollary_report)
 from zetaheights.bounds import Y_STAR
 from zetaheights.explicit import density_tail
+from zetaheights.primes import sieve_primes
 
 P = parse_polynomial
 X = 20000
@@ -125,3 +126,20 @@ def test_psi_ratios_read_each_level(ctx):
     assert est.ratios[5] == (1.0, 0.0)
     assert est.ratios[25] == (0.0, 0.5)
     assert est.ratios[13] == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("text", ["x", "x^2-x-1", "x^2+1", "x^3-x^2-2*x-8",
+                                  "x^4+18*x^2+60", "x^5+42", "x^6+65", "x^8-2"])
+def test_norm_counts_match_prime_splitting(text):
+    """Every N_{p^k} of the batched table equals the number of primes above
+    p of residue degree k, index divisors and discriminant primes included."""
+    K = build_number_field(P(text))
+    q, n = norm_counts(K, X)
+    want = {}
+    for p in sieve_primes(X).tolist():
+        degrees = [f for _e, f in prime_splitting(K, p).factors]
+        pk, k = p, 1
+        while pk <= X:
+            want[pk] = degrees.count(k)
+            pk, k = pk * p, k + 1
+    assert dict(zip(q.tolist(), n.tolist())) == want
