@@ -1,4 +1,5 @@
-"""Run configuration: numerical knobs with file and flag overrides.
+"""Run configuration: scan step, prime cutoff and output, with file and
+flag overrides. The evaluator's numerics are constants in zeta.py.
 
 Config files are flat ``key = value`` text; unknown keys are rejected so
 typos fail loudly. The ZH_CONFIG environment variable points at a default
@@ -17,33 +18,22 @@ from .errors import UsageError
 
 @dataclass(frozen=True)
 class RunConfig:
-    coeff_cutoff_multiplier: float = 1.1
     scan_step: float = 0.01
-    bisect_tol: float = 1e-9
     prime_cutoff: int = 10 ** 6
-    contour_step: float = 0.05
-    contour_halfwidth_log: float = 48.0
-    wgrid_step_factor: float = 3.0e-3
-    panel_width: float = 0.25
-    panel_order: int = 16
-    weight_rel_tol: float = 1e-18
     output_dir: str = "out"
     format: str = "json"
 
     def __post_init__(self):
-        for name in ("scan_step", "bisect_tol", "contour_step", "panel_width",
-                     "weight_rel_tol", "coeff_cutoff_multiplier"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
-        if self.scan_step > 0.05:
-            raise UsageError("scan_step must be <= 0.05")
+        if not 0 < self.scan_step <= 0.05:  # also rejects nan
+            raise UsageError("scan_step must lie in (0, 0.05]")
+        if self.prime_cutoff < 2:
+            raise UsageError("prime_cutoff must be >= 2")
         if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
 
     def cache_key(self) -> tuple:
-        """The numerical fields: what a ZetaEvaluator depends on."""
-        return tuple(getattr(self, f.name) for f in fields(self)
-                     if f.name not in ("output_dir", "format"))
+        """What a ZetaEvaluator depends on."""
+        return (self.scan_step, self.prime_cutoff)
 
     def digest(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}"
@@ -72,7 +62,7 @@ def _coerce(name: str, raw: str):
             return int(float(raw)) if ("e" in raw or "." in raw) else int(raw)
         if kind == "float":
             return float(raw)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise UsageError(f"bad value for {name}: {raw!r}") from None
     return raw
 

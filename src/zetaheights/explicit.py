@@ -201,6 +201,8 @@ def _kernel_msum(kind: TestFunctionKind, qs: np.ndarray) -> np.ndarray:
 
 def _nonzero_counts(K: NumberField, X: int):
     """The prime powers q <= X with N_q(K) > 0, and those N_q, as floats."""
+    if X < 2:
+        raise DomainError("cutoff must be >= 2")
     q, n = norm_counts(K, X)
     keep = n > 0
     return q[keep].astype(float), n[keep].astype(float)
@@ -236,6 +238,8 @@ def single_m_prime_sum(K: NumberField, kind: TestFunctionKind, X: int) -> float:
 def density_tail(kind: TestFunctionKind, X: int) -> float:
     """int_X^inf t^{-1/2} F(log t) dt: the m = 1 prime sum beyond X with
     N_q log q replaced by its density."""
+    if X < 2:
+        raise DomainError("cutoff must be >= 2")
     if kind.kind == "exponential":
         return 2.0 / math.sqrt(X)
     lx, y = math.log(X), kind.y

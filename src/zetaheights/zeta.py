@@ -34,7 +34,15 @@ TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
 SPREAD_POINTS = 8  # Lagrange stencil that spreads one far a_n onto the log-n grid
 SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
-MAX_HEIGHT = 40.0  # largest scan height; completed reaches 8 beyond it
+MAX_HEIGHT = 40.0  # largest scan height; completed and hardy reach 8 beyond it
+WEIGHT_REL_TOL = 1e-18  # kernel and coefficients cut where W falls below this of its peak
+COEFF_CUTOFF_MULTIPLIER = 1.1  # N = this times Q y_threshold
+WGRID_STEP_FACTOR = 3.0e-3  # kernel grid step in log y times the contour halfwidth
+CONTOUR_STEP = 0.05  # trapezoid step along the Mellin-Barnes contour
+CONTOUR_HALFWIDTH_LOG = 48.0  # the contour ends where the Gamma factors decay by e^-48
+PANEL_WIDTH = 0.25  # Gauss-Legendre panel width in tau = log x
+PANEL_ORDER = 16  # nodes per panel
+BISECT_TOL = 1e-9  # bracket width of a located zero
 
 
 @dataclass(frozen=True)
@@ -95,13 +103,12 @@ class ZeroStatistics:
     lam: float
 
 
-def _contour_halfwidth(degree: int, config: RunConfig) -> float:
-    """v where the Gamma factors' decay e^{-pi degree v / 4} is e^{-contour_halfwidth_log}."""
-    return config.contour_halfwidth_log / (math.pi / 4.0 * degree)
+def _contour_halfwidth(degree: int) -> float:
+    """v where the Gamma factors' decay e^{-pi degree v / 4} is e^{-CONTOUR_HALFWIDTH_LOG}."""
+    return CONTOUR_HALFWIDTH_LOG / (math.pi / 4.0 * degree)
 
 
-def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray,
-                        config: RunConfig) -> np.ndarray:
+def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray) -> np.ndarray:
     """log W on a uniform grid of u = log y, -inf where W is not positive:
     W(e^u) = (1/pi) Re int_0^vmax G(c+iv) e^{-(c+iv)u} dv, G(z) =
     Gamma(z/2)^r1 Gamma(z)^r2, by the trapezoid rule. Block J of
@@ -110,8 +117,8 @@ def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray,
     off it the terms cancel and rounding swamps W. Split as e^{-(c+iv)u_J}
     e^{-(c+iv)(u-u_J)}, the grid is one (blocks x nodes) @ (nodes x
     KERNEL_BLOCK) product."""
-    step = config.contour_step
-    v = np.arange(0.0, _contour_halfwidth(r1 + 2 * r2, config) + step, step)
+    step = CONTOUR_STEP
+    v = np.arange(0.0, _contour_halfwidth(r1 + 2 * r2) + step, step)
     weights = np.where(v == 0.0, 0.5 * step, step)
     starts = log_grid[::KERNEL_BLOCK]
     offsets = np.arange(KERNEL_BLOCK) * ((log_grid[-1] - log_grid[0])
@@ -142,10 +149,9 @@ class ZetaEvaluator:
         self._residue = None
         self.diagnostics = {
             "N": self.N,
-            "weight_rel_tol": self.config.weight_rel_tol,
+            "weight_rel_tol": WEIGHT_REL_TOL,
             "y_threshold": self.y_threshold,
-            "contour": {"step": self.config.contour_step,
-                        "halfwidth_log": self.config.contour_halfwidth_log},
+            "contour": {"step": CONTOUR_STEP, "halfwidth_log": CONTOUR_HALFWIDTH_LOG},
             "kernel": self.kernel_kind,
             "theta": theta,
         }
@@ -153,10 +159,9 @@ class ZetaEvaluator:
     # -- kernel ---------------------------------------------------------
 
     def _build_kernel(self):
-        cfg = self.config
         r1, r2 = self.gamma.r1, self.gamma.r2
         n = self.gamma.degree
-        target_drop = -math.log(cfg.weight_rel_tol)  # e.g. 41.4 for 1e-18
+        target_drop = -math.log(WEIGHT_REL_TOL)  # e.g. 41.4 for 1e-18
         # saddle-point scale of where the kernel has decayed by the target
         base = (2.0 * (target_drop + 10.0) / n) ** (n / 2.0)
         y_hi = 1.3 * base / (2.0 ** (r1 / 2.0)) + 10.0
@@ -179,12 +184,12 @@ class ZetaEvaluator:
         else:
             self.kernel_kind = "mellin-barnes"
             vec_log_w = None
-        step_log = cfg.wgrid_step_factor / _contour_halfwidth(n, cfg)
+        step_log = WGRID_STEP_FACTOR / _contour_halfwidth(n)
         lo, hi = math.log(y_lo), math.log(y_hi)
         npts = max(int((hi - lo) / step_log) + 2, 64)
         grid = np.linspace(lo, hi, npts)
         if vec_log_w is None:
-            logw = _mellin_barnes_logw(r1, r2, grid, cfg)
+            logw = _mellin_barnes_logw(r1, r2, grid)
         else:
             logw = vec_log_w(np.exp(grid))
         # past the peak, the first W <= 0 marks the rounding floor: stop
@@ -195,7 +200,7 @@ class ZetaEvaluator:
         self._log_grid = grid
         self._pieces = CubicSpline(grid, logw).c
         peak = float(logw.max())
-        below = np.nonzero(logw <= peak + math.log(cfg.weight_rel_tol))[0]
+        below = np.nonzero(logw <= peak - target_drop)[0]
         idx = below[below > top]
         self.y_threshold = float(np.exp(grid[idx[0]])) if len(idx) else float(np.exp(grid[-1]))
         self.y_max = float(np.exp(grid[-1]))
@@ -234,22 +239,21 @@ class ZetaEvaluator:
     # -- theta ----------------------------------------------------------
 
     def _build_theta(self):
-        cfg = self.config
         Q = self.gamma.scale
         self.N = max(int(math.ceil(Q * self.y_threshold
-                                   * cfg.coeff_cutoff_multiplier)), 8)
+                                   * COEFF_CUTOFF_MULTIPLIER)), 8)
         if self.N > 2 * 10 ** 8:
             raise DomainError(
                 f"evaluator needs {self.N} coefficients; field too large")
         # the closure check in locate_zeros sums primes to prime_cutoff;
         # sweep them once here, with the coefficients
-        norm_counts(self.field, max(self.N, cfg.prime_cutoff))
+        norm_counts(self.field, max(self.N, self.config.prime_cutoff))
         self.a = coefficient_array(self.field, self.N)
         # _theta sums n <= min(N, y_max Q) e^{-tau}: none past this tau
         self._log_n_cut = math.log(min(self.N, self.y_max * Q))
         tau_max = max(self._log_n_cut, 1.0)
-        n_panels = max(int(math.ceil(tau_max / cfg.panel_width)), 2)
-        nodes, weights = np.polynomial.legendre.leggauss(cfg.panel_order)
+        n_panels = max(int(math.ceil(tau_max / PANEL_WIDTH)), 2)
+        nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
         edges = np.linspace(0.0, tau_max, n_panels + 1)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
         self.tau_nodes = (mid[:, None] + half[:, None] * nodes).ravel()
@@ -270,7 +274,7 @@ class ZetaEvaluator:
         SPREAD_STEP / v the rows reproduce each a_n W(n e^tau / Q) to
         rounding. Below n0 = SPREAD_POINTS / eta a stencil holds too few a_n
         to save work; n0 >= 204 up to degree 8, so none reaches n = 1."""
-        eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree, self.config)
+        eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree)
         n = np.flatnonzero(self.a[1: self.N + 1]) + 1
         cut = int(np.searchsorted(n, SPREAD_POINTS / eta, side="right"))
         near, far = n[:cut], n[cut:]
@@ -298,7 +302,7 @@ class ZetaEvaluator:
     def _theta(self, split, taus: np.ndarray) -> np.ndarray:
         """sum a_n W(n e^tau / Q) at each tau. Near n term by term, over n <=
         min(N, y_max Q) e^{-tau}: the cut N makes at tau = 0, where W has
-        decayed past weight_rel_tol. Far n through the spread masses, with
+        decayed past WEIGHT_REL_TOL. Far n through the spread masses, with
         W = 0 past the kernel grid's end."""
         (log_n, coeffs), (eta, first, masses) = split
         out = np.empty(len(taus))
@@ -375,12 +379,14 @@ class ZetaEvaluator:
 
     def hardy(self, t: float) -> float:
         """Real S(1/2 + it) along the critical line."""
+        if abs(t) > MAX_HEIGHT + 8.0:
+            raise GridMissError(f"t = {t} beyond quadrature coverage")
         lam_sum = 2.0 * self.smoothed_sum(complex(0.5, t)).real
         return -(0.25 + t * t) * lam_sum + self.pole_term
 
 
 def get_evaluator(K: NumberField, config: RunConfig | None = None) -> ZetaEvaluator:
-    """The field's evaluator for this config, built once per numerical config."""
+    """The field's evaluator for this config, built once per cache_key."""
     cache = K.state.evaluators
     key = (config or default_config()).cache_key()
     if key not in cache:
@@ -429,9 +435,8 @@ def direct_series(K: NumberField, s: complex, N: int) -> SeriesValue:
 # Zero location
 # ----------------------------------------------------------------------
 
-def _bisect_zero(ev: ZetaEvaluator, lo: float, hi: float, flo: float,
-                 tol: float):
-    while hi - lo > tol:
+def _bisect_zero(ev: ZetaEvaluator, lo: float, hi: float, flo: float):
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fm = ev.hardy(mid)
         if fm == 0.0:
@@ -459,10 +464,9 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
     if not 0.0 < T <= MAX_HEIGHT:
         raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
     from .explicit import hsw_window
-    cfg = ev.config
     K = ev.field
     window = hsw_window(K.n_K, K.log_abs_disc, max(1.0, T)).window
-    n = int(math.ceil(T / cfg.scan_step))
+    n = int(math.ceil(T / ev.config.scan_step))
     ts = np.arange(n + 1) * T / n
     vals = np.array([ev.hardy(t) for t in ts])
     attempts = []
@@ -493,7 +497,7 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
                 zeros.append(ts[i])
                 widths.append(0.0)
             else:
-                z, w = _bisect_zero(ev, ts[i], ts[i + 1], vals[i], cfg.bisect_tol)
+                z, w = _bisect_zero(ev, ts[i], ts[i + 1], vals[i])
                 zeros.append(z)
                 widths.append(w)
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),

@@ -173,6 +173,51 @@ def test_bad_config_key_exit_64(tmp_path, capsys):
                  "--output-dir", str(tmp_path)]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeros", "x^2+1", "--set", "scan_step=nan"],
+    ["zeros", "x^2+1", "--set", "scan_step=inf"],
+    ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=1"],
+    ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=0"],
+    ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=-5"],
+    ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=1e400"],
+], ids=["scan-nan", "scan-inf", "cutoff-1", "cutoff-0", "cutoff-neg", "cutoff-overflow"])
+def test_bad_knob_value_exit_64(tmp_path, capsys, argv):
+    """A non-finite scan_step or a prime_cutoff below 2 is a usage error,
+    caught before any work, with nothing written."""
+    out = tmp_path / "o"
+    assert main(argv + ["--output-dir", str(out)]) == 64
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["file", "set"])
+def test_retired_numeric_knob_exit_64(tmp_path, capsys, how):
+    """The evaluator's numerics are constants in zeta.py, not config keys:
+    setting one, even to its own value, is an unknown key."""
+    out = tmp_path / "o"
+    if how == "file":
+        cfg = tmp_path / "zh.conf"
+        cfg.write_text("panel_order = 16\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--set", "bisect_tol=1e-9"]
+    assert main(["zeros", "x^2+1", "--output-dir", str(out)] + extra) == 64
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_config_and_evaluator_numerics(tmp_path, capsys):
+    """manifest.json records the four config keys; zero-summary.json still
+    records the evaluator's fixed truncation and contour."""
+    assert run_cli(["zeros", "x^2+1", "--height", "2"], tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == ["format", "output_dir",
+                                          "prime_cutoff", "scan_step"]
+    evaluator = json.loads((tmp_path / "zero-summary.json").read_text())["evaluator"]
+    assert evaluator["weight_rel_tol"] == 1e-18
+    assert evaluator["contour"] == {"step": 0.05, "halfwidth_log": 48.0}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "zetaheights.cli", "--help"],
                           capture_output=True, text=True)

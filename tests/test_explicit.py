@@ -203,3 +203,22 @@ def test_prime_side_dominates_single_term_truncation(ctx):
             c * math.log(q) / math.sqrt(q) * math.exp(-y * math.log(q) ** 2)
             for q, c in table.counts.items() if c and q <= math.log(K.n_K))
         assert ps.value >= truncated - 1e-12
+
+
+@pytest.mark.parametrize("X", [1, 0, -5])
+def test_prime_sums_reject_cutoff_below_two(ctx, X):
+    """The prime sums, and the identities and bound reports built on them,
+    raise DomainError for a cutoff X < 2, as splitting_table does."""
+    from zetaheights import northcott_report
+    from zetaheights.explicit import density_tail, single_m_prime_sum
+    K = ctx.field("x^2+1")
+    zl = ctx.zeros("x^2+1", 2.0)
+    for call in (lambda: prime_side(K, EXPONENTIAL, X),
+                 lambda: single_m_prime_sum(K, gaussian(0.1), X),
+                 lambda: density_tail(EXPONENTIAL, X),
+                 lambda: density_tail(gaussian(0.1), X),
+                 lambda: identity_exponential(K, zl, X),
+                 lambda: identity_gaussian(K, zl, 0.1, X),
+                 lambda: northcott_report(K, zl, X)):
+        with pytest.raises(DomainError, match="cutoff must be >= 2"):
+            call()

@@ -1,10 +1,15 @@
 """Source hygiene: no unused imports, no private helper that nothing in
-the package calls, and no RunConfig field that nothing reads."""
+the package calls, and no RunConfig field that nothing reads or that the
+README does not name."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "zetaheights"
+from zetaheights.config import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "zetaheights"
 
 
 def _modules():
@@ -65,3 +70,10 @@ def test_every_run_config_field_is_read():
     read = {sub.attr for tree in modules.values() for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     assert [knob for knob in knobs if knob not in read] == []
+
+
+def test_every_run_config_field_is_documented():
+    """Each RunConfig field appears in backticks in README.md, so that every
+    key a config file may set is named where users look for it."""
+    readme = (ROOT / "README.md").read_text()
+    assert [f.name for f in fields(RunConfig) if f"`{f.name}`" not in readme] == []

@@ -9,8 +9,8 @@ from zetaheights import direct_series, locate_zeros, zero_statistics
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import (ZeroList, ZetaEvaluator, _contour_halfwidth,
-                              _mellin_barnes_logw)
+from zetaheights.zeta import (WGRID_STEP_FACTOR, ZeroList, ZetaEvaluator,
+                              _contour_halfwidth, _mellin_barnes_logw)
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -156,7 +156,7 @@ def test_mellin_barnes_matches_exact_kernels(ctx):
         K = ctx.field(text)
 
         def mellin_barnes(ys):  # ys geometric: a uniform grid in log y
-            return np.exp(_mellin_barnes_logw(K.r1, K.r2, np.log(ys), ctx.config))
+            return np.exp(_mellin_barnes_logw(K.r1, K.r2, np.log(ys)))
         bright = np.geomspace(lo, mid, 20)
         mb = mellin_barnes(bright)
         assert np.max(np.abs(mb / exact(bright) - 1.0)) < 1e-11, text
@@ -176,10 +176,10 @@ def test_kernel_matches_meijer_g(ctx, r1, r2, y_tail):
     W(y) = 2^{1-r2} pi^{-r2/2} G^{n,0}_{0,n}(y^2 / 4^{r2} | 0 x (r1+r2),
     1/2 x r2) at 30 digits: within 1e-13 of the peak at five points."""
     import mpmath as mp
-    step = ctx.config.wgrid_step_factor / _contour_halfwidth(r1 + 2 * r2, ctx.config)
+    step = WGRID_STEP_FACTOR / _contour_halfwidth(r1 + 2 * r2)
     lo, hi = math.log(3.3e-5), math.log(y_tail)
     grid = np.linspace(lo, hi, int((hi - lo) / step) + 2)
-    logw = _mellin_barnes_logw(r1, r2, grid, ctx.config)
+    logw = _mellin_barnes_logw(r1, r2, grid)
     peak = math.exp(logw.max())
     with mp.workdps(30):
         for i in np.linspace(0, len(grid) - 1, 5).astype(int):
@@ -200,7 +200,7 @@ def test_theta_values_match_the_plain_loop(ctx, text, stride):
     from scipy.interpolate import CubicSpline
     ev = ctx.evaluator(text)
     spline = CubicSpline(ev._log_grid, _mellin_barnes_logw(
-        ev.gamma.r1, ev.gamma.r2, ev._log_grid, ev.config))
+        ev.gamma.r1, ev.gamma.r2, ev._log_grid))
     ns = np.arange(1, ev.N + 1, dtype=float)
     coeffs = ev.a[1: ev.N + 1]
     taus = ev.tau_nodes[::stride]
@@ -353,6 +353,16 @@ def test_grid_miss_beyond_height(ctx):
     from zetaheights.errors import GridMissError
     with pytest.raises(GridMissError):
         ctx.evaluator("x").completed(complex(0.5, 60.0))
+
+
+def test_hardy_grid_miss_beyond_height(ctx):
+    """hardy covers the same heights as completed: |t| <= MAX_HEIGHT + 8."""
+    ev = ctx.evaluator("x")
+    for t in (60.0, -60.0, 100.0):
+        with pytest.raises(GridMissError):
+            ev.hardy(t)
+    assert ev.hardy(40.0) == pytest.approx(
+        ev.completed(complex(0.5, 40.0)).real, rel=1e-9)
 
 
 def test_complex_roots_deterministic(ctx):
