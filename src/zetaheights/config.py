@@ -33,7 +33,7 @@ class RunConfig:
 
     def cache_key(self) -> tuple:
         """What a ZetaEvaluator depends on."""
-        return (self.scan_step, self.prime_cutoff)
+        return (self.scan_step,)
 
     def digest(self) -> str:
         payload = ";".join(f"{f.name}={getattr(self, f.name)!r}"

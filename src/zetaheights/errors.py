@@ -58,9 +58,10 @@ class InconsistentResidueError(ZetaHeightsError, RuntimeError):
 
 
 class IncompleteZeroSetError(ZetaHeightsError, RuntimeError):
-    """Zero scan failed its completeness checks after all rescans.
-
-    ``diagnostics`` holds the per-attempt closure/window reports.
+    """Zero scan not certified complete: its count differs from the
+    argument principle's after all rescans, its sign changes exceed the
+    counting window, or |S| on the argument count's path falls to rounding.
+    ``diagnostics`` holds the per-attempt reports, or the count's own.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -244,26 +244,27 @@ def _float_bound(terms: int) -> int:
 
 def _modulus(ps: np.ndarray, terms: int):
     """(p, mod) for one block of primes: mod(x) overwrites an array of exact
-    integers by balanced residues, |r| <= p/2 + 2. Float64 with rint while
-    the block's largest prime is within _float_bound(terms), else int64 with
-    floor division, |r| <= p/2."""
+    integers by balanced residues, |r| <= p/2 + 2; mod(x, cols) reduces an
+    array whose columns are the block's columns cols. Float64 with rint
+    while the block's largest prime is within _float_bound(terms), else
+    int64 with floor division, |r| <= p/2."""
     if ps.max() <= _float_bound(terms):
         p = ps.astype(np.float64)
         inv = 1.0 / p
 
-        def mod(x):
-            q = x * inv
+        def mod(x, cols=None):
+            q = x * (inv if cols is None else inv[cols])
             np.rint(q, out=q)
-            q *= p
+            q *= p if cols is None else p[cols]
             x -= q
             return x
         return p, mod
     half = ps // 2
 
-    def mod(x):
-        q = x + half
-        q //= ps
-        q *= ps
+    def mod(x, cols=None):
+        m, q = (ps, x + half) if cols is None else (ps[cols], x + half[cols])
+        q //= m
+        q *= m
         x -= q
         return x
     return ps, mod
@@ -277,21 +278,32 @@ def _gcd_degrees(a, b, mod):
     otherwise hi becomes lc(lo) hi - lc(hi) x^(deg hi - deg lo) lo, row by
     row with no shift, and drops its zero leading row. lc(lo) is a unit, so
     the gcd is kept. Each step first swaps the polynomial it replaces into
-    a. A column is done once lo is zero (degree < 0); hi is the gcd."""
+    a. A column is done once lo is zero (degree < 0); hi is the gcd. Every
+    step lowers da + db by one, so k done columns save k (da + db + 1)
+    column-steps by leaving: they leave once that reaches the live count."""
     n = a.shape[1]
     da, db = np.full(n, len(a) - 1), np.full(n, len(b) - 1)
     b = np.concatenate([b, np.zeros((len(a) - len(b), n), dtype=b.dtype)])
-    while (np.minimum(da, db) >= 0).any():
+    out, cols = np.empty(n, dtype=np.int64), np.arange(n)
+    while True:
+        done = np.minimum(da, db) < 0
+        k = np.count_nonzero(done)
+        if k == len(cols) or k * (da[0] + db[0] + 1) >= len(cols):
+            gcd = np.where(da >= db, a, b)
+            out[cols[done]] = (np.maximum(da, db) - np.argmax(gcd != 0, axis=0))[done]
+            if k == len(cols):
+                return out
+            keep = np.flatnonzero(~done)   # take: several times a mask's speed
+            a, b, da, db, cols = (x.take(keep, axis=-1) for x in (a, b, da, db, cols))
         hi = da >= db
         live = np.where(hi, b[0], a[0]) != 0
         swap = hi != live
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.where(swap, db, da), np.where(swap, da, db)
         lc_lo, lc_hi = np.where(live, b[0], 1), np.where(live, a[0], 0)
-        a = mod(lc_lo * a - lc_hi * b)
+        a = mod(lc_lo * a - lc_hi * b, None if len(cols) == n else cols)
         a = np.concatenate([a[1:], np.zeros_like(a[:1])])   # drop the zero lc
         da -= 1
-    return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
 
 
 def _sweep_block(coeffs, ps, qs):

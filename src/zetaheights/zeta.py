@@ -17,6 +17,7 @@ masses spread onto a uniform log-n grid, fine enough for the band-limited W.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from scipy.special import digamma, loggamma
 from .config import RunConfig, default_config
 from .errors import (DomainError, GridMissError, InconsistentResidueError,
                      IncompleteZeroSetError)
-from .fields import NumberField, coefficient_array, norm_counts
+from .fields import NumberField, coefficient_array
 
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
@@ -43,6 +44,8 @@ CONTOUR_HALFWIDTH_LOG = 48.0  # the contour ends where the Gamma factors decay b
 PANEL_WIDTH = 0.25  # Gauss-Legendre panel width in tau = log x
 PANEL_ORDER = 16  # nodes per panel
 BISECT_TOL = 1e-9  # bracket width of a located zero
+ARG_STEP = 0.1  # longest step of the argument count's path
+ARG_NOISE = 1e-12  # |S| / R below which rounding can turn the path's phase
 
 
 @dataclass(frozen=True)
@@ -245,9 +248,8 @@ class ZetaEvaluator:
         if self.N > 2 * 10 ** 8:
             raise DomainError(
                 f"evaluator needs {self.N} coefficients; field too large")
-        # the closure check in locate_zeros sums primes to prime_cutoff;
-        # sweep them once here, with the coefficients
-        norm_counts(self.field, max(self.N, self.config.prime_cutoff))
+        # the norm-count table goes as far as the coefficients read it; the
+        # ledgers and reports extend it to their own cutoff
         self.a = coefficient_array(self.field, self.N)
         # _theta sums n <= min(N, y_max Q) e^{-tau}: none past this tau
         self._log_n_cut = math.log(min(self.N, self.y_max * Q))
@@ -448,18 +450,50 @@ def _bisect_zero(ev: ZetaEvaluator, lo: float, hi: float, flo: float):
     return 0.5 * (lo + hi), hi - lo
 
 
-def locate_zeros(ev: ZetaEvaluator, T: float,
-                 run_closure: bool = True) -> ZeroList:
+def argument_count(ev: ZetaEvaluator, T: float) -> dict:
+    """N(T), the zeros of S with |Im s| < T, as 2/pi times the change of
+    arg S along 3/2 -> 3/2 + iT -> 1/2 + iT: a quarter of the rectangle
+    [-1/2, 3/2] x [-T, T], as S(s) = S(1-s) = conj S(conj s) (Turing;
+    Booker, Exp. Math. 15, 2006). Steps are at most ARG_STEP and halve while
+    the phase moves pi/4 or more. Returns {"count", "calls": completed
+    calls, "min_ratio": the path's least |S| / R}; IncompleteZeroSetError
+    where that falls below ARG_NOISE: there rounding can turn the phase."""
+    corners = (complex(1.5, 0.0), complex(1.5, T), complex(0.5, T))
+    prev = ev.completed(corners[0])
+    calls, least, turn = 1, abs(prev) / ev.pole_term, 0.0
+    for a, b in zip(corners, corners[1:]):
+        length, done, h = abs(b - a), 0.0, ARG_STEP
+        while done < length:
+            last = h >= length - done
+            val = ev.completed(b if last else a + (b - a) * ((done + h) / length))
+            calls, least = calls + 1, min(least, abs(val) / ev.pole_term)
+            if least < ARG_NOISE or h < ARG_STEP * 2.0 ** -30:
+                raise IncompleteZeroSetError(
+                    f"argument count to T = {T:g} unresolved: |S| falls to "
+                    f"{least:.3g} R on its path, below the noise floor "
+                    f"{ARG_NOISE:g} R", diagnostics={"argument": {
+                        "T": T, "calls": calls, "min_ratio": least}})
+            step = cmath.phase(val / prev)
+            if abs(step) >= math.pi / 4.0:
+                h /= 2.0
+                continue
+            turn, prev = turn + step, val
+            done, h = length if last else done + h, min(2.0 * h, ARG_STEP)
+    return {"count": 2 * round(turn / math.pi), "calls": calls, "min_ratio": least}
+
+
+def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
     """Scan S(1/2+it) on [0, T], bisect sign changes to 1e-9 brackets.
 
-    Completeness checks: the counting window must contain the located
-    count, and (for T >= 2) the exponential-kernel explicit-formula
-    identity must close. On failure the scan grid halves its step, up to 3
-    times. The grids are nested, n = ceil(T / scan_step) 2^h steps, so a
-    finer grid keeps every sign change of a coarser one. A grid whose sign
-    changes alone exceed the window's upper end therefore ends the scan at
-    once. IncompleteZeroSetError carries one report per attempt, each with
-    the scan step it used, and names the finest step scanned.
+    The zeros are complete when they number N(T) from argument_count,
+    taken once. On a mismatch the scan grid halves its step, up to 3 times.
+    The grids are nested, n = ceil(T / scan_step) 2^h steps, so a finer
+    grid keeps every sign change of a coarser one. A grid whose sign
+    changes alone exceed the counting window's upper end therefore ends
+    the scan at once, before the count. diagnostics["completeness"] keeps
+    the count, its cost and the window. IncompleteZeroSetError carries one
+    report per attempt, each with its scan step, and names the finest step
+    scanned and both counts.
     """
     if not 0.0 < T <= MAX_HEIGHT:
         raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
@@ -469,7 +503,7 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
     n = int(math.ceil(T / ev.config.scan_step))
     ts = np.arange(n + 1) * T / n
     vals = np.array([ev.hardy(t) for t in ts])
-    attempts = []
+    attempts, argument = [], None
     for halvings in range(4):
         if halvings:
             n *= 2
@@ -491,6 +525,8 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
                 f"its sign changes alone give {count} zeros, above the "
                 f"counting window's upper end {window[1]:.6g}",
                 diagnostics={"attempts": attempts})
+        if argument is None:
+            argument = argument_count(ev, T)
         zeros, widths = [], []
         for i in hits.tolist():
             if vals[i] == 0.0:
@@ -503,37 +539,28 @@ def locate_zeros(ev: ZetaEvaluator, T: float,
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
                       zero_at_origin=origin,
                       diagnostics={"scan_step": step})
-        ok, report = _completeness_checks(ev, zl, run_closure)
+        ok, report = _completeness_checks(zl, argument, window)
         if ok:
             zl.diagnostics["completeness"] = report
             return zl
         attempts.append({"scan_step": step, **report})
+    got = report.get("argument")
+    counts = (f": the scan counts {got['scan']} zeros, the argument principle "
+              f"{got['count']}" if got else "")
     raise IncompleteZeroSetError(
-        f"zero scan failed completeness checks up to step {step}",
+        f"zero scan failed completeness checks up to step {step}{counts}",
         diagnostics={"attempts": attempts})
 
 
-def _completeness_checks(ev: ZetaEvaluator, zl: ZeroList, run_closure: bool):
-    from .explicit import hsw_window, identity_exponential
-    from .errors import ClosureFailureError
-    K = ev.field
-    report = {}
-    ok = True
-    T_check = max(1.0, zl.T)
-    window = hsw_window(K.n_K, K.log_abs_disc, T_check)
-    count = zl.count_below(T_check)
-    in_window = window.window[0] - 1e-9 <= count <= window.window[1] + 1e-9
-    report["hsw"] = {"count": count, "window": window.window}
-    ok = ok and in_window
-    if run_closure and zl.T >= 2.0:
-        try:
-            ledger = identity_exponential(K, zl, ev.config.prime_cutoff)
-            report["closure"] = {"arithmetic": ledger.arithmetic_side,
-                                 "bracket": ledger.zero_side_bracket}
-        except ClosureFailureError as exc:
-            report["closure"] = {"failed": str(exc), **exc.payload}
-            ok = False
-    return ok, report
+def _completeness_checks(zl: ZeroList, argument: dict, window: tuple):
+    """(ok, report): ok when the located zeros number argument["count"]. S(1/2
+    + it) is even in t, so a zero at the origin has even order: it counts
+    twice here (assumed_simple), once in count_below. The counting window
+    is reported, not checked."""
+    scan = 2 * len(zl.ordinates) + 2 * int(zl.zero_at_origin)
+    return scan == argument["count"], {
+        "hsw": {"count": zl.count_below(max(1.0, zl.T)), "window": window},
+        "argument": {**argument, "scan": scan}}
 
 
 def zero_statistics(zl: ZeroList, T: float) -> ZeroStatistics:

@@ -224,3 +224,30 @@ def test_batch_root_counts_in_prime_power_fields():
         for k in range(1, 5):
             want = [roots_in_field(f, p, p ** k) for p in ps.tolist()]
             assert batch_root_counts(f, ps, ps ** k).tolist() == want, (f, k)
+
+
+def test_gcd_degrees_matches_pgcd_with_columns_leaving_early():
+    """Random columns a = g u, b = g v with deg g spread over 0..7, so that
+    columns finish at different steps and leave the loop in groups; p = 2,
+    small and float-edge primes in one float64 block, and a block past the
+    float bound that runs in int64. Degree 8, b with zero leading rows."""
+    rng = random.Random(13)
+    d = 8
+    for ps in ([2, 3, 5, 7, 101, 65537] + float_edge_primes(d)[:1],
+               [2, 3, prevprime(int64_prime_bound(d))]):
+        cols, want = [], []
+        for _ in range(400):
+            p = rng.choice(ps)
+            g = [rng.randrange(p) for _ in range(rng.randrange(d))] + [1]
+            u = [rng.randrange(p) for _ in range(d + 1 - len(g))] + [1]
+            v = [rng.randrange(p) for _ in range(d + 1 - len(g))]
+            a, b = pmul(g, u, p), pmul(g, v, p)
+            cols.append((p, a, b + [0] * (d - len(b))))
+            want.append(len(pgcd(a, b, p)) - 1)
+        p_arr, mod = modp._modulus(np.array([p for p, _, _ in cols]), d)
+
+        def rows(k):   # top-aligned balanced residues, one column each
+            return np.array([[c if 2 * c <= col[0] else c - col[0]
+                              for c in col[k][::-1]] for col in cols]).T
+        a, b = rows(1).astype(p_arr.dtype), rows(2).astype(p_arr.dtype)
+        assert modp._gcd_degrees(a, b, mod).tolist() == want

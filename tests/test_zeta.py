@@ -1,16 +1,21 @@
 """Analytic continuation, residues, and zero location."""
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tests.conftest import TABLE_CUBIC_QUARTIC, TABLE_QUINTIC
 from zetaheights import direct_series, locate_zeros, zero_statistics
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
 from zetaheights.zeta import (WGRID_STEP_FACTOR, ZeroList, ZetaEvaluator,
-                              _contour_halfwidth, _mellin_barnes_logw)
+                              _completeness_checks, _contour_halfwidth,
+                              _mellin_barnes_logw, argument_count)
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -284,7 +289,7 @@ def test_incomplete_zero_set_names_the_steps_scanned(ctx, tmp_path, monkeypatch,
     from zetaheights.cli import main
     from zetaheights.errors import IncompleteZeroSetError
     monkeypatch.setattr(zeta, "_completeness_checks",
-                        lambda ev, zl, run_closure: (False, {"hsw": "forced"}))
+                        lambda zl, argument, window: (False, {"hsw": "forced"}))
     with pytest.raises(IncompleteZeroSetError) as info:
         locate_zeros(ctx.evaluator("x^2+1"), 1.0)
     steps = [a["scan_step"] for a in info.value.diagnostics["attempts"]]
@@ -347,6 +352,8 @@ def test_evaluator_cache_ignores_output_settings(ctx):
     ev = get_evaluator(K, RunConfig(output_dir="a"))
     assert get_evaluator(K, RunConfig(output_dir="b", format="csv")) is ev
     assert get_evaluator(K, RunConfig(output_dir="a", scan_step=0.02)) is not ev
+    # nothing in the evaluator reads the prime cutoff
+    assert get_evaluator(K, RunConfig(output_dir="a", prime_cutoff=10 ** 4)) is ev
 
 
 def test_grid_miss_beyond_height(ctx):
@@ -369,3 +376,84 @@ def test_complex_roots_deterministic(ctx):
     from zetaheights.algebra import complex_roots, parse_polynomial
     f = parse_polynomial("x^6-3*x^2+17")
     assert complex_roots(f, 1e-12) == complex_roots(f, 1e-12)
+
+
+# -- completeness: the argument-principle count -------------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+# perfbench's session heights: below the first misplaced zero (README.md)
+SESSION_HEIGHTS = {"x": 26.0, "x^2+1": 11.0, "x^2-x-1": 11.0, "x^2+x+1": 12.0,
+                   "x^4+1": 5.0}
+
+
+@pytest.mark.parametrize("poly", sorted(SESSION_HEIGHTS))
+def test_argument_count_matches_mpmath_zeros(ctx, poly):
+    """N(T) from the argument principle against twice the number of mpmath
+    ordinates below T, at T = 2 and at the session height."""
+    ordinates = json.loads(REFERENCE.read_text())["fields"][poly]["ordinates"]
+    ev = ctx.evaluator(poly)
+    for T in (2.0, SESSION_HEIGHTS[poly]):
+        got = argument_count(ev, T)
+        assert got["count"] == 2 * sum(1 for t in ordinates if float(t) < T)
+        assert got["min_ratio"] >= 1e-6 and got["calls"] < 300
+
+
+@pytest.mark.parametrize("poly, T", [("x^2+1", 30.0), ("x^4+1", 15.0)])
+def test_argument_count_refuses_below_the_noise_floor(ctx, poly, T):
+    """|S| on the path falls to rounding there, and the winding count is
+    wrong (24 against 26 on both); it raises instead of returning one."""
+    with pytest.raises(IncompleteZeroSetError, match="noise floor") as info:
+        argument_count(ctx.evaluator(poly), T)
+    assert info.value.diagnostics["argument"]["min_ratio"] < 1e-12
+
+
+@pytest.mark.parametrize("poly", TABLE_CUBIC_QUARTIC + TABLE_QUINTIC)
+def test_dropping_any_zero_pair_is_rejected(ctx, poly):
+    zl = ctx.zeros(poly, 2.0)
+    ev = ctx.evaluator(poly)
+    argument = argument_count(ev, 2.0)
+    report = zl.diagnostics["completeness"]
+    assert report["argument"] == {**argument, "scan": argument["count"]}
+    assert report["hsw"]["count"] == argument["count"]
+    window = report["hsw"]["window"]
+    assert _completeness_checks(zl, argument, window)[0]
+    for i in range(len(zl.ordinates)):
+        dropped = replace(zl, ordinates=zl.ordinates[:i] + zl.ordinates[i + 1:],
+                          bracket_widths=zl.bracket_widths[:i] + zl.bracket_widths[i + 1:])
+        assert not _completeness_checks(dropped, argument, window)[0], (poly, i)
+
+
+def test_zero_at_origin_counts_twice():
+    """S(1/2 + it) is even in t: a zero at the origin is (at least) double,
+    while count_below counts it once."""
+    zl = ZeroList(T=2.0, ordinates=(), bracket_widths=(), zero_at_origin=True)
+    assert zl.count_below(2.0) == 1
+    assert _completeness_checks(zl, {"count": 2}, (0, 3))[0]
+    assert not _completeness_checks(zl, {"count": 0}, (0, 3))[0]
+
+
+def test_count_mismatch_rescans_then_names_both_counts(ctx, monkeypatch):
+    from zetaheights import zeta
+    ev = ctx.evaluator("x^2+1")
+    true = argument_count(ev, 7.0)
+    monkeypatch.setattr(zeta, "argument_count",
+                        lambda ev, T: {**true, "count": true["count"] + 2})
+    with pytest.raises(IncompleteZeroSetError) as info:
+        locate_zeros(ev, 7.0)
+    assert str(info.value) == ("zero scan failed completeness checks up to step "
+                               f"0.00125: the scan counts {true['count']} zeros, "
+                               f"the argument principle {true['count'] + 2}")
+    attempts = info.value.diagnostics["attempts"]
+    assert [a["scan_step"] for a in attempts] == [0.01, 0.005, 0.0025, 0.00125]
+    assert all(a["argument"]["scan"] == true["count"] for a in attempts)
+
+
+def test_evaluator_sweeps_primes_only_to_its_n(monkeypatch):
+    """The evaluator's norm-count table runs to N, not to prime_cutoff."""
+    from zetaheights import build_number_field, fields, parse_polynomial
+    from zetaheights.table1 import verify_row
+    monkeypatch.setattr(fields, "_FIELDS", {})   # a field built afresh
+    assert verify_row("x^3+3*x+213").passed
+    K = build_number_field(parse_polynomial("x^3+3*x+213"))
+    (ev,) = K.state.evaluators.values()
+    assert ev.N == 627 and K.state.norm_limit == 627
