@@ -409,6 +409,8 @@ def test_argument_count_refuses_below_the_noise_floor(ctx, poly, T):
 
 @pytest.mark.parametrize("poly", TABLE_CUBIC_QUARTIC + TABLE_QUINTIC)
 def test_dropping_any_zero_pair_is_rejected(ctx, poly):
+    """The located list passes the count and records it; the list without
+    any one of its ordinates (one conjugate pair) fails it."""
     zl = ctx.zeros(poly, 2.0)
     ev = ctx.evaluator(poly)
     argument = argument_count(ev, 2.0)
@@ -417,9 +419,10 @@ def test_dropping_any_zero_pair_is_rejected(ctx, poly):
     assert report["hsw"]["count"] == argument["count"]
     window = report["hsw"]["window"]
     assert _completeness_checks(zl, argument, window)[0]
-    for i in range(len(zl.ordinates)):
-        dropped = replace(zl, ordinates=zl.ordinates[:i] + zl.ordinates[i + 1:],
-                          bracket_widths=zl.bracket_widths[:i] + zl.bracket_widths[i + 1:])
+    ords, widths = zl.ordinates, zl.bracket_widths
+    for i in range(len(ords)):
+        dropped = replace(zl, ordinates=ords[:i] + ords[i + 1:],
+                          bracket_widths=widths[:i] + widths[i + 1:])
         assert not _completeness_checks(dropped, argument, window)[0], (poly, i)
 
 
