@@ -34,7 +34,10 @@ class FactorizationFailureError(ZetaHeightsError, RuntimeError):
 
 
 class OverrideRequiredError(ZetaHeightsError, RuntimeError):
-    """Prime splitting above an index divisor needs a manual override entry."""
+    """The split of a prime above an index divisor cannot be used: its shape
+    does not have sum e*f = n_K, which a correct decomposition never gives,
+    or code standing in for the split raises it to ask for one. An override
+    entry {p: shape} then supplies the shape."""
 
     def __init__(self, p, message=""):
         super().__init__(message or f"splitting override required for p={p}")
@@ -61,7 +64,9 @@ class IncompleteZeroSetError(ZetaHeightsError, RuntimeError):
     """Zero scan not certified complete: its count differs from the
     argument principle's after all rescans, its sign changes exceed the
     counting window, or |S| on the argument count's path falls to rounding.
-    ``diagnostics`` holds the per-attempt reports, or the count's own.
+    From locate_zeros, ``diagnostics["attempts"]`` holds one report per
+    attempt; from argument_count alone, ``diagnostics["argument"]`` holds
+    the count's own.
     """
 
     def __init__(self, message, diagnostics=None):

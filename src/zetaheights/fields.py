@@ -1,16 +1,14 @@
 """Arithmetic of the number field K = Q(alpha).
 
 Maximal orders by the Dedekind criterion plus Round-2 enlargement, prime
-splitting (with an idempotent-splitting path above index divisors), norm
-counting tables, Dirichlet coefficients of the Dedekind zeta function, and
-the splitting-variance discriminant bound.
+splitting (above index divisors by rank counts in the Berlekamp subalgebra
+of O/pO), norm counting tables, Dirichlet coefficients of the Dedekind zeta
+function, and the splitting-variance discriminant bound.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,9 +23,6 @@ from .errors import (DomainError, NotUniformSplittingError,
                      OverrideRequiredError)
 from .primes import factorize, is_prime, next_prime, sieve_primes
 from .reports import BoundReport
-
-_SPLIT_ATTEMPT_CAP = 60
-
 
 @dataclass(frozen=True)
 class NumberField:
@@ -511,12 +506,13 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     """Shape (e_i, f_i) of p in O_K.
 
     Dedekind's theorem when p does not divide the index; otherwise the
-    quotient O/pO is split by the kernel-of-Frobenius idempotent method,
-    with ramification indices from ideal-power valuations. An override
-    dict {p: [(e, f), ...]} short-circuits the computation for every prime
-    it names. It covers this call only: the forced shape is never cached,
-    so later calls without the override see the true splitting. A forced
-    shape whose sum e*f is not n_K raises DomainError.
+    primitive idempotents of the Berlekamp subalgebra {x : x^p = x} of O/pO
+    give one prime each, and rank counts on O/pO and its radical give its
+    e and f (see _split_index_prime). An override dict {p: [(e, f), ...]}
+    short-circuits the computation for every prime it names. It covers this
+    call only: the forced shape is never cached, so later calls without the
+    override see the true splitting. A forced shape whose sum e*f is not
+    n_K raises DomainError.
     """
     if override and p in override:
         return PrimeSplitting(p, _forced_shape(K, p, override[p]))
@@ -542,168 +538,62 @@ def _forced_shape(K: NumberField, p: int, entry):
 
 
 def _split_index_prime(K: NumberField, p: int):
+    """Shape of p in O_K from rank counts in O/pO, for p dividing the index.
+
+    The Berlekamp subalgebra B = {x : x^p = x}, the left kernel of F - I for
+    the Frobenius matrix F, is F_p^g with one coordinate per prime P above
+    p: on O/P^e, x^p = x leaves no nilpotent and only F_p of the residue
+    field (Berlekamp 1967; Cohen, GTM 138, 6.2). Splitting 1 by each basis
+    vector b of B gives its primitive idempotents: on an idempotent eps,
+    x = eps b takes one value on each prime of eps, the roots r of its
+    minimal polynomial, and eps prod_{s != r} (x - s eps) / (r - s) keeps
+    the primes where x = r. For the idempotent of P, eps O/pO = O/P^e has
+    dimension e f and eps J, J the radical, has dimension (e - 1) f.
+    """
     order = K.state.max_order
     n = K.n_K
     struct = order.structure_constants()
+
+    def mul(u, v):
+        return [c % p for c in _mul_in_order(struct, u, v)]
+
+    def rank(rows):
+        return len(la.rref_mod_p(rows, p)[1])
+
+    frob = _frobenius_matrix(struct, p, n)
+    berlekamp = la.nullspace_mod_p(
+        [[frob[i][j] - (i == j) for i in range(n)] for j in range(n)], p)
+    idempotents = [_coords(_inverse_rows(order.basis), [order.den] + [0] * (n - 1))]
+    for b in berlekamp:
+        split = []
+        for eps in idempotents:
+            x = mul(eps, b)
+            powers, top = [eps], x
+            while rank(powers + [top]) > len(powers):
+                powers, top = powers + [top], mul(top, x)
+            low = la.solve_mod_p([list(col) for col in zip(*powers)], top, p)
+            mu = IntPolynomial(tuple((-c) % p for c in low) + (1,))
+            factors = modp.factor_mod_p(mu, p)
+            assert all(g.degree == 1 for g, _ in factors)   # x lies in F_p^g
+            roots = [(-g.coefficients[0]) % p for g, _ in factors]
+            for r in roots:
+                piece = eps
+                for s in roots:
+                    if s != r:
+                        inv = pow(r - s, -1, p)
+                        piece = mul(piece, [(xi - s * ei) * inv for xi, ei in zip(x, eps)])
+                split.append(piece)
+        idempotents = split
     rad = _radical_mod_p(struct, p, n)
-    components = _split_semisimple(struct, rad, p, n)
-    residue_degrees = [len(comp) for comp in components]
-    if K.field_disc % p != 0:
-        shape = tuple(sorted((1, f) for f in residue_degrees))
-        assert sum(f for _, f in shape) == n
-        return shape
-    # ramified index prime: valuations of p at each maximal ideal
     shape = []
-    for comp in components:
-        e = _ramification_index(order, struct, rad, components, comp, p, n)
-        shape.append((e, len(comp)))
+    for eps in idempotents:
+        ef = rank([mul(eps, u) for u in la.identity(n)])
+        f = ef - rank([mul(eps, v) for v in rad])
+        shape.append((ef // f, f))
     shape = tuple(sorted(shape))
     if sum(e * f for e, f in shape) != n:
         raise OverrideRequiredError(p, f"inconsistent splitting of {p}: {shape}")
     return shape
-
-
-def _split_semisimple(struct, rad, p, n):
-    """Decompose (O/pO)/rad into its field components.
-
-    Returns a list of components, each a list of basis vectors (length-n
-    F_p coordinate rows of O/pO spanning the component's preimage together
-    with the radical quotient structure).
-    """
-    # complement of the radical inside O/pO: unit vectors off its pivots
-    _, rad_pivots = la.rref_mod_p(rad, p)
-    quotient_basis = [[1 if j == c else 0 for j in range(n)] for c in range(n)
-                      if c not in rad_pivots]
-    rng = random.Random(zlib.crc32(repr((p, n, tuple(map(tuple, quotient_basis)))).encode()))
-
-    def algebra_mult(u_coords, v_coords, comp_rows):
-        w = _mul_in_order(struct, _lift(u_coords, comp_rows, p),
-                          _lift(v_coords, comp_rows, p))
-        # coords of w in basis rad + comp_rows; return the comp part
-        full = rad + comp_rows
-        sol = la.solve_mod_p([list(col) for col in zip(*full)], w, p)
-        return sol[len(rad):]
-
-    def split(comp_rows):
-        dim = len(comp_rows)
-        if dim == 1:
-            return [comp_rows]
-        attempts = la.identity(dim)
-        for _ in range(_SPLIT_ATTEMPT_CAP):
-            attempts.append([rng.randrange(p) for _ in range(dim)])
-        for x in attempts:
-            mu = _minimal_poly(x, comp_rows, algebra_mult, p)
-            factors = [fac for fac, mult in modp.factor_list(mu, p, rng)
-                       for _ in range(mult)]
-            distinct = {tuple(f) for f in factors}
-            if len(distinct) == 1 and len(factors) == 1 and len(factors[0]) - 1 == dim:
-                return [comp_rows]
-            if len(distinct) > 1:
-                # min poly of an element of a semisimple algebra is squarefree
-                assert len(distinct) == len(factors)
-                pieces = []
-                for fac in factors:
-                    cof = modp.pdivmod(mu, fac, p)[0]
-                    # fac is irreducible: F_p[x]/(fac) is a field of p^deg elements
-                    inv = modp.ppowmod(cof, p ** (len(fac) - 1) - 2, fac, p)
-                    idem_poly = modp.pmul(cof, inv, p)
-                    idem = _eval_poly_in_algebra(idem_poly, x, comp_rows,
-                                                 algebra_mult, p)
-                    sub = _idempotent_image(idem, comp_rows, algebra_mult, p)
-                    pieces.extend(split(sub))
-                return pieces
-        raise OverrideRequiredError(0, "semisimple split budget exhausted")
-
-    return split(quotient_basis)
-
-
-def _lift(coords, comp_rows, p):
-    """O/pO coordinates of the element with these coordinates in comp_rows."""
-    out = [0] * len(comp_rows[0])
-    for ci, row in zip(coords, comp_rows):
-        if ci:
-            out = [(a + ci * b) % p for a, b in zip(out, row)]
-    return out
-
-
-def _minimal_poly(x_coords, comp_rows, mult, p):
-    """Monic minimal polynomial of x over F_p (ascending coefficients)."""
-    vectors = [_solve_for_identity(comp_rows, mult, p)]
-    while True:
-        power = mult(vectors[-1], x_coords, comp_rows)
-        try:
-            coeffs = la.solve_mod_p([list(col) for col in zip(*vectors)], power, p)
-        except ValueError:  # x^k is independent of the lower powers
-            vectors.append(power)
-            assert len(vectors) <= len(comp_rows)
-            continue
-        return [(-c) % p for c in coeffs] + [1]
-
-
-def _solve_for_identity(comp_rows, mult, p):
-    """Coordinates of the multiplicative identity of the component."""
-    units = la.identity(len(comp_rows))
-    # solve e * b_i = b_i for all i: one equation per coordinate slot
-    rows, rhs = [], []
-    for b in units:
-        cols = [mult(e, b, comp_rows) for e in units]
-        for slot, target in enumerate(b):
-            rows.append([col[slot] for col in cols])
-            rhs.append(target)
-    return la.solve_mod_p(rows, rhs, p)
-
-
-def _eval_poly_in_algebra(poly, x_coords, comp_rows, mult, p):
-    one = _solve_for_identity(comp_rows, mult, p)
-    acc = [0] * len(comp_rows)
-    for c in reversed(list(poly)):
-        acc = mult(acc, x_coords, comp_rows)
-        if c:
-            acc = [(a + c * o) % p for a, o in zip(acc, one)]
-    return acc
-
-
-def _idempotent_image(idem, comp_rows, mult, p):
-    """Basis of idem times the component, in O/pO coordinates."""
-    images = [_lift(mult(idem, e, comp_rows), comp_rows, p)
-              for e in la.identity(len(comp_rows))]
-    return la.rref_mod_p(images, p)[0]
-
-
-def _ramification_index(order, struct, rad, components, comp, p, n):
-    """v_P(p) for the maximal ideal P attached to one component."""
-    # P = preimage of the ideal (other components + radical) in O, plus pO
-    rows = [list(v) for v in rad]
-    for other in components:
-        if other is comp:
-            continue
-        rows.extend(list(v) for v in other)
-    rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
-    P = la.hnf(rows, n)
-    cap = n + 2
-    guard = [[p ** cap if i == j else 0 for j in range(n)] for i in range(n)]
-    power = P
-    e = 0
-    while e <= n:
-        ok = True
-        for i in range(n):
-            vec = [0] * n
-            vec[i] = p
-            if not la.lattice_contains(power, vec):
-                ok = False
-                break
-        if not ok:
-            break
-        e += 1
-        prod_rows = []
-        for a in power:
-            for b in P:
-                prod_rows.append(_mul_in_order(struct, a, b))
-        prod_rows.extend(guard)
-        power = la.hnf(prod_rows, n)
-    if e == 0 or e > n:
-        raise OverrideRequiredError(p, f"valuation loop failed at p={p}")
-    return e
 
 
 # ----------------------------------------------------------------------

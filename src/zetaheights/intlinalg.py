@@ -112,25 +112,6 @@ def solve_left_exact(m, v):
     return b
 
 
-def lattice_contains(basis_hnf, v):
-    """Whether integer vector v lies in the lattice with HNF row basis.
-
-    Rows are upper triangular, so reduction must run top-down: row i only
-    touches columns >= i and never re-pollutes cleared ones.
-    """
-    n = len(v)
-    v = list(v)
-    for i in range(n):
-        piv = basis_hnf[i][i]
-        q, r = divmod(v[i], piv)
-        if r:
-            return False
-        if q:
-            for j in range(i, n):
-                v[j] -= q * basis_hnf[i][j]
-    return all(x == 0 for x in v)
-
-
 def rref_mod_p(rows, p):
     """Reduced row echelon form over F_p: (reduced_rows, pivot_cols).
 

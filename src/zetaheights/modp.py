@@ -244,27 +244,26 @@ def _float_bound(terms: int) -> int:
 
 def _modulus(ps: np.ndarray, terms: int):
     """(p, mod) for one block of primes: mod(x) overwrites an array of exact
-    integers by balanced residues, |r| <= p/2 + 2; mod(x, cols) reduces an
-    array whose columns are the block's columns cols. Float64 with rint
-    while the block's largest prime is within _float_bound(terms), else
-    int64 with floor division, |r| <= p/2."""
+    integers by balanced residues, |r| <= p/2 + 2. Float64 with rint while
+    the block's largest prime is within _float_bound(terms), else int64 with
+    floor division, |r| <= p/2."""
     if ps.max() <= _float_bound(terms):
         p = ps.astype(np.float64)
         inv = 1.0 / p
 
-        def mod(x, cols=None):
-            q = x * (inv if cols is None else inv[cols])
+        def mod(x):
+            q = x * inv
             np.rint(q, out=q)
-            q *= p if cols is None else p[cols]
+            q *= p
             x -= q
             return x
         return p, mod
     half = ps // 2
 
-    def mod(x, cols=None):
-        m, q = (ps, x + half) if cols is None else (ps[cols], x + half[cols])
-        q //= m
-        q *= m
+    def mod(x):
+        q = x + half
+        q //= ps
+        q *= ps
         x -= q
         return x
     return ps, mod
@@ -278,32 +277,28 @@ def _gcd_degrees(a, b, mod):
     otherwise hi becomes lc(lo) hi - lc(hi) x^(deg hi - deg lo) lo, row by
     row with no shift, and drops its zero leading row. lc(lo) is a unit, so
     the gcd is kept. Each step first swaps the polynomial it replaces into
-    a. A column is done once lo is zero (degree < 0); hi is the gcd. Every
-    step lowers da + db by one, so k done columns save k (da + db + 1)
-    column-steps by leaving: they leave once that reaches the live count."""
+    a. A column is done once lo is zero (degree < 0); hi is the gcd."""
     n = a.shape[1]
     da, db = np.full(n, len(a) - 1), np.full(n, len(b) - 1)
     b = np.concatenate([b, np.zeros((len(a) - len(b), n), dtype=b.dtype)])
-    out, cols = np.empty(n, dtype=np.int64), np.arange(n)
-    while True:
-        done = np.minimum(da, db) < 0
-        k = np.count_nonzero(done)
-        if k == len(cols) or k * (da[0] + db[0] + 1) >= len(cols):
-            gcd = np.where(da >= db, a, b)
-            out[cols[done]] = (np.maximum(da, db) - np.argmax(gcd != 0, axis=0))[done]
-            if k == len(cols):
-                return out
-            keep = np.flatnonzero(~done)   # take: several times a mask's speed
-            a, b, da, db, cols = (x.take(keep, axis=-1) for x in (a, b, da, db, cols))
+    while (np.minimum(da, db) >= 0).any():
         hi = da >= db
         live = np.where(hi, b[0], a[0]) != 0
         swap = hi != live
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.where(swap, db, da), np.where(swap, da, db)
         lc_lo, lc_hi = np.where(live, b[0], 1), np.where(live, a[0], 0)
-        a = mod(lc_lo * a - lc_hi * b, None if len(cols) == n else cols)
+        a = mod(lc_lo * a - lc_hi * b)
         a = np.concatenate([a[1:], np.zeros_like(a[:1])])   # drop the zero lc
         da -= 1
+    return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
+
+
+def _coefficient_column(f: IntPolynomial):
+    """f's ascending coefficients as a column: int64 where all of them fit,
+    else Python integers, which reduce exactly mod an int64 row of primes."""
+    fits = max(abs(c) for c in f.coefficients) < 2 ** 63
+    return np.array(f.coefficients, dtype=np.int64 if fits else object)[:, None]
 
 
 def _sweep_block(coeffs, ps, qs):
@@ -346,7 +341,7 @@ def _euler_counts(f: IntPolynomial, ps: np.ndarray):
     ps = ps[fast]
     if len(ps):
         p, mod = _modulus(ps, 1)
-        c0, c1, c2 = (c % ps for c in np.array(f.coefficients, dtype=np.int64))
+        c0, c1, c2 = (_coefficient_column(f) % ps).astype(np.int64)
         base = mod(((c1 * c1 - 4 * (c2 * c0 % ps)) % ps).astype(np.float64))
         e, r = ps // 2, np.ones(len(ps))
         for bit in range(int(e.max()).bit_length() - 1, -1, -1):
@@ -392,7 +387,7 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     if top > p_max:
         raise DomainError(f"degree-{d} batched root counts need p <= {p_max}, "
                           f"so that d (p - 1)^2 < 2^63; got {top}")
-    coeffs = np.array(f.coefficients, dtype=np.int64)[:, None]
+    coeffs = _coefficient_column(f)
     split = int(np.searchsorted(primes[order], _float_bound(d), side="right"))
     for part in (order[:split], order[split:]):   # float64, then int64
         for start in range(0, len(part), _BLOCK):

@@ -526,7 +526,12 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
                 f"counting window's upper end {window[1]:.6g}",
                 diagnostics={"attempts": attempts})
         if argument is None:
-            argument = argument_count(ev, T)
+            try:
+                argument = argument_count(ev, T)
+            except IncompleteZeroSetError as exc:
+                attempts.append({"scan_step": step, **exc.diagnostics})
+                raise IncompleteZeroSetError(
+                    str(exc), diagnostics={"attempts": attempts}) from exc
         zeros, widths = [], []
         for i in hits.tolist():
             if vals[i] == 0.0:

@@ -10,6 +10,7 @@ from zetaheights import (build_number_field, bz_disc_lower_bound,
                          dirichlet_coefficients, irreducibility_certificate,
                          parse_polynomial, prime_splitting, splitting_table,
                          variance_profile)
+from zetaheights.algebra import IntPolynomial
 from zetaheights.errors import (DomainError, NotUniformSplittingError,
                                OverrideRequiredError)
 from zetaheights.fields import coefficient_array, is_irreducible, norm_counts
@@ -130,6 +131,35 @@ def test_prime_splitting_ramified_index_prime():
     assert prime_splitting(K, 13).factors == ((2, 2),)
     assert prime_splitting(K, 5).factors == ((1, 2), (1, 2))
     assert sum(e * f for e, f in prime_splitting(K, 2).factors) == 4
+
+
+def _scaled(text, q):
+    """q^n f(x / q): a generator of the field of f whose index q divides."""
+    f = P(text)
+    return IntPolynomial(tuple(c * q ** (f.degree - i)
+                               for i, c in enumerate(f.coefficients)))
+
+
+@pytest.mark.parametrize("text, q, shape", [
+    # x^8+3x^7-18x^6+81x^4-243x^3-729x^2+2187x-19683 and
+    # x^7-27x^5+54x^4-243x^3+729x^2-1458x+6561: e = 4 and e = 6 at 3
+    ("x^8+x^7-2*x^6+x^4-x^3-x^2+x-3", 3, ((1, 1), (1, 3), (4, 1))),
+    ("x^7-3*x^5+2*x^4-3*x^3+3*x^2-2*x+3", 3, ((1, 1), (6, 1))),
+    ("x^8+3*x^7-x^6+3*x^5-2*x^4+3*x^3-3*x^2-2*x+2", 1009,
+     ((1, 1), (1, 1), (1, 2), (1, 4))),
+])
+def test_index_prime_with_large_e_or_p(text, q, shape):
+    """Index divisors with a large ramification index or a large prime; the
+    norm-count table reads the same shape at every power of q it holds."""
+    K = build_number_field(_scaled(text, q))
+    assert K.index % q == 0
+    assert prime_splitting(K, q).factors == shape
+    X = max(100, q)
+    qs, n = norm_counts(K, X)
+    k = 1
+    while q ** k <= X:
+        assert n[np.searchsorted(qs, q ** k)] == sum(1 for _e, f in shape if f == k)
+        k += 1
 
 
 def test_splitting_against_sympy_sample():

@@ -1,6 +1,6 @@
-"""Source hygiene: no unused imports, no private helper that nothing in
-the package calls, and no RunConfig field that nothing reads or that the
-README does not name."""
+"""Source hygiene: no unused imports, no private helper (nor any intlinalg
+function) that nothing in the package calls, and no RunConfig field that
+nothing reads or that the README does not name."""
 
 import ast
 from dataclasses import fields
@@ -58,6 +58,18 @@ def test_every_private_definition_is_referenced():
                             if other is not node)):
             dead.append(f"{name}: {node.name}")
     assert not dead
+
+
+def test_every_intlinalg_function_is_read():
+    """intlinalg is internal and not exported, so each of its top-level
+    functions, public names too, is read somewhere in the package outside
+    its own definition."""
+    modules = _modules()
+    reads = [(node, _names(node)) for tree in modules.values() for node in tree.body]
+    dead = [node.name for node in modules["intlinalg.py"].body
+            if isinstance(node, ast.FunctionDef)
+            and not any(node.name in names for other, names in reads if other is not node)]
+    assert dead == []
 
 
 def test_every_run_config_field_is_read():

@@ -105,6 +105,25 @@ def test_batch_root_counts_vs_brute_force():
             assert c == len(brute_force_roots(f, p)), (text, p)
 
 
+@pytest.mark.parametrize("deg", [2, 5, 8])
+def test_batch_root_counts_with_coefficients_beyond_int64(deg):
+    """q^n f(x / q) with q = 2^61 - 1 has coefficients past 2^63: they
+    reduce exactly mod each prime, for the sweep and for Euler's criterion."""
+    rng = random.Random(deg)
+    while True:
+        tail = [rng.randint(-3, 3) for _ in range(deg)]
+        f = IntPolynomial.from_coefficients(
+            [c * (2 ** 61 - 1) ** (deg - i) for i, c in enumerate(tail)] + [1])
+        disc = discriminant(f)
+        if tail[0] and disc:
+            break
+    assert max(abs(c) for c in f.coefficients) >= 2 ** 63
+    primes = np.array([p for p in sieve_primes(300).tolist() if disc % p],
+                      dtype=np.int64)
+    want = [len(brute_force_roots(f, p)) for p in primes.tolist()]
+    assert batch_root_counts(f, primes).tolist() == want
+
+
 def test_batch_root_counts_large_prime_spot_check():
     from sympy import Poly, symbols, factor_list
     x = symbols("x")

@@ -317,6 +317,28 @@ def test_too_many_sign_changes_end_the_scan_at_once(ctx, tmp_path, capsys):
     assert (tmp_path / "zeros-diagnostics.json").exists()
 
 
+@pytest.mark.parametrize("poly, T, check", [("x^4+1", 15.0, "argument"),
+                                            ("x^2+1", 40.0, "hsw")])
+def test_every_failed_scan_reports_its_attempts(ctx, tmp_path, poly, T, check):
+    """A scan that fails at the argument count's noise floor (x^4+1 at 15)
+    reports its attempts as the early exit (x^2+1 at 40) does, and zh zeros
+    writes one shape of zeros-diagnostics.json for both."""
+    from zetaheights.cli import main
+    with pytest.raises(IncompleteZeroSetError) as info:
+        locate_zeros(ctx.evaluator(poly), T)
+    (attempt,) = info.value.diagnostics["attempts"]
+    assert list(info.value.diagnostics) == ["attempts"]
+    assert attempt["scan_step"] == 0.01
+    assert check in attempt
+    if check == "argument":
+        assert attempt["argument"]["min_ratio"] < 1e-12
+        assert "noise floor" in str(info.value)
+    code = main(["zeros", poly, "--height", f"{T:g}", "--output-dir", str(tmp_path)])
+    assert code == 2
+    written = json.loads((tmp_path / "zeros-diagnostics.json").read_text())
+    assert [a["scan_step"] for a in written["attempts"]] == [0.01]
+
+
 def test_zero_statistics_count_below(ctx):
     zl = ctx.zeros("x^2+1", 7.0)
     for T in (1.0, 6.0, 7.0):
