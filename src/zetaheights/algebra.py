@@ -326,15 +326,9 @@ def _frac_gcd(a, b):
 
 
 def _primitive_int(fracs):
-    from math import gcd, lcm
-    den = 1
-    for c in fracs:
-        den = lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in fracs))
     ints = [int(c * den) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    g = g or 1
+    g = math.gcd(*ints) or 1
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]

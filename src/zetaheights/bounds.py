@@ -85,8 +85,8 @@ def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
     explicit Y pins the window for constructed diagnostics instead of
     searching.
     """
-    if delta <= 0 or epsilon <= 0:
-        raise DomainError("delta and epsilon must be positive")
+    if not (0 < delta < math.inf and 0 < epsilon < math.inf):   # NaN fails too
+        raise DomainError("delta and epsilon must be finite and positive")
     n = degree if degree is not None else K.n_K
     y_low = math.log(n) ** 2 if n > 1 else 0.0
     y_high = math.sqrt(n)

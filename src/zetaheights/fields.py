@@ -3,7 +3,10 @@
 Maximal orders by the Dedekind criterion plus Round-2 enlargement, prime
 splitting (above index divisors by rank counts in the Berlekamp subalgebra
 of O/pO), norm counting tables, Dirichlet coefficients of the Dedekind zeta
-function, and the splitting-variance discriminant bound.
+function, and the splitting-variance discriminant bound. Every order basis
+is an upper-triangular HNF over the power basis, so coordinates come from
+forward substitution in integers and the index from its diagonal (Cohen,
+GTM 138, 2.4.3 and 6.1.2).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -144,72 +148,68 @@ class _Order:
         if self._struct is not None:
             return self._struct
         n = self.n
-        inv = _inverse_rows(self.basis)
         table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 w = self.mul_power_vectors(self.basis[i], self.basis[j])
-                table[i][j] = table[j][i] = _coords(inv, w, self.den)
+                table[i][j] = table[j][i] = _coords(self.basis, w, self.den)
         self._struct = table
         return table
 
-    def index_in(self, other: "_Order") -> Fraction:
-        """[other : self] as a positive rational."""
-        d_self = abs(la.det(self.basis)) / Fraction(self.den ** self.n)
-        d_other = abs(la.det(other.basis)) / Fraction(other.den ** other.n)
-        return d_self / d_other
+    @property
+    def index(self) -> int:
+        """[O : Z[alpha]] = den^n / prod of the HNF diagonal."""
+        index, rem = divmod(self.den ** self.n,
+                            math.prod(self.basis[i][i] for i in range(self.n)))
+        assert rem == 0, "order does not contain Z[alpha]"
+        return index
 
 
-def _inverse_rows(m):
-    """Rows of m^{-1} over Q: row k gives the coordinates of e_k."""
-    return [la.solve_left_exact(m, e) for e in la.identity(len(m))]
+def _order_from_rows(f: IntPolynomial, rows, den) -> _Order:
+    """The order spanned by rows / den, its HNF basis and den divided by
+    their common gcd."""
+    basis = la.hnf(rows, f.degree)
+    g = math.gcd(den, *(x for row in basis for x in row))
+    return _Order(f, [[x // g for x in row] for row in basis], den // g)
 
 
-def _coords(inv_rows, w, den=1):
-    """Coordinates (w . inv_rows) / den, which must be integers."""
-    coords = [Fraction(0)] * len(w)
-    for k, wk in enumerate(w):
-        if wk:
-            for t in range(len(w)):
-                coords[t] += wk * inv_rows[k][t]
-    out = []
-    for c in coords:
-        c = c / den
-        assert c.denominator == 1, "coordinates are not integral"
-        out.append(int(c))
-    return out
+def _coords(basis, w, den=1):
+    """Integer x with x . basis = w / den, by forward substitution on the
+    upper-triangular (HNF) basis: column j fixes x_j."""
+    x = []
+    for j, wj in enumerate(w):
+        xj, rem = divmod(wj - den * sum(xi * basis[i][j] for i, xi in enumerate(x)),
+                         den * basis[j][j])
+        assert rem == 0, "coordinates are not integral"
+        x.append(xj)
+    return x
 
 
-def _frobenius_matrix(struct, p, n):
-    """Matrix rows = coords of b_i^p in the order basis, mod p."""
+def _power_matrix(struct, p, e, n):
+    """Matrix rows = coords of b_i^e in the order basis, mod p; for e a
+    power of p, the matrix of the F_p-linear map x -> x^e on O/pO."""
     rows = []
     for i in range(n):
-        base = [1 if k == i else 0 for k in range(n)]
-        acc = None
-        e = p
-        sq = base
-        while e:
-            if e & 1:
+        acc, sq, k = None, [1 if j == i else 0 for j in range(n)], e
+        while k:
+            if k & 1:
                 acc = sq if acc is None else [
                     x % p for x in _mul_in_order(struct, acc, sq)]
-            e >>= 1
-            if e:
+            k >>= 1
+            if k:
                 sq = [x % p for x in _mul_in_order(struct, sq, sq)]
         rows.append(acc)
     return rows
 
 
 def _radical_mod_p(struct, p, n):
-    """Basis vectors of the nilradical of O/pO."""
-    frob = _frobenius_matrix(struct, p, n)
-    m = frob
-    power = p
-    while power < n:
-        m = [[sum(m[i][t] * frob[t][j] for t in range(n)) % p for j in range(n)]
-             for i in range(n)]
-        power *= p
-    mt = [[m[i][j] for i in range(n)] for j in range(n)]
-    return la.nullspace_mod_p(mt, p)
+    """Basis vectors of the nilradical of O/pO: the kernel of x -> x^(p^k)
+    for the least p^k >= n."""
+    e = p
+    while e < n:
+        e *= p
+    m = _power_matrix(struct, p, e, n)
+    return la.nullspace_mod_p([list(col) for col in zip(*m)], p)
 
 
 def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
@@ -235,9 +235,8 @@ def _dedekind_p_maximal(f: IntPolynomial, p: int) -> bool:
 
 
 def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
-    """p-maximal overorder of Z[alpha]: (basis, den, local index exponent)."""
+    """p-maximal overorder of Z[alpha] and the exponent of p in its index."""
     order = _Order(f)
-    exponent = 0
     for _ in range(vp_disc + 1):
         n = order.n
         struct = order.structure_constants()
@@ -245,14 +244,13 @@ def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
         ideal_rows = [list(v) for v in rad] + [[p if i == j else 0 for j in range(n)]
                                               for i in range(n)]
         h = la.hnf(ideal_rows, n)
-        hinv = _inverse_rows(h)
         # rows i -> flattened coords of b_i * h_l in the ideal basis, mod p
         cond = []
         for i in range(n):
             row = []
             for l in range(n):
                 w = _mul_in_order(struct, [1 if k == i else 0 for k in range(n)], h[l])
-                row.extend(c % p for c in _coords(hinv, w))
+                row.extend(c % p for c in _coords(h, w))
             cond.append(row)
         kernel = la.nullspace_mod_p([[cond[i][c] for i in range(n)]
                                      for c in range(n * n)], p)
@@ -266,25 +264,15 @@ def _round2_at_p(f: IntPolynomial, p: int, vp_disc: int):
                     for j in range(n):
                         combo[j] += ci * order.basis[i][j]
             new_rows.append(combo)
-        new_basis = la.hnf(new_rows, n)
-        new_den = order.den * p
-        g = new_den
-        for row in new_basis:
-            for x in row:
-                g = math.gcd(g, x)
-        if g > 1:
-            new_basis = [[x // g for x in row] for row in new_basis]
-            new_den //= g
-        candidate = _Order(f, new_basis, new_den)
-        growth = candidate.index_in(order)
-        if growth == 1:
+        candidate = _order_from_rows(f, new_rows, order.den * p)
+        if candidate.index == order.index:
             break
-        g_val = Fraction(1) / growth
-        while g_val % p == 0:
-            g_val /= p
-            exponent += 1
-        assert g_val == 1
         order = candidate
+    index, exponent = order.index, 0
+    while index % p == 0:
+        index //= p
+        exponent += 1
+    assert index == 1, "local index is not a power of p"
     return order, exponent
 
 
@@ -369,7 +357,6 @@ def _rational_factor(f: IntPolynomial):
     n = f.degree
     rs = complex_roots(f, 1e-13)
     roots = list(rs.roots)
-    from itertools import combinations
     for size in range(1, n // 2 + 1):
         for subset in combinations(range(n), size):
             coeffs = [complex(f.leading)]
@@ -440,28 +427,13 @@ def build_number_field(f: IntPolynomial) -> NumberField:
         order, k = _round2_at_p(f, p, exp)
         index *= p ** k
         orders.append(order)
-    if orders:
-        den = 1
-        for o in orders:
-            den = den * o.den // math.gcd(den, o.den)
-        rows = []
-        for o in orders:
-            scale = den // o.den
-            rows.extend([x * scale for x in row] for row in o.basis)
-        rows.extend([den if i == j else 0 for j in range(n)] for i in range(n))
-        basis = la.hnf(rows, n)
-        g = den
-        for row in basis:
-            for x in row:
-                g = math.gcd(g, x)
-        if g > 1:
-            basis = [[x // g for x in row] for row in basis]
-            den //= g
-        max_order = _Order(f, basis, den)
-        idx = Fraction(1) / max_order.index_in(_Order(f))
-        assert idx == index, f"index mismatch {idx} vs {index}"
-    else:
-        max_order = _Order(f)
+    # O_K is the sum of the p-maximal orders; the rows den e_i give Z[alpha]
+    # itself when Z[alpha] is maximal everywhere
+    den = math.lcm(*(o.den for o in orders))
+    rows = [[x * (den // o.den) for x in row] for o in orders for row in o.basis]
+    rows.extend([den if i == j else 0 for j in range(n)] for i in range(n))
+    max_order = _order_from_rows(f, rows, den)
+    assert max_order.index == index, f"index mismatch {max_order.index} vs {index}"
     field_disc, rem = divmod(poly_disc, index * index)
     assert rem == 0
     assert (field_disc < 0) == (r2 % 2 == 1), "discriminant sign vs signature"
@@ -560,10 +532,10 @@ def _split_index_prime(K: NumberField, p: int):
     def rank(rows):
         return len(la.rref_mod_p(rows, p)[1])
 
-    frob = _frobenius_matrix(struct, p, n)
+    frob = _power_matrix(struct, p, p, n)
     berlekamp = la.nullspace_mod_p(
         [[frob[i][j] - (i == j) for i in range(n)] for j in range(n)], p)
-    idempotents = [_coords(_inverse_rows(order.basis), [order.den] + [0] * (n - 1))]
+    idempotents = [_coords(order.basis, [order.den] + [0] * (n - 1))]
     for b in berlekamp:
         split = []
         for eps in idempotents:

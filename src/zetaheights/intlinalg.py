@@ -1,16 +1,14 @@
-"""Exact integer matrix helpers: HNF, determinants, solving.
+"""Exact matrix helpers: one integer routine and one F_p routine.
 
-Everything works on lists of lists of Python ints; matrices stay small
-(n <= 16 for the fields handled here), so clarity beats asymptotics.
+hnf brings an integer lattice to an upper-triangular Hermite basis, on
+which fields solves for coordinates and reads indices by triangular
+substitution; rref_mod_p reduces over F_p, and nullspace_mod_p and
+solve_mod_p read kernels and solutions off it. Everything works on lists
+of lists of Python ints; matrices stay small (n <= 16 for the fields
+handled here), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def mat_copy(m):
-    return [row[:] for row in m]
 
 
 def identity(n):
@@ -60,56 +58,6 @@ def _hnf_insert(basis, row, n):
         if basis[j][j] < 0:
             basis[j] = [-x for x in basis[j]]
     return
-
-
-def det(m):
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    a = mat_copy(m)
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def solve_left_exact(m, v):
-    """x with x . m = v over Q (m square nonsingular); returns Fractions."""
-    n = len(m)
-    # transpose to solve m^T x^T = v^T by standard elimination
-    a = [[Fraction(m[j][i]) for j in range(n)] for i in range(n)]
-    b = [Fraction(x) for x in v]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
-    return b
 
 
 def rref_mod_p(rows, p):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .errors import FactorizationFailureError
@@ -72,7 +74,6 @@ def _pollard_rho(n: int, seed: int) -> int:
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
-            from math import gcd
             g = gcd(q, n)
             k += m
             count += m
@@ -80,7 +81,6 @@ def _pollard_rho(n: int, seed: int) -> int:
                 return 0
         r *= 2
     if g == n:
-        from math import gcd
         while True:
             ys = (ys * ys + c) % n
             g = gcd(abs(x - ys), n)

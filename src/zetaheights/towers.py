@@ -59,6 +59,8 @@ def monotone_prime_sums(K: NumberField, L: NumberField, x: int,
     L, and only degree divisibility is verified here. Each override applies
     to its own level's table.
     """
+    if x < 2:
+        raise DomainError("cutoff must be >= 2")
     if L.n_K % K.n_K != 0:
         raise DegreeMismatchError("upper degree not a multiple of lower")
     lower = _weighted_sum(K, x, lower_override)
@@ -85,6 +87,8 @@ def psi_estimates(tower: Tower, q_cutoff: int) -> PsiEstimates:
     taken as the estimate of the limiting ratio."""
     if not tower.levels:
         raise DomainError("empty tower")
+    if q_cutoff < 2:
+        raise DomainError("cutoff must be >= 2")
     levels = [norm_counts(K, q_cutoff, tower.override(i))
               for i, K in enumerate(tower.levels)]
     q = levels[0][0].tolist()

@@ -81,6 +81,15 @@ def test_membership_monotone():
     assert not harder_eps.in_S
 
 
+@pytest.mark.parametrize("delta,epsilon", [
+    (math.nan, 0.5), (0.4, math.nan), (math.inf, 0.5), (0.4, math.inf),
+    (0.0, 0.5), (0.4, -1.0),
+])
+def test_membership_rejects_nonfinite_or_nonpositive(ctx, delta, epsilon):
+    with pytest.raises(DomainError):
+        uncond_membership(ctx.field("x^2+1"), delta, epsilon)
+
+
 def test_northcott_variants_gaussian_field(ctx):
     rep = northcott_report(ctx.field("x^2+1"), ctx.zeros("x^2+1", 2.0))
     variants = rep.notes["variants"]

@@ -77,6 +77,16 @@ def test_membership_bound(tmp_path, capsys):
     assert res["in_S"] is False
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "nan"), ("--epsilon", "nan"), ("--delta", "inf"), ("--epsilon", "inf"),
+])
+def test_membership_nonfinite_exit_3(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"   # the later of two equal flags wins
+    assert run_cli(["bound", "membership", "x^2+1", "--delta", "0.4",
+                    "--epsilon", "0.5", flag, value], out) == 3
+    assert not out.exists()
+
+
 def test_identity_artifact(tmp_path, capsys):
     code = run_cli(["identity", "x^2-x-1", "--kernel", "gauss", "--y", "0.1"],
                    tmp_path)
@@ -97,6 +107,16 @@ def test_tower_command(tmp_path, capsys):
     assert all(m["holds"] for m in summary["monotone_sums"])
     ratios = (tmp_path / "tower-ratios.csv").read_text().splitlines()
     assert ratios[0] == "level,q,ratio"
+
+
+@pytest.mark.parametrize("cutoff", ["1", "0", "-5"])
+def test_tower_cutoff_below_2_exit_3(tmp_path, capsys, cutoff):
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps({"levels": ["x", "x^2+1"]}))
+    out = tmp_path / "out"
+    assert run_cli(["tower", str(spec), "--cutoff", cutoff], out) == 3
+    assert not out.exists()
+    assert "cutoff must be >= 2" in capsys.readouterr().err
 
 
 def test_tower_missing_file_exit_3(tmp_path, capsys):

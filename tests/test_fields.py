@@ -15,6 +15,7 @@ from zetaheights.errors import (DomainError, NotUniformSplittingError,
                                OverrideRequiredError)
 from zetaheights.fields import coefficient_array, is_irreducible, norm_counts
 from zetaheights.primes import sieve_primes
+from zetaheights.table1 import ROWS
 
 P = parse_polynomial
 
@@ -160,6 +161,48 @@ def test_index_prime_with_large_e_or_p(text, q, shape):
     while q ** k <= X:
         assert n[np.searchsorted(qs, q ** k)] == sum(1 for _e, f in shape if f == k)
         k += 1
+
+
+SCALED_BASES = tuple(row[0] for row in ROWS if P(row[0]).degree <= 4) + (
+    "x^2+1", "x^2-5", "x^5+2*x^2+26", "x^6+65",
+    "x^7-3*x^5+2*x^4-3*x^3+3*x^2-2*x+3", "x^8-2")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 101])
+@pytest.mark.parametrize("text", SCALED_BASES)
+def test_scaled_generator_index_closed_form(text, q):
+    """Z[q alpha] has index q^(n(n-1)/2) in Z[alpha], so the maximal order
+    of q^n f(x/q) has that much more index and the same discriminant."""
+    K = build_number_field(P(text))
+    L = build_number_field(_scaled(text, q))
+    n = K.n_K
+    assert L.index == q ** (n * (n - 1) // 2) * K.index
+    assert L.field_disc == K.field_disc
+
+
+def _times_mod(u, v, f):
+    """u v reduced mod the monic f, as coefficient lists over the power basis."""
+    n = f.degree
+    out = [0] * (2 * n - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out.pop()
+        for j in range(n):
+            out[k - n + j] -= c * f.coefficients[j]
+    return out
+
+
+def test_structure_constants_reproduce_products():
+    K = build_number_field(_scaled("x^4+3*x^2+1650", 101))
+    basis = K.integral_basis
+    struct = K.state.max_order.structure_constants()
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            product = [sum(c * b[t] for c, b in zip(struct[i][j], basis))
+                       for t in range(K.n_K)]
+            assert product == _times_mod(bi, bj, K.defining_poly), (i, j)
 
 
 def test_splitting_against_sympy_sample():

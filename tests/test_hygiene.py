@@ -1,6 +1,7 @@
-"""Source hygiene: no unused imports, no private helper (nor any intlinalg
-function) that nothing in the package calls, and no RunConfig field that
-nothing reads or that the README does not name."""
+"""Source hygiene: no unused imports, no import inside a function but a
+relative one, no private helper (nor any intlinalg function) that nothing
+in the package calls, and no RunConfig field that nothing reads or that the
+README does not name."""
 
 import ast
 from dataclasses import fields
@@ -42,6 +43,20 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert not unused
+
+
+def test_function_level_imports_are_relative():
+    """Standard-library and third-party modules are imported at module top;
+    inside a function only a relative package import may appear, as the one
+    that breaks the zeta -> explicit import cycle."""
+    nested = set()
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(f"{name}:{node.lineno}" for node in ast.walk(fn)
+                              if isinstance(node, ast.Import)
+                              or isinstance(node, ast.ImportFrom) and node.level == 0)
+    assert sorted(nested) == []
 
 
 def test_every_private_definition_is_referenced():

@@ -8,7 +8,7 @@ from zetaheights import (Tower, build_tower, bz_sum, family_constants,
                          monotone_prime_sums, parse_polynomial, psi_estimates,
                          tower_corollary_report)
 from zetaheights.errors import (DegenerateDiscriminantError,
-                                DegreeMismatchError)
+                                DegreeMismatchError, DomainError)
 
 P = parse_polynomial
 
@@ -119,3 +119,12 @@ def test_corollary_rows(power_tower):
     rows = tower_corollary_report(power_tower)
     assert all(r.holds for r in rows)
     assert [r.degree for r in rows] == [1, 2, 4, 8, 16]
+
+
+@pytest.mark.parametrize("cutoff", [1, 0, -5])
+def test_prime_sums_reject_cutoff_below_2(cyclotomic_tower, cutoff):
+    with pytest.raises(DomainError, match="cutoff must be >= 2"):
+        psi_estimates(cyclotomic_tower, cutoff)
+    lower, upper = cyclotomic_tower.levels[:2]
+    with pytest.raises(DomainError, match="cutoff must be >= 2"):
+        monotone_prime_sums(lower, upper, cutoff)
