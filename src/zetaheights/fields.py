@@ -452,7 +452,8 @@ class _FieldState:
 
     The norm-count table is the one store of N_q(K), read through
     norm_counts: norm_q holds every prime power up to norm_limit in
-    increasing order and norm_n its N_q, zeros included. It is built
+    increasing order, norm_n its N_q, zeros included, and primes the primes
+    among them, for coefficient_array to slice. It is built
     without any override and grows when a larger cutoff is asked for, by
     batched root counts for the primes not dividing the polynomial
     discriminant; -1 marks the powers of a discriminant prime not split yet.
@@ -465,6 +466,7 @@ class _FieldState:
         self.norm_q = np.zeros(0, dtype=np.int64)
         self.norm_n = np.zeros(0, dtype=np.int64)
         self.norm_limit = 1
+        self.primes = np.zeros(0, dtype=np.int64)
         self.coeff_array = None        # float64 a_n, 1-indexed via [n]
         self.coeff_limit = 0
         self.evaluators: dict = {}     # RunConfig.cache_key() -> ZetaEvaluator
@@ -616,7 +618,7 @@ def _extend_norm_table(K: NumberField, X: int):
         pk, k = pk[:m] * good[:m], k + 1
         g = modp.batch_root_counts(f, good[:m], pk)
         counts[k] = (g - sum(j * counts[j][:m] for j in range(1, k) if k % j == 0)) // k
-    state.norm_q, state.norm_n, state.norm_limit = q, n, X
+    state.norm_q, state.norm_n, state.norm_limit, state.primes = q, n, X, primes
 
 
 def norm_counts(K: NumberField, X: int, override=None):
@@ -680,7 +682,7 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     q, n = norm_counts(K, N, override)
     a = np.zeros(N + 1, dtype=np.float64)
     a[1] = 1.0
-    primes = sieve_primes(N)
+    primes = state.primes[: np.searchsorted(state.primes, N, side="right")]
     small = primes * primes <= N
     for p in primes[small].tolist():
         # local coefficients c_k of prod over the primes P above p of
@@ -693,13 +695,11 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
             for _ in range(n[np.searchsorted(q, p ** f)]):
                 for k in range(f, kmax + 1):
                     c[k] += c[k - f]
-        idx = np.arange(1, N // p + 1)
-        idx = idx[idx % p != 0]
-        base_vals = a[idx]
+        # a[m] is still 0 for p | m, so a[m p^k] += c_k a[m] over all m
+        base = a[: N // p + 1].copy()
         for k in range(1, kmax + 1):
             if c[k]:
-                targets = idx[idx <= N // p ** k] * p ** k
-                a[targets] += base_vals[: len(targets)] * c[k]
+                a[p ** k:: p ** k] += c[k] * base[1: N // p ** k + 1]
     # n <= N has at most one prime factor P > sqrt N, so a[m P] = a[m] N_P
     # with the cofactor m < sqrt N already final: one pass per m
     large = primes[~small]

@@ -7,8 +7,8 @@ square-and-multiply over the bits of q and deg gcd(x^q - x, f) by an
 inverse-free Euclid. Residues are balanced and reduced as x - p rint(x / p)
 in float64, exact while every intermediate stays within 2^53 (p up to about
 6.7e7 at degree 8, 1.1e8 at degree 3); primes past that run the same loop
-in int64. Quadratics at q = p take Euler's criterion on the discriminant
-instead.
+in int64. Pure f = x^n + c, and quadratics at odd q = p as y^2 = b^2 - 4ac,
+take a power-residue test in F_p instead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .algebra import IntPolynomial, trim
 from .errors import DomainError, LeadingCoeffVanishesError
-from .primes import jacobi
 
 
 def reduce_mod(f: IntPolynomial, p: int):
@@ -139,11 +138,6 @@ def _distinct_degree(f, p):
     return out
 
 
-def _rng_for(f, p):
-    seed = zlib.crc32(repr((p, tuple(f))).encode()) & 0xFFFFFFFF
-    return random.Random(seed)
-
-
 def _equal_degree_split(f, d, p, rng):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
     n = len(f) - 1
@@ -179,27 +173,21 @@ def _monic_mod(f: IntPolynomial, p: int):
     return [c * inv % p for c in fp]
 
 
-def factor_list(fp, p, rng):
-    """[(monic irreducible, multiplicity)] of a monic list-poly over F_p,
-    sorted by (degree, coefficients): squarefree, then distinct-degree, then
-    equal-degree splitting with the random source rng."""
+def factor_mod_p(f: IntPolynomial, p: int):
+    """Complete factorization of f mod p into monic irreducibles.
+
+    Returns [(IntPolynomial, multiplicity)] sorted by (degree, coefficients):
+    squarefree, then distinct-degree, then equal-degree splitting with a
+    generator seeded from (f, p), so output is deterministic. Raises
+    LeadingCoeffVanishesError when lc(f) = 0 mod p.
+    """
+    fp = _monic_mod(f, p)
+    rng = random.Random(zlib.crc32(repr((p, tuple(fp))).encode()))
     factors = [(irr, mult) for sq, mult in _squarefree_decomposition(fp, p)
                for d, block in _distinct_degree(sq, p)
                for irr in _equal_degree_split(block, d, p, rng)]
     factors.sort(key=lambda fm: (len(fm[0]), tuple(fm[0])))
-    return factors
-
-
-def factor_mod_p(f: IntPolynomial, p: int):
-    """Complete factorization of f mod p into monic irreducibles.
-
-    Returns [(IntPolynomial, multiplicity)] sorted by (degree, coefficients);
-    the equal-degree stage uses a generator seeded from (f, p), so output is
-    deterministic. Raises LeadingCoeffVanishesError when lc(f) = 0 mod p.
-    """
-    fp = _monic_mod(f, p)
-    factors = factor_list(fp, p, _rng_for(fp, p)) or [(fp, 1)]   # f constant
-    return [(IntPolynomial(tuple(poly)), mult) for poly, mult in factors]
+    return [(IntPolynomial(tuple(g)), mult) for g, mult in factors or [(fp, 1)]]
 
 
 def factor_shape_mod_p(f: IntPolynomial, p: int):
@@ -330,24 +318,31 @@ def _sweep_block(coeffs, ps, qs):
     return _gcd_degrees(f[::-1], r[::-1], mod)
 
 
-def _euler_counts(f: IntPolynomial, ps: np.ndarray):
-    """1 + (disc | p) for quadratic f and odd p, by Euler's criterion
-    disc^((p-1)/2) mod p in float64; jacobi past the float bound."""
-    a0, a1, a2 = f.coefficients
-    counts = np.empty(len(ps), dtype=np.int64)
-    fast = ps <= _float_bound(1)
-    for i in np.flatnonzero(~fast).tolist():
-        counts[i] = 1 + jacobi((a1 * a1 - 4 * a2 * a0) % int(ps[i]), int(ps[i]))
-    ps = ps[fast]
-    if len(ps):
-        p, mod = _modulus(ps, 1)
-        c0, c1, c2 = (_coefficient_column(f) % ps).astype(np.int64)
-        base = mod(((c1 * c1 - 4 * (c2 * c0 % ps)) % ps).astype(np.float64))
-        e, r = ps // 2, np.ones(len(ps))
+def _power_residue_counts(n: int, c: int, primes: np.ndarray, field_sizes: np.ndarray):
+    """Roots of x^n + c in F_q for every column (p, q), q a power of p.
+
+    For p not dividing c there are g = gcd(n, q - 1) of them when
+    (-c)^((q - 1) / g) = 1 and none otherwise (Ireland and Rosen, GTM 84,
+    7.1); -c lies in F_p, so the exponent reduces mod p - 1. For p | c the
+    one root is 0. One square-and-multiply in int64 per block of columns,
+    exact while (p - 1)^2 < 2^63, p up to about 3.04e9, past which DomainError.
+    """
+    p_max = math.isqrt(2 ** 63 - 1) + 1
+    if int(primes.max(initial=0)) > p_max:
+        raise DomainError(f"power-residue root counts need p <= {p_max}, so "
+                          f"that (p - 1)^2 < 2^63; got {int(primes.max())}")
+    neg = np.array(-c, dtype=np.int64 if abs(c) < 2 ** 63 else object)
+    counts = np.empty(len(primes), dtype=np.int64)
+    for i in range(0, len(primes), _BLOCK):
+        ps, qs = primes[i: i + _BLOCK], field_sizes[i: i + _BLOCK]
+        base = (neg % ps).astype(np.int64)
+        g = np.gcd(n, qs - 1)
+        e = (qs - 1) // g % (ps - 1)
+        r = np.ones(len(ps), dtype=np.int64)
         for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            r = mod(r * r)
-            r = mod(np.where((e >> bit) & 1 == 1, r * base, r))
-        counts[fast] = np.where(r == 0, 1, np.where((r - 1) % p == 0, 2, 0))
+            r = r * r % ps
+            r = np.where((e >> bit) & 1 == 1, r * base % ps, r)
+        counts[i: i + _BLOCK] = np.where(base == 0, 1, np.where(r == 1, g, 0))
     return counts
 
 
@@ -358,10 +353,11 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     Primes dividing lc or disc must be excluded by the caller; f mod p is
     then squarefree, and at q = p^k the count is the sum over j | k of j
     times the number of its irreducible factors of degree j. Degree 1 has
-    one root; degree 2 at q = p odd takes Euler's criterion on the
-    discriminant. Every other column is swept, in fixed-size blocks sorted
-    by p, one column per (p, q) and one row per coefficient. x^q mod f
-    comes by square-and-multiply over the bits of q: each bit squares r by
+    one root. A pure f = x^n + c takes _power_residue_counts at every
+    column, as does a x^2 + b x + c at odd p = q, as y^2 = b^2 - 4ac.
+    Every other column is swept, in fixed-size blocks sorted by p, one
+    column per (p, q) and one row per coefficient. x^q mod f comes by
+    square-and-multiply over the bits of q: each bit squares r by
     symmetric products into 2d + 1 rows, takes the rows shifted by one
     (times x) where the bit is set, reduces them, and folds rows d .. 2d - 1
     back with x^(d..2d-1) mod f. A batched Euclid with no inverses then
@@ -376,12 +372,16 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     qs = primes if field_sizes is None else np.asarray(field_sizes, dtype=np.int64)
     if d == 1:
         return np.ones(len(primes), dtype=np.int64)
+    c0, *middle, lead = f.coefficients
+    if lead == 1 and not any(middle):
+        return _power_residue_counts(d, c0, primes, qs)
     counts = np.zeros(len(primes), dtype=np.int64)
     order = np.argsort(primes, kind="stable")
-    if d == 2:
-        euler = (qs == primes) & (primes != 2)
-        counts[euler] = _euler_counts(f, primes[euler])
-        order = order[~euler[order]]
+    if d == 2:   # a x^2 + b x + c at odd p = q: y = 2 a x + b, y^2 = b^2 - 4ac
+        odd = (qs == primes) & (primes != 2)
+        counts[odd] = _power_residue_counts(2, 4 * lead * c0 - middle[0] ** 2,
+                                            primes[odd], primes[odd])
+        order = order[~odd[order]]
     top = int(primes[order[-1]]) if len(order) else 0
     p_max = math.isqrt((2 ** 63 - 1) // d) + 1
     if top > p_max:

@@ -1,5 +1,6 @@
 """Number fields: maximal orders, splitting, coefficients, variance."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -376,6 +377,41 @@ def test_coefficient_array_matches_definition(text, override):
         n_p = int(n[np.searchsorted(q, p)])
         for m in range(1, N // p + 1):
             assert a[m * p] == a[m] * n_p
+
+
+def _ideal_counts_by_splitting(K, N, override=None):
+    """a_n by Dirichlet convolution, over every p <= N, of the local factors
+    prod_P (1 - T^{f_P})^(-1) read from prime_splitting: the coefficient of
+    p^k counts the tuples (j_P) with sum_P j_P f_P = k."""
+    a = [0, 1] + [0] * (N - 1)
+    for p in sieve_primes(N).tolist():
+        fs = [f for _e, f in prime_splitting(K, p, override).factors]
+        b, pk, k = list(a), p, 1
+        while pk <= N:
+            local = sum(1 for js in itertools.product(*(range(k // f + 1) for f in fs))
+                        if sum(j * f for j, f in zip(js, fs)) == k)
+            for m in range(1, N // pk + 1):
+                b[m * pk] += a[m] * local
+            pk, k = pk * p, k + 1
+        a = b
+    return a
+
+
+@pytest.mark.parametrize("text,override", [
+    ("x^5+42", {11: [(1, 5)], 31: [(1, 1), (1, 2), (1, 2)]}),
+    # index 56: 2 and 7 are index divisors, split by idempotents
+    ("x^3+18*x^2+312", {7: [(1, 3)], 5: [(1, 1), (1, 1), (1, 1)]}),
+])
+def test_coefficient_array_counts_ideals(text, override):
+    """coefficient_array to N = 3000 against ideal counts built prime by
+    prime from prime_splitting, with the override first and then without,
+    so that a forced shape cannot reach the cached array."""
+    N = 3000
+    K = build_number_field(P(text))
+    for ov in (override, None):
+        want = np.array(_ideal_counts_by_splitting(K, N, ov), dtype=np.float64)
+        assert np.array_equal(coefficient_array(K, N, ov), want), ov
+    assert not np.array_equal(_ideal_counts_by_splitting(K, N, override), want)
 
 
 def test_variance_profile_examples():

@@ -270,3 +270,66 @@ def test_gcd_degrees_matches_pgcd_with_columns_leaving_early():
                               for c in col[k][::-1]] for col in cols]).T
         a, b = rows(1).astype(p_arr.dtype), rows(2).astype(p_arr.dtype)
         assert modp._gcd_degrees(a, b, mod).tolist() == want
+
+
+def swept(f, ps, qs):
+    """batch_root_counts forced through the sweep, block by block."""
+    coeffs = modp._coefficient_column(f)
+    return np.concatenate([modp._sweep_block(coeffs, ps[i: i + modp._BLOCK],
+                                             qs[i: i + modp._BLOCK])
+                           for i in range(0, len(ps), modp._BLOCK)])
+
+
+def assert_pure_counts_match_the_sweep(f, X):
+    """Every prime to X at q = p, the columns (p, p^2) and (p, p^3) with
+    q <= 10 X, and (2, 2^k) for k to 40 against the list gcd."""
+    primes = sieve_primes(X)
+    for k in (1, 2, 3):
+        ps = primes[primes.astype(float) ** k <= 10 * X] if k > 1 else primes
+        assert np.array_equal(batch_root_counts(f, ps, ps ** k), swept(f, ps, ps ** k)), k
+    twos = np.full(40, 2, dtype=np.int64)
+    want = [roots_in_field(f, 2, 2 ** k) for k in range(1, 41)]
+    assert batch_root_counts(f, twos, twos ** np.arange(1, 41)).tolist() == want
+
+
+PURE = ["x^2+1", "x^4+1", "x^5+42", "x^6+65", "x^6+85"]
+
+
+@pytest.mark.parametrize("text", PURE)
+def test_pure_field_root_counts_match_the_sweep(text):
+    """x^n + c takes the power-residue count at every column, the primes
+    dividing n c included; it must agree with the sweep and the list gcd."""
+    assert_pure_counts_match_the_sweep(parse_polynomial(text), 10 ** 6)
+
+
+@pytest.mark.stretch
+def test_sextic_root_counts_match_the_sweep_to_its_row_cutoff():
+    assert_pure_counts_match_the_sweep(parse_polynomial("x^6+65"), 59 * 10 ** 6)
+
+
+def power_residue_count(n, c, p, q):
+    g = math.gcd(n, q - 1)
+    return 1 if c % p == 0 else g * (pow(-c, (q - 1) // g, p) == 1)
+
+
+def test_pure_field_root_counts_at_the_int64_edge():
+    """x^6+85 near its row cutoff 1.14e8, where p^2 reaches 1.3e16, and at
+    the two primes below the power-residue bound (p - 1)^2 < 2^63, against
+    Python's pow, the sweep and the list gcd; the next prime raises. A
+    constant past int64 is reduced mod p as a Python integer."""
+    big = IntPolynomial.from_coefficients([3 - (2 ** 61 - 1) ** 5, 0, 0, 0, 0, 1])
+    ps = sieve_primes(300)
+    assert batch_root_counts(big, ps).tolist() == [
+        len(brute_force_roots(big, p)) for p in ps.tolist()]
+    f = parse_polynomial("x^6+85")
+    near = [prevprime(114_000_000), nextprime(114_000_000), nextprime(114_100_000)]
+    top = [prevprime(prevprime(int64_prime_bound(1) + 1)),
+           prevprime(int64_prime_bound(1) + 1)]
+    for k, ps in ((1, near + top), (2, near)):
+        ps = np.array(ps, dtype=np.int64)
+        got = batch_root_counts(f, ps, ps ** k).tolist()
+        assert got == [power_residue_count(6, 85, p, p ** k) for p in ps.tolist()]
+        assert got == [roots_in_field(f, p, p ** k) for p in ps.tolist()]
+        assert got[:3] == swept(f, ps[:3], ps[:3] ** k).tolist()
+    with pytest.raises(DomainError, match=r"2\^63"):
+        batch_root_counts(f, np.array([7, nextprime(int64_prime_bound(1))]))
