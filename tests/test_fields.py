@@ -408,10 +408,11 @@ def test_coefficient_array_counts_ideals(text, override):
     so that a forced shape cannot reach the cached array."""
     N = 3000
     K = build_number_field(P(text))
-    for ov in (override, None):
-        want = np.array(_ideal_counts_by_splitting(K, N, ov), dtype=np.float64)
-        assert np.array_equal(coefficient_array(K, N, ov), want), ov
-    assert not np.array_equal(_ideal_counts_by_splitting(K, N, override), want)
+    forced, plain = (np.array(_ideal_counts_by_splitting(K, N, ov), dtype=np.float64)
+                     for ov in (override, None))
+    assert not np.array_equal(forced, plain)
+    assert np.array_equal(coefficient_array(K, N, override), forced)
+    assert np.array_equal(coefficient_array(K, N), plain)
 
 
 def test_variance_profile_examples():

@@ -285,17 +285,14 @@ def assert_pure_counts_match_the_sweep(f, X):
     q <= 10 X, and (2, 2^k) for k to 40 against the list gcd."""
     primes = sieve_primes(X)
     for k in (1, 2, 3):
-        ps = primes[primes.astype(float) ** k <= 10 * X] if k > 1 else primes
+        ps = primes[primes.astype(float) ** k <= 10 * X]
         assert np.array_equal(batch_root_counts(f, ps, ps ** k), swept(f, ps, ps ** k)), k
     twos = np.full(40, 2, dtype=np.int64)
     want = [roots_in_field(f, 2, 2 ** k) for k in range(1, 41)]
     assert batch_root_counts(f, twos, twos ** np.arange(1, 41)).tolist() == want
 
 
-PURE = ["x^2+1", "x^4+1", "x^5+42", "x^6+65", "x^6+85"]
-
-
-@pytest.mark.parametrize("text", PURE)
+@pytest.mark.parametrize("text", ["x^2+1", "x^4+1", "x^5+42", "x^6+65", "x^6+85"])
 def test_pure_field_root_counts_match_the_sweep(text):
     """x^n + c takes the power-residue count at every column, the primes
     dividing n c included; it must agree with the sweep and the list gcd."""
