@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -13,15 +13,18 @@ _RHO_ITER_CAP = 10 ** 8
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty for limit < 2)."""
+    """All primes <= limit as an int64 array (empty for limit < 2). The
+    mask holds the odd n only, mask[i] for n = 2i + 1, and 2 is prepended."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask = np.ones((limit + 1) // 2, dtype=bool)
+    mask[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2:: p] = False
+    odd = np.flatnonzero(mask).astype(np.int64)
+    return np.concatenate((np.array([2], dtype=np.int64), 2 * odd + 1))
 
 
 def is_prime(n: int) -> bool:

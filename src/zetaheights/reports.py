@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,4 @@ class SMembership:
     aa_lower_bound: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "witness_Y": self.witness_Y,
-            "qualifying_primes": list(self.qualifying_primes),
-            "in_S": self.in_S,
-            "aa_lower_bound": self.aa_lower_bound,
-        }
+        return asdict(self)

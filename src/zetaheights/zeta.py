@@ -8,7 +8,8 @@ single cached kernel
     W(y) = (1/2 pi i) int_(c) Gamma(z/2)^r1 Gamma(z)^r2 y^{-z} dz,
 
 computed once on a uniform grid in log y, one saddle-point contour per
-block of the grid, and cubic-splined in log y. Swapping the n-sum and the
+block of the grid (Gamma by Stirling's series, once per distinct contour),
+and interpolated in log y by cubic Hermite pieces. Swapping the n-sum and the
 x-integral turns every S(s) evaluation into a short fixed quadrature over
 the theta profile sum_n a_n W(n x / Q), which is what makes dense zero scans
 affordable. That profile sums the small n term by term and the rest through
@@ -22,9 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import k0 as bessel_k0
-from scipy.special import digamma, loggamma
 
 from .config import RunConfig, default_config
 from .errors import (DomainError, GridMissError, InconsistentResidueError,
@@ -46,6 +44,65 @@ PANEL_ORDER = 16  # nodes per panel
 BISECT_TOL = 1e-9  # bracket width of a located zero
 ARG_STEP = 0.1  # longest step of the argument count's path
 ARG_NOISE = 1e-12  # |S| / R below which rounding can turn the path's phase
+# B_2k / (2k (2k-1)), k = 1..8: Stirling's series for log Gamma (A&S 6.1.40)
+STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+            1 / 156, -3617 / 122400)
+# B_2k / 2k, k = 1..8: the asymptotic series for digamma (A&S 6.3.18)
+DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+                  1 / 12, -3617 / 8160)
+_polyval = np.polynomial.polynomial.polyval
+
+
+def _loggamma(z):
+    """Principal log Gamma(z) for Re z > 0: Stirling's series at w = z + 8,
+    where its 8 terms leave under 1e-16, less log z(z+1) ... (z+6)(z+7) as
+    four principal logs of pair products. Each factor's argument lies in
+    (-pi/2, pi/2), so each pair's lies in (-pi, pi) and no branch is crossed."""
+    z = np.asarray(z, dtype=complex)
+    w = z + 8.0
+    small = 0.5 * math.log(TWO_PI) - 0.5 + _polyval(1.0 / (w * w), STIRLING) / w
+    for j in range(0, 8, 2):
+        small -= np.log((z + j) * (z + j + 1.0))
+    # (w - 1/2) log w - w with one rounding of the large part
+    return ((w - 0.5) * (np.log(w) - 1.0) + small)[()]
+
+
+def _digamma(x):
+    """psi(x) for real x > 0: the asymptotic series at x + 8, less the
+    recurrence's eight reciprocals."""
+    x = np.asarray(x, dtype=float)
+    w, r2 = x + 8.0, 1.0 / (x + 8.0) ** 2
+    return (np.log(w) - 0.5 / w - r2 * _polyval(r2, DIGAMMA_SERIES)
+            - sum(1.0 / (x + j) for j in range(8)))
+
+
+def _log_k0(x: np.ndarray) -> np.ndarray:
+    """log K_0(x) = -x + log int_0^inf e^{-x (cosh t - 1)} dt by the trapezoid
+    rule of step 0.1, geometrically convergent for this entire integrand, to
+    t = 5 (50 nodes) or on until e^{-x (cosh t - 1)} < e^{-40} at the least x."""
+    nodes = max(50, math.ceil(10.0 * math.acosh(1.0 + 40.0 / float(x.min()))))
+    total = np.full_like(x, 0.5)
+    for k in range(1, nodes):
+        total += np.exp(-x * (math.cosh(0.1 * k) - 1.0))
+    return np.log(0.1 * total) - x
+
+
+def _hermite_pieces(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic Hermite pieces through y on the uniform grid, laid out as
+    CubicSpline.c: (4, len(grid) - 1), in powers of u minus each piece's left
+    breakpoint, cubic first. The slopes are fourth-order central
+    differences, one-sided at the two points nearest each end."""
+    h12 = 12.0 * (grid[-1] - grid[0]) / (len(grid) - 1)
+    m = np.empty_like(y)
+    m[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / h12
+    for end, sign in ((0, 1), (-1, -1)):
+        f = y[end::sign][:5]
+        m[end] = sign * np.dot((-25.0, 48.0, -36.0, 16.0, -3.0), f) / h12
+        m[end + sign] = sign * np.dot((-3.0, -10.0, 18.0, -6.0, 1.0), f) / h12
+    dx = np.diff(grid)
+    slope = np.diff(y) / dx
+    return np.array([(m[:-1] + m[1:] - 2.0 * slope) / (dx * dx),
+                     (3.0 * slope - 2.0 * m[:-1] - m[1:]) / dx, m[:-1], y[:-1]])
 
 
 @dataclass(frozen=True)
@@ -76,7 +133,7 @@ class GammaFactor:
     def log_gamma_hat(self, s: complex) -> complex:
         """log of |d|^{s/2} Gamma_R(s)^{r1} Gamma_C(s)^{r2}."""
         return (math.log(self.front) + s * math.log(self.scale)
-                + self.r1 * loggamma(s / 2.0) + self.r2 * loggamma(s))
+                + self.r1 * _loggamma(s / 2.0) + self.r2 * _loggamma(s))
 
     @classmethod
     def of(cls, K: NumberField) -> "GammaFactor":
@@ -128,10 +185,13 @@ def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray) -> np.ndarray:
                                          / max(len(log_grid) - 1, 1))
     cs = np.linspace(0.5, 2.0, 151)  # psi increases, so interp inverts it
     c = np.interp(starts + offsets.mean(),
-                  0.5 * r1 * digamma(0.5 * cs) + r2 * digamma(cs), cs)
+                  0.5 * r1 * _digamma(0.5 * cs) + r2 * _digamma(cs), cs)
+    # most blocks clip to c = 2: take log G once per distinct c
+    distinct, row = np.unique(c, return_inverse=True)
+    zd = distinct[:, None] + 1j * v
+    log_g = (r1 * _loggamma(zd / 2.0) + r2 * _loggamma(zd))[row]
     z = c[:, None] + 1j * v
-    head = weights * np.exp(r1 * loggamma(z / 2.0) + r2 * loggamma(z)
-                            - z * starts[:, None])
+    head = weights * np.exp(log_g - z * starts[:, None])
     vals = (head @ np.exp(-1j * np.outer(v, offsets))).real
     vals *= np.exp(-np.outer(c, offsets)) / math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -181,8 +241,7 @@ class ZetaEvaluator:
             self.kernel_kind = "bessel-exact"
 
             def vec_log_w(ys):
-                with np.errstate(divide="ignore"):
-                    return np.log(4.0 * bessel_k0(2.0 * ys))
+                return math.log(4.0) + _log_k0(2.0 * ys)
             y_hi = 0.5 * (target_drop + 14.0)
         else:
             self.kernel_kind = "mellin-barnes"
@@ -201,7 +260,7 @@ class ZetaEvaluator:
         if len(bad):
             grid, logw = grid[: top + bad[0]], logw[: top + bad[0]]
         self._log_grid = grid
-        self._pieces = CubicSpline(grid, logw).c
+        self._pieces = _hermite_pieces(grid, logw)
         peak = float(logw.max())
         below = np.nonzero(logw <= peak - target_drop)[0]
         idx = below[below > top]
@@ -209,7 +268,7 @@ class ZetaEvaluator:
         self.y_max = float(np.exp(grid[-1]))
 
     def _log_w(self, u: np.ndarray) -> np.ndarray:
-        """log W at log-points u inside the grid: the spline piece
+        """log W at log-points u inside the grid: the Hermite piece
         int((u - u_0) / h), capped at the last, as a cubic in u minus its
         stored breakpoint (never u_0 + i h, which drifts by rounding)."""
         knots, pieces = self._log_grid, self._pieces
@@ -225,8 +284,8 @@ class ZetaEvaluator:
     def kernel(self, ys: np.ndarray) -> np.ndarray:
         """W(y) for y inside the cached grid, 0 beyond its decayed end.
 
-        A y below the grid's first point raises GridMissError: the spline
-        knows nothing of W there.
+        A y below the grid's first point raises GridMissError: the pieces
+        know nothing of W there.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             lny = np.log(np.asarray(ys, dtype=float))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zetaheights import (EXPONENTIAL, archimedean_integrals, aux_functions,
@@ -222,3 +223,54 @@ def test_prime_sums_reject_cutoff_below_two(ctx, X):
                  lambda: northcott_report(K, zl, X)):
         with pytest.raises(DomainError, match="cutoff must be >= 2"):
             call()
+
+
+def test_quad_closed_forms():
+    """The adaptive 7-15 rule on a smooth integral, a kinked one and a
+    half-line Gaussian moment, each against its closed form."""
+    from zetaheights.explicit import _quad
+    assert _quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12, abs=0)
+    # max(1/2, e^{-t}) kinks at t = log 2
+    kinked = _quad(lambda t: max(0.5, math.exp(-t)), 0.0, 3.0)
+    assert kinked == pytest.approx(2.0 - 0.5 * math.log(2.0), rel=1e-11, abs=0)
+    for y in (0.05, 0.2, 1.0):
+        a = 1.0 / (4.0 * y)
+        closed = (2.0 * math.exp(-4.0 * a) / (2.0 * a)
+                  + math.sqrt(math.pi / a) * math.erfc(2.0 * math.sqrt(a)) / (4.0 * a))
+        got = _quad(lambda t: t * t * math.exp(-a * t * t), 2.0, math.inf)
+        assert got == pytest.approx(closed, rel=1e-11, abs=0), y
+
+
+def test_quad_raises_where_its_estimate_fails():
+    """int_0^1 dx/x diverges: every bisection of [0, h] keeps the same
+    error estimate, so the 400 intervals run out and the gate raises."""
+    from zetaheights.errors import QuadratureFailureError
+    from zetaheights.explicit import _quad
+    with pytest.raises(QuadratureFailureError, match="error estimate"):
+        _quad(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def _plain_msum(y, qs):
+    """The Gaussian m-sum with every q kept to the last m."""
+    logq = np.log(qs)
+    total = np.zeros_like(logq)
+    m = 1
+    while True:
+        term = np.exp(-0.5 * m * logq - y * (m * logq) ** 2)
+        total += term
+        if float(term.max()) < 1e-20 * max(float(total.max()), 1e-300):
+            break
+        m += 1
+        if m > 400:
+            break
+    return total
+
+
+@pytest.mark.parametrize("text", ["x", "x^2+1", "x^4+1"])
+def test_kernel_msum_matches_the_plain_loop(ctx, text):
+    """Dropping a q once its term is below 2^-54 of its total changes no
+    bit of the m-sums, over every prime power to 10^6 with N_q > 0."""
+    from zetaheights.explicit import _kernel_msum, _nonzero_counts
+    qs, _ = _nonzero_counts(ctx.field(text), 10 ** 6)
+    for y in (0.05, 0.1, 0.2, 0.3):
+        assert np.array_equal(_kernel_msum(gaussian(y), qs), _plain_msum(y, qs)), y

@@ -1,9 +1,11 @@
 """Source hygiene: no unused imports, no import inside a function but a
 relative one, no private helper (nor any intlinalg function) that nothing
-in the package calls, and no RunConfig field that nothing reads or that the
-README does not name."""
+in the package calls, no RunConfig field that nothing reads or that the
+README does not name, and no scipy at run time."""
 
 import ast
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -104,3 +106,25 @@ def test_every_run_config_field_is_documented():
     key a config file may set is named where users look for it."""
     readme = (ROOT / "README.md").read_text()
     assert [f.name for f in fields(RunConfig) if f"`{f.name}`" not in readme] == []
+
+
+def test_no_scipy_import_in_the_package():
+    """The package runs on numpy and the standard library alone; scipy is a
+    test oracle only."""
+    found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] == "scipy" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and (node.module or "").split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_import_loads_no_scipy_module():
+    """A fresh interpreter that imports the package and its CLI has no
+    scipy module loaded."""
+    code = ("import sys, zetaheights, zetaheights.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

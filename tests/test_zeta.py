@@ -15,6 +15,7 @@ from zetaheights.errors import (DomainError, GridMissError,
                                 InconsistentResidueError)
 from zetaheights.zeta import (WGRID_STEP_FACTOR, ZeroList, ZetaEvaluator,
                               _completeness_checks, _contour_halfwidth,
+                              _digamma, _hermite_pieces, _log_k0, _loggamma,
                               _mellin_barnes_logw, argument_count)
 
 CATALAN = 0.915965594177219015054603514932
@@ -482,3 +483,55 @@ def test_evaluator_sweeps_primes_only_to_its_n(monkeypatch):
     K = build_number_field(parse_polynomial("x^3+3*x+213"))
     (ev,) = K.state.evaluators.values()
     assert ev.N == 627 and K.state.norm_limit == 627
+
+
+def test_loggamma_matches_mpmath():
+    """Stirling's series with the pair-product recurrence against mpmath's
+    principal log Gamma at 30 digits: within 1e-13 absolute, or 3 ulp of
+    the value where |log Gamma| passes 256 (|Im z| beyond about 75, where a
+    double holds the value only to 5.7e-14)."""
+    import mpmath as mp
+    zs = np.array([complex(re, im) for re in (0.25, 0.5, 1.0, 2.0)
+                   for im in np.linspace(-100.0, 100.0, 801)])
+    got = _loggamma(zs)
+    assert got.shape == zs.shape
+    with mp.workdps(30):
+        for z, value in zip(zs.tolist(), got.tolist()):
+            want = mp.loggamma(mp.mpc(z.real, z.imag))
+            tol = max(1e-13, 3.0 * float(np.spacing(float(abs(want)))))
+            assert abs(mp.mpc(value.real, value.imag) - want) <= tol, z
+    assert _loggamma(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert _loggamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-15)
+
+
+def test_digamma_matches_mpmath():
+    import mpmath as mp
+    xs = np.linspace(0.25, 2.0, 351)
+    got = _digamma(xs)
+    want = np.array([float(mp.digamma(x)) for x in xs.tolist()])
+    assert np.max(np.abs(got - want)) <= 2e-15
+
+
+def test_log_k0_matches_mpmath():
+    """The trapezoid log K_0 on [2.5, 60], where the real quadratic kernels
+    sample it, and down to 0.01, where it takes more nodes."""
+    import mpmath as mp
+    for xs in (np.linspace(2.5, 60.0, 301), np.geomspace(0.01, 2.5, 41)):
+        got = _log_k0(xs)
+        with mp.workdps(30):
+            want = np.array([float(mp.log(mp.besselk(0, x))) for x in xs.tolist()])
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_hermite_pieces_reproduce_a_cubic():
+    """Fourth-order slopes are exact on cubics, so the pieces are the cubic
+    itself, in the (4, n - 1) layout _log_w reads."""
+    grid = np.linspace(-1.0, 2.0, 40)
+    cubic = lambda u: 0.3 * u ** 3 - u ** 2 + 2.0 * u - 0.5
+    pieces = _hermite_pieces(grid, cubic(grid))
+    assert pieces.shape == (4, 39)
+    u = np.linspace(-1.0, 2.0, 997)
+    i = np.minimum(np.searchsorted(grid, u, side="right") - 1, 38)
+    dx = u - grid[i]
+    got = ((pieces[0][i] * dx + pieces[1][i]) * dx + pieces[2][i]) * dx + pieces[3][i]
+    assert np.max(np.abs(got - cubic(u))) <= 1e-13
