@@ -464,13 +464,13 @@ class HeightProfile:
     house: float
 
 
-def height_profile(f: IntPolynomial, tol: float = 1e-12) -> HeightProfile:
+def height_profile(f: IntPolynomial) -> HeightProfile:
     """Mahler measure |a_n| prod max(1,|root|), height log M / deg, house.
 
     Irreducibility is the caller's responsibility (the CLI certifies it);
     the Mahler identity makes sense for any nonzero integer polynomial.
     """
-    rs = complex_roots(f, tol)
+    rs = complex_roots(f)
     log_terms = []
     house = 0.0
     for root, mult in zip(rs.roots, rs.multiplicities):
@@ -542,11 +542,11 @@ class MahlerMargin:
     holds: bool
 
 
-def mahler_inequality_margin(f: IntPolynomial, tol: float = 1e-12) -> MahlerMargin:
+def mahler_inequality_margin(f: IntPolynomial) -> MahlerMargin:
     """log|D| versus n log n + (2n-2) log M(f)."""
     n = f.degree
     d = discriminant(f)
     lhs = math.log(abs(d)) if d != 0 else float("-inf")
-    profile = height_profile(f, tol)
+    profile = height_profile(f)
     rhs = n * math.log(n) + (2 * n - 2) * math.log(max(profile.mahler, 1e-300))
     return MahlerMargin(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9)

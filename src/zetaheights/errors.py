@@ -61,12 +61,11 @@ class InconsistentResidueError(ZetaHeightsError, RuntimeError):
 
 
 class IncompleteZeroSetError(ZetaHeightsError, RuntimeError):
-    """Zero scan not certified complete: its count differs from the
-    argument principle's after all rescans, its sign changes exceed the
-    counting window, or |S| on the argument count's path falls to rounding.
-    From locate_zeros, ``diagnostics["attempts"]`` holds one report per
-    attempt; from argument_count alone, ``diagnostics["argument"]`` holds
-    the count's own.
+    """Zero scan not certified complete: |S| on the argument count's path
+    falls to rounding, or the scan's count differs from the argument
+    principle's after all rescans. From locate_zeros,
+    ``diagnostics["attempts"]`` holds one report per attempt; from
+    argument_count alone, ``diagnostics["argument"]`` holds the count's own.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -185,9 +185,9 @@ def archimedean_integrals(kind: TestFunctionKind, n_K: int = 1,
             return (1.0 - F(x)) / x if x > 0 else 0.0
         return (1.0 - F(x)) / (2.0 * math.sinh(x / 2.0))
 
-    i_sinh = _quad(sinh_term, 0.0, 60.0) + _tail_one_over_sinh(F, 60.0)
+    i_sinh = _quad(sinh_term, 0.0, 60.0) + _tail_one_over_sinh(60.0)
     i_cosh = _quad(lambda x: (1.0 - F(x)) / (2.0 * math.cosh(x / 2.0)), 0.0, 60.0)
-    i_cosh += _tail_one_over_sinh(F, 60.0)
+    i_cosh += _tail_one_over_sinh(60.0)
     if kind.kind == "gaussian":
         # e^{-y x^2} cosh(x/2) peaks near x = 1/(4y) with width ~ 1/sqrt(y)
         peak = 1.0 / (4.0 * kind.y)
@@ -211,7 +211,7 @@ def archimedean_integrals(kind: TestFunctionKind, n_K: int = 1,
     return ArchimedeanIntegrals(i_sinh, i_cosh, i_f)
 
 
-def _tail_one_over_sinh(F, X):
+def _tail_one_over_sinh(X):
     # beyond X, F is negligible and 1/(2 sinh(x/2)) ~ e^{-x/2}
     return 2.0 * math.exp(-X / 2.0)
 
@@ -288,14 +288,16 @@ def single_m_prime_sum(K: NumberField, kind: TestFunctionKind, X: int) -> float:
 
 def density_tail(kind: TestFunctionKind, X: int) -> float:
     """int_X^inf t^{-1/2} F(log t) dt: the m = 1 prime sum beyond X with
-    N_q log q replaced by its density."""
+    N_q log q replaced by its density. For the Gaussian, in u = log t,
+    int_{log X}^inf e^{u/2 - y u^2} du = e^{1/16y} sqrt(pi/y) / 2
+    erfc(sqrt(y) (log X - 1/4y)), completing the square."""
     if X < 2:
         raise DomainError("cutoff must be >= 2")
     if kind.kind == "exponential":
         return 2.0 / math.sqrt(X)
-    lx, y = math.log(X), kind.y
-    return _quad(lambda u: math.exp(0.5 * u - y * u * u),
-                 lx, _gaussian_u_max(y, lx), tol=1e-13)
+    y = kind.y
+    return (math.exp(1.0 / (16.0 * y)) * math.sqrt(math.pi / y) / 2.0
+            * math.erfc(math.sqrt(y) * (math.log(X) - 1.0 / (4.0 * y))))
 
 
 def _gaussian_u_max(y, lx):

@@ -21,27 +21,25 @@ class Tower:
     """
 
     levels: tuple
-    degree_divisibility_checked: bool = True
     overrides: tuple = ()
 
     def override(self, i: int):
         return self.overrides[i] if i < len(self.overrides) else None
 
 
-def build_tower(polys, check_divisibility: bool = True,
-                overrides=()) -> Tower:
-    """Tower from defining polynomials (subfield relations taken on trust)."""
+def build_tower(polys, overrides=()) -> Tower:
+    """Tower from defining polynomials (subfield relations taken on trust,
+    each degree checked to divide the next)."""
     levels = tuple(build_number_field(f) for f in polys)
     if not levels:
         raise DomainError("tower must have at least one level")
     for a, b in zip(levels, levels[1:]):
         if b.n_K <= a.n_K:
             raise DegreeMismatchError("degrees must strictly increase")
-        if check_divisibility and b.n_K % a.n_K != 0:
+        if b.n_K % a.n_K != 0:
             raise DegreeMismatchError(
                 f"degree {b.n_K} not a multiple of {a.n_K}")
-    return Tower(levels=levels, degree_divisibility_checked=check_divisibility,
-                 overrides=tuple(overrides))
+    return Tower(levels=levels, overrides=tuple(overrides))
 
 
 @dataclass(frozen=True)
@@ -142,15 +140,15 @@ class CorollaryRow:
     holds: bool
 
 
-def tower_corollary_report(tower: Tower, slack: float = 0.0):
+def tower_corollary_report(tower: Tower):
     """Per level: (1/2) sum_{q <= log n} psi_hat_q log q / sqrt q against
-    (1/2)(log d / n)(1 + slack), the finite-level splitting-sum bound."""
+    (1/2) log d / n, the finite-level splitting-sum bound."""
     rows = []
     for i, K in enumerate(tower.levels):
         logn = math.log(K.n_K) if K.n_K > 1 else 0.0
         q, c = norm_counts(K, int(logn), tower.override(i))
         lhs = 0.5 * math.fsum((c / K.n_K * np.log(q) / np.sqrt(q)).tolist())
-        rhs = 0.5 * (K.log_abs_disc / K.n_K) * (1.0 + slack)
+        rhs = 0.5 * (K.log_abs_disc / K.n_K)
         rows.append(CorollaryRow(degree=K.n_K, lhs=lhs, rhs=rhs,
                                  holds=lhs <= rhs + 1e-12))
     return rows

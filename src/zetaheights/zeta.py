@@ -545,24 +545,25 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
     """Scan S(1/2+it) on [0, T], bisect sign changes to 1e-9 brackets.
 
     The zeros are complete when they number N(T) from argument_count,
-    taken once. On a mismatch the scan grid halves its step, up to 3 times.
-    The grids are nested, n = ceil(T / scan_step) 2^h steps, so a finer
-    grid keeps every sign change of a coarser one. A grid whose sign
-    changes alone exceed the counting window's upper end therefore ends
-    the scan at once, before the count. diagnostics["completeness"] keeps
-    the count, its cost and the window. IncompleteZeroSetError carries one
-    report per attempt, each with its scan step, and names the finest step
-    scanned and both counts.
+    taken once before the scan: a count that refuses costs no scan. On a
+    mismatch the scan grid halves its step, up to 3 times. The grids are
+    nested, n = ceil(T / scan_step) 2^h steps, so a finer grid keeps every
+    sign change of a coarser one. diagnostics["completeness"] keeps the
+    count and its cost. IncompleteZeroSetError carries one report per
+    attempt, each with its scan step, and names the finest step scanned and
+    both counts.
     """
     if not 0.0 < T <= MAX_HEIGHT:
         raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
-    from .explicit import hsw_window
-    K = ev.field
-    window = hsw_window(K.n_K, K.log_abs_disc, max(1.0, T)).window
     n = int(math.ceil(T / ev.config.scan_step))
+    try:
+        argument = argument_count(ev, T)
+    except IncompleteZeroSetError as exc:
+        raise IncompleteZeroSetError(str(exc), diagnostics={"attempts": [
+            {"scan_step": T / n, **exc.diagnostics}]}) from exc
     ts = np.arange(n + 1) * T / n
     vals = np.array([ev.hardy(t) for t in ts])
-    attempts, argument = [], None
+    attempts = []
     for halvings in range(4):
         if halvings:
             n *= 2
@@ -575,22 +576,6 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
         hits = np.nonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
                           | (vals[:-1] * vals[1:] < 0))[0]
         origin = abs(vals[0]) < 1e-9 * (float(np.max(np.abs(vals))) or 1.0)
-        count = 2 * len(hits) + int(origin)
-        if count > window[1] + 1e-9:
-            attempts.append({"scan_step": step,
-                             "hsw": {"count": count, "window": window}})
-            raise IncompleteZeroSetError(
-                f"zero scan failed completeness checks up to step {step}: "
-                f"its sign changes alone give {count} zeros, above the "
-                f"counting window's upper end {window[1]:.6g}",
-                diagnostics={"attempts": attempts})
-        if argument is None:
-            try:
-                argument = argument_count(ev, T)
-            except IncompleteZeroSetError as exc:
-                attempts.append({"scan_step": step, **exc.diagnostics})
-                raise IncompleteZeroSetError(
-                    str(exc), diagnostics={"attempts": attempts}) from exc
         zeros, widths = [], []
         for i in hits.tolist():
             if vals[i] == 0.0:
@@ -603,7 +588,7 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
                       zero_at_origin=origin,
                       diagnostics={"scan_step": step})
-        ok, report = _completeness_checks(zl, argument, window)
+        ok, report = _completeness_checks(zl, argument)
         if ok:
             zl.diagnostics["completeness"] = report
             return zl
@@ -616,15 +601,12 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
         diagnostics={"attempts": attempts})
 
 
-def _completeness_checks(zl: ZeroList, argument: dict, window: tuple):
+def _completeness_checks(zl: ZeroList, argument: dict):
     """(ok, report): ok when the located zeros number argument["count"]. S(1/2
     + it) is even in t, so a zero at the origin has even order: it counts
-    twice here (assumed_simple), once in count_below. The counting window
-    is reported, not checked."""
+    twice here (assumed_simple), once in count_below."""
     scan = 2 * len(zl.ordinates) + 2 * int(zl.zero_at_origin)
-    return scan == argument["count"], {
-        "hsw": {"count": zl.count_below(max(1.0, zl.T)), "window": window},
-        "argument": {**argument, "scan": scan}}
+    return scan == argument["count"], {"argument": {**argument, "scan": scan}}
 
 
 def zero_statistics(zl: ZeroList, T: float) -> ZeroStatistics:

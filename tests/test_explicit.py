@@ -206,6 +206,23 @@ def test_prime_side_dominates_single_term_truncation(ctx):
         assert ps.value >= truncated - 1e-12
 
 
+@pytest.mark.parametrize("y", [0.05, 0.212, 0.5, 1.0])
+def test_gaussian_density_tail_matches_mpmath(y):
+    """int_{log X}^inf e^{u/2 - y u^2} du against mpmath's 50-digit
+    quadrature, taken from log X as e^{log X/2 - y log^2 X} int_0^inf
+    e^{-(2y log X - 1/2) v - y v^2} dv."""
+    import mpmath as mp
+    from zetaheights.explicit import density_tail
+    mp.mp.dps = 50
+    for X in (2, 10 ** 3, 10 ** 6):
+        lx, yy = mp.log(X), mp.mpf(y)
+        slope = 2 * yy * lx - mp.mpf(1) / 2
+        want = mp.exp(lx / 2 - yy * lx * lx) * mp.quad(
+            lambda v: mp.exp(-slope * v - yy * v * v), [0, mp.inf])
+        got = density_tail(gaussian(y), X)
+        assert abs(got - want) <= 1e-12 * want, (y, X, got)
+
+
 @pytest.mark.parametrize("X", [1, 0, -5])
 def test_prime_sums_reject_cutoff_below_two(ctx, X):
     """The prime sums, and the identities and bound reports built on them,

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports, no import inside a function but a
-relative one, no private helper (nor any intlinalg function) that nothing
+"""Source hygiene: no unused imports, no import inside a function, no
+private helper (nor any intlinalg function) that nothing
 in the package calls, no RunConfig field that nothing reads or that the
 README does not name, and no scipy at run time."""
 
@@ -47,17 +47,15 @@ def test_no_unused_imports():
     assert not unused
 
 
-def test_function_level_imports_are_relative():
-    """Standard-library and third-party modules are imported at module top;
-    inside a function only a relative package import may appear, as the one
-    that breaks the zeta -> explicit import cycle."""
+def test_no_function_level_imports():
+    """Every module, the package's own included, is imported at module top,
+    so that no import cycle hides inside a function."""
     nested = set()
     for name, tree in _modules().items():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested.update(f"{name}:{node.lineno}" for node in ast.walk(fn)
-                              if isinstance(node, ast.Import)
-                              or isinstance(node, ast.ImportFrom) and node.level == 0)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert sorted(nested) == []
 
 
