@@ -300,15 +300,10 @@ def density_tail(kind: TestFunctionKind, X: int) -> float:
             * math.erfc(math.sqrt(y) * (math.log(X) - 1.0 / (4.0 * y))))
 
 
-def _gaussian_u_max(y, lx):
-    # where e^{u/2 - y u^2} has fallen below e^{-300} beyond u = lx
-    return (0.5 + math.sqrt(0.25 + 4.0 * y * 300.0)) / (2.0 * y) + lx
-
-
 def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
     # s(t): the per-prime factor log t * (m-sum), m = 1 dominating beyond X.
-    # All integrals run in u = log t, where the integrands are smooth and
-    # effectively compactly supported.
+    # The integrals run in u = log t, where the integrands are smooth and
+    # effectively compactly supported; the Gaussian's has a closed form.
     lx = math.log(X)
     if kind.kind == "exponential":
         def h(t):
@@ -322,8 +317,11 @@ def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
             u = math.log(t)
             return u * math.exp(-0.5 * u - y * u * u) * (
                 1.0 + math.exp(-0.5 * u - 3.0 * y * u * u))
-        integral_h = _quad(lambda u: math.exp(u) * h(math.exp(u)),
-                           lx, _gaussian_u_max(y, lx), tol=1e-13)
+        # e^u h(e^u) = u e^{g(u)} + u e^{-4 y u^2}, g(u) = u/2 - y u^2; as
+        # u e^g = e^g / 4y - g' e^g / 2y, both parts integrate in closed form
+        integral_h = (density_tail(kind, X) / (4.0 * y)
+                      + math.exp(0.5 * lx - y * lx * lx) / (2.0 * y)
+                      + math.exp(-4.0 * y * lx * lx) / (8.0 * y))
     # sum_{q > X} Lambda-weighted h against dpsi, bounded by parts
     tail_bound = 2.0 * n_K * (PSI_UPPER * (X * h(X) + integral_h)
                               - PSI_LOWER * X * h(X))

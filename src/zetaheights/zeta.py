@@ -11,14 +11,14 @@ computed once on a uniform grid in log y, one saddle-point contour per
 block of the grid (Gamma by Stirling's series, once per distinct contour),
 and interpolated in log y by cubic Hermite pieces. Swapping the n-sum and the
 x-integral turns every S(s) evaluation into a short fixed quadrature over
-the theta profile sum_n a_n W(n x / Q), which is what makes dense zero scans
-affordable. That profile sums the small n term by term and the rest through
-masses spread onto a uniform log-n grid, fine enough for the band-limited W.
+the theta profile sum_n a_n W(n x / Q), one matrix product per block of
+points, which is what makes dense zero scans affordable. That profile sums
+the small n term by term and the rest through masses spread onto a uniform
+log-n grid, fine enough for the band-limited W.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +31,7 @@ from .fields import NumberField, coefficient_array
 
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
+BLOCK = 256  # points per (points x tau-nodes) matrix: a few MB at most
 SPREAD_POINTS = 8  # Lagrange stencil that spreads one far a_n onto the log-n grid
 SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
 MAX_HEIGHT = 40.0  # largest scan height; completed and hardy reach 8 beyond it
@@ -322,6 +323,9 @@ class ZetaEvaluator:
         split = self._split_terms()
         self._split = (self.a, split)   # reused while self.a is this array
         self.theta_values = self._theta(split, self.tau_nodes)
+        # 2^{r2} w_k theta_k weigh S's tau sums; Z's also take 2 e^{tau_k / 2}
+        self._weights = self.gamma.front * self.tau_weights * self.theta_values
+        self._hardy_weights = 2.0 * self._weights * np.exp(0.5 * self.tau_nodes)
         (log_n, _), (_, _, masses) = split
         terms = int(np.count_nonzero(self.a[1: self.N + 1]))
         return {"near_terms": len(log_n), "far_terms": terms - len(log_n),
@@ -367,25 +371,32 @@ class ZetaEvaluator:
         W = 0 past the kernel grid's end."""
         (log_n, coeffs), (eta, first, masses) = split
         out = np.empty(len(taus))
-        for i, tau in enumerate(taus):
-            k = int(np.searchsorted(log_n, self._log_n_cut - tau, side="right"))
-            w = self._log_w(log_n[:k] + (tau - math.log(self.gamma.scale)))
-            np.exp(w, out=w)
-            out[i] = float(np.dot(coeffs[:k], w))
+        ks = np.searchsorted(log_n, self._log_n_cut - taus, side="right")
+        shift = taus - math.log(self.gamma.scale)
+        for lo in range(0, len(taus), BLOCK):
+            rows = slice(lo, lo + BLOCK)
+            u = log_n[: ks[rows].max()] + shift[rows, None]
+            # past a node's own cut u leaves the grid: read its last point
+            u[np.arange(u.shape[1]) >= ks[rows, None]] = self._log_grid[-1]
+            w = np.exp(self._log_w(u))
+            out[rows] = [np.dot(coeffs[:k], row[:k]) for k, row in zip(ks[rows], w)]
         if len(masses):
-            u = ((first + np.arange(len(masses))) * eta
-                 + (taus[:, None] - math.log(self.gamma.scale)))
+            u = (first + np.arange(len(masses))) * eta + shift[:, None]
             w = np.exp(self._log_w(np.minimum(u, self._log_grid[-1])))
             out += np.where(u <= self._log_grid[-1], w, 0.0) @ masses
         return out
 
     # -- Lambda / S -----------------------------------------------------
 
-    def smoothed_sum(self, s: complex) -> complex:
-        """sum_n a_n F(s, n) = C int_1^inf x^{s-1} Theta(x) dx."""
-        phase = np.exp(s * self.tau_nodes)
-        return self.gamma.front * complex(
-            np.dot(self.tau_weights, phase * self.theta_values))
+    def _tau_sum(self, points: np.ndarray, fn, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights_k fn(p tau_k) at each point p, the tau quadrature of
+        sum_n a_n F(s, n), as one (points x tau-nodes) matrix per BLOCK points."""
+        flat = points.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, len(flat), BLOCK):
+            out[lo: lo + BLOCK] = fn(np.multiply.outer(
+                flat[lo: lo + BLOCK], self.tau_nodes)) @ weights
+        return out.reshape(points.shape)
 
     @property
     def residue(self) -> float:
@@ -430,20 +441,27 @@ class ZetaEvaluator:
             raise InconsistentResidueError(f"nonpositive residue {rho}")
         self._residue, self._pole_term = rho, far
 
-    def completed(self, s: complex) -> complex:
-        """Entire S(s) = s(s-1) Lambda(s); S(s) = S(1-s) by construction."""
-        if abs(s.imag if isinstance(s, complex) else 0.0) > MAX_HEIGHT + 8.0:
-            raise GridMissError(f"Im(s) = {s.imag} beyond quadrature coverage")
-        s = complex(s)
-        lam_sum = self.smoothed_sum(s) + self.smoothed_sum(1.0 - s)
-        return s * (s - 1.0) * lam_sum + self.pole_term
+    def completed(self, s):
+        """Entire S(s) = s(s-1) Lambda(s), S(s) = S(1-s) by construction, at a
+        number or an array of s; GridMissError past |Im s| = MAX_HEIGHT + 8."""
+        s = np.asarray(s, dtype=complex)
+        if np.any(abs(s.imag) > MAX_HEIGHT + 8.0):
+            raise GridMissError(f"|Im s| = {abs(s.imag).max()} beyond coverage")
+        lam_sum = (self._tau_sum(s, np.exp, self._weights)
+                   + self._tau_sum(1.0 - s, np.exp, self._weights))
+        out = s * (s - 1.0) * lam_sum + self.pole_term
+        return out if out.ndim else out.item()
 
-    def hardy(self, t: float) -> float:
-        """Real S(1/2 + it) along the critical line."""
-        if abs(t) > MAX_HEIGHT + 8.0:
-            raise GridMissError(f"t = {t} beyond quadrature coverage")
-        lam_sum = 2.0 * self.smoothed_sum(complex(0.5, t)).real
-        return -(0.25 + t * t) * lam_sum + self.pole_term
+    def hardy(self, t):
+        """Z(t) = S(1/2 + it), real, at a number or an array of t: Re sum_k
+        w_k theta_k e^{(1/2 + it) tau_k} is sum_k w_k theta_k e^{tau_k / 2}
+        cos(t tau_k). GridMissError past |t| = MAX_HEIGHT + 8."""
+        t = np.asarray(t, dtype=float)
+        if np.any(abs(t) > MAX_HEIGHT + 8.0):
+            raise GridMissError(f"|t| = {abs(t).max()} beyond coverage")
+        lam_sum = self._tau_sum(t, np.cos, self._hardy_weights)
+        out = -(0.25 + t * t) * lam_sum + self.pole_term
+        return out if out.ndim else out.item()
 
 
 def get_evaluator(K: NumberField, config: RunConfig | None = None) -> ZetaEvaluator:
@@ -497,48 +515,50 @@ def direct_series(K: NumberField, s: complex, N: int) -> SeriesValue:
 # ----------------------------------------------------------------------
 
 def _bisect_zero(ev: ZetaEvaluator, lo: float, hi: float, flo: float):
+    steps = 0  # Z values taken
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fm = ev.hardy(mid)
+        steps += 1
         if fm == 0.0:
-            return mid, 0.0
+            return mid, 0.0, steps
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi), hi - lo
+    return 0.5 * (lo + hi), hi - lo, steps
 
 
 def argument_count(ev: ZetaEvaluator, T: float) -> dict:
     """N(T), the zeros of S with |Im s| < T, as 2/pi times the change of
     arg S along 3/2 -> 3/2 + iT -> 1/2 + iT: a quarter of the rectangle
     [-1/2, 3/2] x [-T, T], as S(s) = S(1-s) = conj S(conj s) (Turing;
-    Booker, Exp. Math. 15, 2006). Steps are at most ARG_STEP and halve while
-    the phase moves pi/4 or more. Returns {"count", "calls": completed
-    calls, "min_ratio": the path's least |S| / R}; IncompleteZeroSetError
-    where that falls below ARG_NOISE: there rounding can turn the phase."""
+    Booker, Exp. Math. 15, 2006). One completed call takes equal steps of
+    at most ARG_STEP; one per round halves every step over which the phase
+    moves pi/4 or more. Returns {"count", "calls": points on the path,
+    "min_ratio": the path's least |S| / R}; IncompleteZeroSetError where
+    that falls below ARG_NOISE (rounding can turn the phase) or a step
+    below ARG_STEP 2^-30 moves pi/4."""
     corners = (complex(1.5, 0.0), complex(1.5, T), complex(0.5, T))
-    prev = ev.completed(corners[0])
-    calls, least, turn = 1, abs(prev) / ev.pole_term, 0.0
-    for a, b in zip(corners, corners[1:]):
-        length, done, h = abs(b - a), 0.0, ARG_STEP
-        while done < length:
-            last = h >= length - done
-            val = ev.completed(b if last else a + (b - a) * ((done + h) / length))
-            calls, least = calls + 1, min(least, abs(val) / ev.pole_term)
-            if least < ARG_NOISE or h < ARG_STEP * 2.0 ** -30:
-                raise IncompleteZeroSetError(
-                    f"argument count to T = {T:g} unresolved: |S| falls to "
-                    f"{least:.3g} R on its path, below the noise floor "
-                    f"{ARG_NOISE:g} R", diagnostics={"argument": {
-                        "T": T, "calls": calls, "min_ratio": least}})
-            step = cmath.phase(val / prev)
-            if abs(step) >= math.pi / 4.0:
-                h /= 2.0
-                continue
-            turn, prev = turn + step, val
-            done, h = length if last else done + h, min(2.0 * h, ARG_STEP)
-    return {"count": 2 * round(turn / math.pi), "calls": calls, "min_ratio": least}
+    path = np.concatenate([corners[:1]] + [
+        np.linspace(a, b, math.ceil(abs(b - a) / ARG_STEP) + 1)[1:]
+        for a, b in zip(corners, corners[1:])])
+    vals = ev.completed(path)
+    while True:
+        least = float(np.abs(vals).min()) / ev.pole_term
+        steps = np.angle(vals[1:] / vals[:-1])
+        wide = np.flatnonzero(np.abs(steps) >= math.pi / 4.0)
+        if least < ARG_NOISE or np.any(abs(np.diff(path)[wide]) <= ARG_STEP / 2**30):
+            raise IncompleteZeroSetError(
+                f"argument count to T = {T:g} unresolved: |S| falls to {least:.3g} R"
+                f" on its path, below the noise floor {ARG_NOISE:g} R", diagnostics={
+                    "argument": {"T": T, "calls": len(path), "min_ratio": least}})
+        if not len(wide):
+            return {"count": 2 * round(float(steps.sum()) / math.pi),
+                    "calls": len(path), "min_ratio": least}
+        mid = 0.5 * (path[wide] + path[wide + 1])
+        path = np.insert(path, wide + 1, mid)
+        vals = np.insert(vals, wide + 1, ev.completed(mid))
 
 
 def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
@@ -548,10 +568,11 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
     taken once before the scan: a count that refuses costs no scan. On a
     mismatch the scan grid halves its step, up to 3 times. The grids are
     nested, n = ceil(T / scan_step) 2^h steps, so a finer grid keeps every
-    sign change of a coarser one. diagnostics["completeness"] keeps the
-    count and its cost. IncompleteZeroSetError carries one report per
-    attempt, each with its scan step, and names the finest step scanned and
-    both counts.
+    sign change of a coarser one; each grid, or halving's new points, is
+    one hardy call. diagnostics["completeness"] keeps the count and its
+    cost, diagnostics["z_values"] the Z(t) values scanned and bisected.
+    IncompleteZeroSetError carries one report per attempt, each with its
+    scan step, and names the finest step scanned and both counts.
     """
     if not 0.0 < T <= MAX_HEIGHT:
         raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
@@ -562,15 +583,15 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
         raise IncompleteZeroSetError(str(exc), diagnostics={"attempts": [
             {"scan_step": T / n, **exc.diagnostics}]}) from exc
     ts = np.arange(n + 1) * T / n
-    vals = np.array([ev.hardy(t) for t in ts])
-    attempts = []
+    vals = ev.hardy(ts)
+    bisected, attempts = 0, []
     for halvings in range(4):
         if halvings:
             n *= 2
             ts = np.arange(n + 1) * T / n  # bitwise the old points at even i
             finer = np.empty(n + 1)
             finer[::2] = vals
-            finer[1::2] = [ev.hardy(t) for t in ts[1::2]]
+            finer[1::2] = ev.hardy(ts[1::2])
             vals = finer
         step = T / n
         hits = np.nonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
@@ -582,12 +603,13 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
                 zeros.append(ts[i])
                 widths.append(0.0)
             else:
-                z, w = _bisect_zero(ev, ts[i], ts[i + 1], vals[i])
+                z, w, steps = _bisect_zero(ev, ts[i], ts[i + 1], vals[i])
                 zeros.append(z)
                 widths.append(w)
+                bisected += steps
         zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
                       zero_at_origin=origin,
-                      diagnostics={"scan_step": step})
+                      diagnostics={"scan_step": step, "z_values": n + 1 + bisected})
         ok, report = _completeness_checks(zl, argument)
         if ok:
             zl.diagnostics["completeness"] = report

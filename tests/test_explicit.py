@@ -223,6 +223,30 @@ def test_gaussian_density_tail_matches_mpmath(y):
         assert abs(got - want) <= 1e-12 * want, (y, X, got)
 
 
+@pytest.mark.parametrize("y", [0.05, 0.212, 0.5, 1.0])
+def test_gaussian_prime_tail_bound_matches_mpmath(y):
+    """The Gaussian tail_bound 2 n_K (1.03883 (X h(X) + I) - 0.9 X h(X)),
+    I = int_{log X}^inf u e^{g(u)} + u e^{-4 y u^2} du with g(u) = u/2 -
+    y u^2, against mpmath's 40-digit quadrature of I, each part taken
+    from log X as e^{part at log X} times an integral over v = u - log X."""
+    import mpmath as mp
+    from zetaheights.explicit import PSI_LOWER, PSI_UPPER, _prime_tails
+    mp.mp.dps = 40
+    for X in (2, 10 ** 3, 10 ** 6):
+        lx, yy = mp.log(X), mp.mpf(y)
+        slope = 2 * yy * lx - mp.mpf(1) / 2
+        integral = (mp.exp(lx / 2 - yy * lx * lx) * mp.quad(
+            lambda v: (lx + v) * mp.exp(-slope * v - yy * v * v), [0, mp.inf])
+            + mp.exp(-4 * yy * lx * lx) * mp.quad(
+                lambda v: (lx + v) * mp.exp(-8 * yy * lx * v - 4 * yy * v * v),
+                [0, mp.inf]))
+        xh = lx * mp.exp(lx / 2 - yy * lx * lx) * (
+            1 + mp.exp(-lx / 2 - 3 * yy * lx * lx))
+        want = 2 * 3 * (PSI_UPPER * (xh + integral) - PSI_LOWER * xh)
+        got, _ = _prime_tails(3, gaussian(y), X)
+        assert abs(got - want) <= 1e-12 * want, (y, X, got)
+
+
 @pytest.mark.parametrize("X", [1, 0, -5])
 def test_prime_sums_reject_cutoff_below_two(ctx, X):
     """The prime sums, and the identities and bound reports built on them,

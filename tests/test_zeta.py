@@ -13,7 +13,8 @@ from zetaheights import direct_series, locate_zeros, zero_statistics
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import (WGRID_STEP_FACTOR, ZeroList, ZetaEvaluator,
+from zetaheights.zeta import (ARG_STEP, MAX_HEIGHT, WGRID_STEP_FACTOR,
+                              ZeroList, ZetaEvaluator,
                               _completeness_checks, _contour_halfwidth,
                               _digamma, _hermite_pieces, _log_k0, _loggamma,
                               _mellin_barnes_logw, argument_count)
@@ -393,6 +394,66 @@ def test_hardy_grid_miss_beyond_height(ctx):
             ev.hardy(t)
     assert ev.hardy(40.0) == pytest.approx(
         ev.completed(complex(0.5, 40.0)).real, rel=1e-9)
+
+
+@pytest.mark.parametrize("text", ["x", "x^2+1", "x^4+1", "x^5+42"])
+def test_hardy_and_completed_take_arrays(ctx, text):
+    """A number in gives a Python float or complex out, an array gives an
+    array of its shape; one element past MAX_HEIGHT + 8 raises. On the 0.01
+    grid to T = 2, hardy on the array agrees with completed's real part and
+    with one call per point to 1e-14 R."""
+    ev = ctx.evaluator(text)
+    assert type(ev.hardy(1.0)) is float and type(ev.hardy(1)) is float
+    assert type(ev.completed(complex(0.7, 1.0))) is complex
+    assert type(ev.completed(2.0)) is complex
+    for shape in ((0,), (2, 3)):
+        assert ev.hardy(np.zeros(shape)).shape == shape
+        assert ev.completed(np.full(shape, 0.5 + 1j)).shape == shape
+    with pytest.raises(GridMissError):
+        ev.hardy(np.array([1.0, -(MAX_HEIGHT + 8.5)]))
+    with pytest.raises(GridMissError):
+        ev.completed(np.array([2.0, complex(0.5, MAX_HEIGHT + 8.5)]))
+    ts = np.arange(201) * 2.0 / 200
+    z = ev.hardy(ts)
+    assert isinstance(z, np.ndarray) and z.dtype == float
+    tol = 1e-14 * ev.pole_term
+    assert np.max(np.abs(z - ev.completed(0.5 + 1j * ts).real)) <= tol
+    assert np.max(np.abs(z - [ev.hardy(t) for t in ts.tolist()])) <= tol
+
+
+def _refinement_depth(points, T):
+    """Halvings of the count's finest step below its equal ARG_STEP steps,
+    up 3/2 + i[0, T] and across [1/2, 3/2] + iT."""
+    depth = 0
+    for coords, length in ((points[points.real == 1.5].imag, T),
+                           (points[points.imag == T].real, 1.0)):
+        step = length / math.ceil(length / ARG_STEP)
+        finest = np.diff(np.unique(coords)).min()
+        depth = max(depth, round(math.log2(step / finest)))
+    return depth
+
+
+@pytest.mark.parametrize("poly, T", [("x^2+1", 11.0), ("x^5+42", 2.0)])
+def test_scans_and_counts_evaluate_whole_arrays(ctx, monkeypatch, poly, T):
+    """One hardy call per scan grid and per halving, then one per bisection
+    step; one completed call for the count's equal steps, then one per
+    refinement round. z_values and argument["calls"] count the points."""
+    ev = ctx.evaluator(poly)
+    seen = {"hardy": [], "completed": []}
+    for name, calls in seen.items():
+        method = getattr(ZetaEvaluator, name)
+        monkeypatch.setattr(ZetaEvaluator, name,
+                            lambda self, x, calls=calls, method=method:
+                            calls.append(np.asarray(x).ravel()) or method(self, x))
+    zl = locate_zeros(ev, T)
+    step = zl.diagnostics["scan_step"]
+    halvings = round(math.log2(ev.config.scan_step / step))
+    bisection_steps = zl.diagnostics["z_values"] - (round(T / step) + 1)
+    assert sum(map(len, seen["hardy"])) == zl.diagnostics["z_values"]
+    assert len(seen["hardy"]) <= 1 + halvings + bisection_steps
+    points = np.concatenate(seen["completed"])
+    assert len(points) == zl.diagnostics["completeness"]["argument"]["calls"]
+    assert len(seen["completed"]) <= 1 + _refinement_depth(points, T)
 
 
 def test_complex_roots_deterministic(ctx):
