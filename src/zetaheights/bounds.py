@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import IntPolynomial, height_profile, is_root_of_unity
 from .errors import DomainError
-from .explicit import (EULER_GAMMA, EXPONENTIAL, LOG_8PI,
+from .explicit import (EULER_GAMMA, EXPONENTIAL, HSW_CONST, LOG_8PI,
                        archimedean_integrals, aux_functions, density_tail,
                        gaussian, prime_side, single_m_prime_sum)
 from .fields import NumberField, norm_counts, uniform_splittings
@@ -24,6 +24,7 @@ from .zeta import ZeroList, zero_statistics
 Y_STAR = 0.212  # Gaussian parameter fixed by the discriminant bound
 DISC_ZERO_COEFF = 3.67
 NORTHCOTT_ZERO_COEFF = 1.168
+NORTHCOTT_GAUSS_ZERO_COEFF = 2.206  # about sqrt(1 / Y_STAR) / (1 - F1)
 NORTHCOTT_PRIME_COEFF = 2.032
 BZ2_SHRINK = 0.629
 C1_BOUND = 0.0912
@@ -43,8 +44,6 @@ def lehmer_grh_report(f: IntPolynomial, K: NumberField,
     """
     if is_root_of_unity(f):
         raise DomainError("roots of unity are excluded (height zero)")
-    if zeros.T < 2.0:
-        raise DomainError("zeros must be located to T = 2")
     profile = height_profile(f)
     stats = zero_statistics(zeros, 2.0)
     n = K.n_K
@@ -134,12 +133,12 @@ def northcott_report(K: NumberField, zeros: ZeroList,
     (c) the proof-exact bound at y = 0.212 including the dropped
         (1/n) O(1) term, whose margin is the GRH-proven inequality.
     """
-    if zeros.T < 2.0:
-        raise DomainError("zeros must be located to T = 2")
     n = K.n_K
     lhs = K.log_abs_disc / n
     stats1 = zero_statistics(zeros, 1.0)
     y = Y_STAR
+    gauss_zero_sum = zeros.kernel_sum(
+        lambda t: math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y), below=2.0)
     aux = aux_functions(y)
     prime_single = (single_m_prime_sum(K, gaussian(y), X)
                     + density_tail(gaussian(y), X))
@@ -148,18 +147,14 @@ def northcott_report(K: NumberField, zeros: ZeroList,
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N / n,
         "prime_term": NORTHCOTT_PRIME_COEFF * prime_single / n,
     }
-    gauss_zero_sum = math.fsum(
-        2.0 * (math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y))
-        for t in zeros.ordinates if t < 2.0)
-    if zeros.zero_at_origin:
-        gauss_zero_sum += 1.0 - math.exp(-1.0 / y)
     terms_b = dict(terms_a)
-    terms_b["zero_term"] = 2.206 * math.sqrt(math.pi) * gauss_zero_sum / n
+    terms_b["zero_term"] = (NORTHCOTT_GAUSS_ZERO_COEFF * math.sqrt(math.pi)
+                            * gauss_zero_sum / n)
     # proof-exact variant (c): every piece of the y = 0.212 inequality
     inv = 1.0 / (1.0 - aux.F1)
     ps_full = prime_side(K, gaussian(y), X)
     f2_full = (aux.F2_integral
-               + 4.520 * math.sqrt(math.pi / y) * math.exp(-1.0 / y))
+               + HSW_CONST * math.sqrt(math.pi / y) * math.exp(-1.0 / y))
     terms_c = {
         "main": (aux.H + EULER_GAMMA + LOG_8PI) * inv,
         "dropped_O1": -(f2_full / n) * inv,
@@ -194,8 +189,6 @@ def northcott_report(K: NumberField, zeros: ZeroList,
 def corollary_S_check(f: IntPolynomial, K: NumberField, zeros: ZeroList,
                       X: int = 10 ** 6) -> BoundReport:
     """Membership test: zero + prime + index terms against log n_K."""
-    if zeros.T < 1.0:
-        raise DomainError("zeros must be located at least to T = 1")
     n = K.n_K
     stats1 = zero_statistics(zeros, 1.0)
     prime_single = (single_m_prime_sum(K, gaussian(Y_STAR), X)
@@ -225,8 +218,7 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
     splitting sum; notes carry the interval-arithmetic precursor
     log d_K <= 2 N_K(2) + 0.629 log d_K + remainder.
     """
-    if zeros.T < 2.0:
-        raise DomainError("zeros must be located to T = 2")
+    stats = zero_statistics(zeros, 2.0)
     n = K.n_K
     lhs = math.log(abs(K.poly_disc))
     terms = {}
@@ -234,18 +226,15 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
         terms[f"p={p}"] = (n * n / e_p) * (1.0 / (q + 1) - 1.0 / n) * math.log(p)
     if not terms:
         terms = {"empty_sum": 0.0}
-    stats = zero_statistics(zeros, 2.0)
     ps = prime_side(K, EXPONENTIAL, X)
     # Precursor via the two lemma identities: log d = A + Z + P with the
     # far zeros bounded through the counting window, rearranged as
     # log d <= 2 N_K(2) + 0.629 log d + remainder, remainder an interval.
     a_const = ((2.0 - math.pi / 2.0) * K.r1
                + (EULER_GAMMA + LOG_8PI - 2.0) * n - 16.0 / 3.0)
-    # 2 sum_{|t|<=2} (1/(1+t^2) - 1/5): each positive ordinate counts twice
-    low_sum = math.fsum(4.0 * (1.0 / (1.0 + t * t) - 0.2)
-                        for t in zeros.ordinates if t < 2.0)
-    if zeros.zero_at_origin:
-        low_sum += 2.0 * (1.0 - 0.2)
+    # 2 sum_{|t|<2} (1/(1+t^2) - 1/5)
+    low_sum = zeros.kernel_sum(lambda t: 2.0 * (1.0 / (1.0 + t * t) - 0.2),
+                               below=2.0)
     logd = K.log_abs_disc
 
     def remainder(c1, c2, c3, prime_val):
@@ -293,18 +282,13 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
 
 def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
     """Finite-degree evaluation of the tower discriminant bound terms."""
-    if zeros.T < 2.0:
-        raise DomainError("zeros must be located to T = 2")
     n = K.n_K
     if n < 3:
         raise DomainError("bound needs degree >= 3: its Gaussian kernel takes "
                           "y = 1/log n, which lies in (0, 1] only for n >= 3")
     lhs = K.log_abs_disc / n
     logn = math.log(n)
-    zero_sum = math.fsum(2.0 * (n ** (-t * t / 4.0) - 1.0 / n)
-                         for t in zeros.ordinates if t < 2.0)
-    if zeros.zero_at_origin:
-        zero_sum += 1.0 - 1.0 / n
+    zero_sum = zeros.kernel_sum(lambda t: n ** (-t * t / 4.0) - 1.0 / n, below=2.0)
     q, c = norm_counts(K, int(logn))
     prime_sum = math.fsum(((c / n) * np.log(q) / np.sqrt(q)).tolist())
     terms = {
@@ -313,7 +297,7 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
         "prime_term": 2.0 * prime_sum,
     }
     y = 1.0 / logn
-    arch = archimedean_integrals(gaussian(y), n, K.r1)
+    arch = archimedean_integrals(gaussian(y))
     aux = aux_functions(y)
     remainders = {
         "sinh_integral": arch.sinh_integral,

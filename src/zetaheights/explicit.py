@@ -107,10 +107,6 @@ class ArchimedeanIntegrals:
     cosh_integral: float    # int_0^inf (1-F)/(2 cosh(x/2)) dx
     f_cosh_integral: float  # 4 int_0^inf F cosh(x/2) dx
 
-    def weighted(self, n_K: int, r1: int) -> float:
-        return (n_K * self.sinh_integral + r1 * self.cosh_integral
-                + self.f_cosh_integral)
-
 
 # Gauss-Kronrod 7-15 rule (Piessens et al., QUADPACK, 1983): the Kronrod
 # abscissae in [0, 1), their 15-point weights, and the 7-point Gauss weights,
@@ -170,8 +166,7 @@ def _quad(fn, a, b, tol=1e-12):
     return val
 
 
-def archimedean_integrals(kind: TestFunctionKind, n_K: int = 1,
-                          r1: int = 0) -> ArchimedeanIntegrals:
+def archimedean_integrals(kind: TestFunctionKind) -> ArchimedeanIntegrals:
     """The three archimedean integrals, gated against their closed forms.
 
     Exponential kernel must reproduce (2, pi-2, 16/3) and the Gaussian
@@ -366,13 +361,6 @@ def _zero_tail_bracket(K: NumberField, zl: ZeroList, kernel, neg_deriv,
     return lo, hi
 
 
-def _located_kernel_sum(zl: ZeroList, kernel):
-    terms = [2.0 * kernel(t) for t in zl.ordinates]
-    if zl.zero_at_origin:
-        terms.append(kernel(0.0))
-    return math.fsum(terms)
-
-
 # ----------------------------------------------------------------------
 # Identity ledgers
 # ----------------------------------------------------------------------
@@ -404,7 +392,7 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLed
     """
     if zeros.T < 2.0 and zeros.ordinates:
         raise DomainError("identity needs zeros located to T >= 2")
-    arch = archimedean_integrals(EXPONENTIAL, K.n_K, K.r1)
+    arch = archimedean_integrals(EXPONENTIAL)
     ps = prime_side(K, EXPONENTIAL, X)
     arithmetic = (K.log_abs_disc
                   - (2.0 - math.pi / 2.0) * K.r1
@@ -412,7 +400,7 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLed
                   + 16.0 / 3.0
                   - ps.corrected)
     kernel = EXPONENTIAL.phi_critical
-    located = _located_kernel_sum(zeros, kernel)
+    located = zeros.kernel_sum(kernel)
     tail_lo, tail_hi = _zero_tail_bracket(
         K, zeros, kernel, lambda t: 4.0 * t / (1.0 + t * t) ** 2)
     bracket = (located + tail_lo - ps.tail_bound,
@@ -462,7 +450,7 @@ def identity_gaussian(K: NumberField, zeros: ZeroList, y: float,
     if zeros.T < 2.0:
         raise DomainError("identity needs zeros located to T >= 2")
     kind = gaussian(y)
-    arch = archimedean_integrals(kind, K.n_K, K.r1)
+    arch = archimedean_integrals(kind)
     ps = prime_side(K, kind, X)
     n = K.n_K
     arithmetic = (K.log_abs_disc / n
@@ -473,7 +461,7 @@ def identity_gaussian(K: NumberField, zeros: ZeroList, y: float,
                   + arch.f_cosh_integral / n
                   - ps.corrected / n)
     kernel = kind.phi_critical
-    located = _located_kernel_sum(zeros, kernel) / n
+    located = zeros.kernel_sum(kernel) / n
 
     def neg_deriv(t):
         return math.sqrt(math.pi / y) * (t / (2.0 * y)) * math.exp(-t * t / (4.0 * y))

@@ -293,7 +293,7 @@ def _mul_in_order(struct, u, v):
 # Irreducibility certificate
 # ----------------------------------------------------------------------
 
-def _subset_degree_sums(shape, n):
+def _subset_degree_sums(shape):
     reachable = 1  # bitset over 0..n
     for d, mult in shape:
         for _ in range(mult):
@@ -326,7 +326,7 @@ def irreducibility_certificate(f: IntPolynomial) -> IrreducibilityCertificate:
     while tested < 20:
         if (f.leading * disc) % p != 0:
             shape = modp.factor_shape_mod_p(f, p)
-            mask &= _subset_degree_sums(shape, n)
+            mask &= _subset_degree_sums(shape)
             tested += 1
             if mask == (1 | (1 << n)):
                 return IrreducibilityCertificate(

@@ -15,6 +15,11 @@ the theta profile sum_n a_n W(n x / Q), one matrix product per block of
 points, which is what makes dense zero scans affordable. That profile sums
 the small n term by term and the rest through masses spread onto a uniform
 log-n grid, fine enough for the band-limited W.
+
+Zeros on the critical line are located as sign changes of Z(t) = S(1/2 + it)
+on a grid, every bracket of a grid bisected at once (one hardy call per
+halving), and certified complete by an argument-principle count. Every sum
+over the located zeros goes through ZeroList.kernel_sum.
 """
 
 from __future__ import annotations
@@ -112,7 +117,6 @@ class GammaFactor:
 
     r1: int
     r2: int
-    abs_disc: float
     log_abs_disc: float
 
     @property
@@ -138,12 +142,14 @@ class GammaFactor:
 
     @classmethod
     def of(cls, K: NumberField) -> "GammaFactor":
-        return cls(K.r1, K.r2, float(K.abs_disc), K.log_abs_disc)
+        return cls(K.r1, K.r2, K.log_abs_disc)
 
 
 @dataclass(frozen=True)
 class ZeroList:
-    """Positive ordinates of critical-line zeros up to height T."""
+    """Positive ordinates of critical-line zeros up to height T, with the
+    width of the bracket each was bisected to (0 where Z(t) was exactly 0)
+    and whether S(1/2) = 0. Sums over the zeros read it through kernel_sum."""
 
     T: float
     ordinates: tuple
@@ -156,6 +162,17 @@ class ZeroList:
         """N_K(T): zeros with |t| < T, conjugates paired, origin once."""
         n = 2 * sum(1 for t in self.ordinates if t < T)
         return n + (1 if self.zero_at_origin else 0)
+
+    def kernel_sum(self, kernel, below: float = math.inf) -> float:
+        """sum kernel(t) over the located zeros with |t| < below: 2 kernel(t)
+        for each positive ordinate and its conjugate, kernel(0) once for a
+        zero at the origin. DomainError where a finite below passes the
+        located height by more than 1e-12."""
+        if self.T + 1e-12 < below < math.inf:
+            raise DomainError(f"zeros are located to T = {self.T:g}, "
+                              f"not to {below:g}")
+        return math.fsum([2.0 * kernel(t) for t in self.ordinates if t < below]
+                         + ([kernel(0.0)] if self.zero_at_origin else []))
 
 
 @dataclass(frozen=True)
@@ -514,19 +531,25 @@ def direct_series(K: NumberField, s: complex, N: int) -> SeriesValue:
 # Zero location
 # ----------------------------------------------------------------------
 
-def _bisect_zero(ev: ZetaEvaluator, lo: float, hi: float, flo: float):
-    steps = 0  # Z values taken
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+def _bisect(ev: ZetaEvaluator, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
+    """Bisect every bracket [lo, hi] of a sign change of Z, Z(lo) = flo, to
+    BISECT_TOL at once: each halving is one hardy call at the midpoints of
+    the brackets still open. A bracket closes with width 0 where Z is exactly
+    0.0, at lo or at a midpoint. lo and flo are updated in place. Returns
+    (ordinates, widths, Z values taken)."""
+    hi = np.where(flo == 0.0, lo, hi)
+    live = np.flatnonzero(hi - lo > BISECT_TOL)
+    taken = 0
+    while len(live):
+        mid = 0.5 * (lo[live] + hi[live])
         fm = ev.hardy(mid)
-        steps += 1
-        if fm == 0.0:
-            return mid, 0.0, steps
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), hi - lo, steps
+        taken += len(live)
+        same, zero = (fm > 0) == (flo[live] > 0), fm == 0.0
+        lo[live] = np.where(same | zero, mid, lo[live])
+        hi[live] = np.where(same & ~zero, hi[live], mid)
+        flo[live] = np.where(same, fm, flo[live])
+        live = live[hi[live] - lo[live] > BISECT_TOL]
+    return tuple((0.5 * (lo + hi)).tolist()), tuple((hi - lo).tolist()), taken
 
 
 def argument_count(ev: ZetaEvaluator, T: float) -> dict:
@@ -562,15 +585,18 @@ def argument_count(ev: ZetaEvaluator, T: float) -> dict:
 
 
 def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
-    """Scan S(1/2+it) on [0, T], bisect sign changes to 1e-9 brackets.
+    """Scan Z(t) = S(1/2+it) on [0, T], bisect sign changes to 1e-9 brackets.
 
     The zeros are complete when they number N(T) from argument_count,
     taken once before the scan: a count that refuses costs no scan. On a
     mismatch the scan grid halves its step, up to 3 times. The grids are
     nested, n = ceil(T / scan_step) 2^h steps, so a finer grid keeps every
     sign change of a coarser one; each grid, or halving's new points, is
-    one hardy call. diagnostics["completeness"] keeps the count and its
-    cost, diagnostics["z_values"] the Z(t) values scanned and bisected.
+    one hardy call. All brackets of a grid are bisected together, one hardy
+    call per bisection step for every zero: 24 steps at step 0.01. A grid
+    point or midpoint where Z is exactly 0.0 is a zero of bracket width 0.
+    diagnostics["completeness"] keeps the count and its cost,
+    diagnostics["z_values"] the Z(t) values scanned and bisected.
     IncompleteZeroSetError carries one report per attempt, each with its
     scan step, and names the finest step scanned and both counts.
     """
@@ -594,20 +620,12 @@ def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:
             finer[1::2] = ev.hardy(ts[1::2])
             vals = finer
         step = T / n
-        hits = np.nonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
-                          | (vals[:-1] * vals[1:] < 0))[0]
-        origin = abs(vals[0]) < 1e-9 * (float(np.max(np.abs(vals))) or 1.0)
-        zeros, widths = [], []
-        for i in hits.tolist():
-            if vals[i] == 0.0:
-                zeros.append(ts[i])
-                widths.append(0.0)
-            else:
-                z, w, steps = _bisect_zero(ev, ts[i], ts[i + 1], vals[i])
-                zeros.append(z)
-                widths.append(w)
-                bisected += steps
-        zl = ZeroList(T=T, ordinates=tuple(zeros), bracket_widths=tuple(widths),
+        hits = np.flatnonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
+                              | (vals[:-1] * vals[1:] < 0))
+        origin = bool(abs(vals[0]) < 1e-9 * (float(np.max(np.abs(vals))) or 1.0))
+        zeros, widths, steps = _bisect(ev, ts[hits], ts[hits + 1], vals[hits])
+        bisected += steps
+        zl = ZeroList(T=T, ordinates=zeros, bracket_widths=widths,
                       zero_at_origin=origin,
                       diagnostics={"scan_step": step, "z_values": n + 1 + bisected})
         ok, report = _completeness_checks(zl, argument)
@@ -633,9 +651,5 @@ def _completeness_checks(zl: ZeroList, argument: dict):
 
 def zero_statistics(zl: ZeroList, T: float) -> ZeroStatistics:
     """N_K(T) with conjugate pairs, and lambda_K(T) = sum 1/(1+t^2)."""
-    if T > zl.T + 1e-12:
-        raise DomainError("statistics height exceeds located range")
-    lam_terms = [2.0 / (1.0 + t * t) for t in zl.ordinates if t < T]
-    if zl.zero_at_origin:
-        lam_terms.append(1.0)
-    return ZeroStatistics(N=zl.count_below(T), lam=math.fsum(lam_terms))
+    lam = zl.kernel_sum(lambda t: 1.0 / (1.0 + t * t), below=T)
+    return ZeroStatistics(N=zl.count_below(T), lam=lam)

@@ -176,3 +176,19 @@ def test_mahler_index_chain(ctx):
         chain_rhs = ((K.log_abs_disc - K.n_K * math.log(K.n_K)) / K.n_K
                      + 2.0 * math.log(K.index) / K.n_K)
         assert lhs >= chain_rhs - 1e-9, text
+
+
+def test_reports_refuse_zeros_located_too_low(ctx):
+    """Each report reads its zeros through zero_statistics or
+    ZeroList.kernel_sum, which refuse heights past the located one: T = 2
+    for four of them, T = 1 for the membership check."""
+    text = "x^3+3*x+213"
+    f, K, short = ctx.poly(text), ctx.field(text), ctx.zeros(text, 1.5)
+    for report in (lambda: lehmer_grh_report(f, K, short),
+                   lambda: northcott_report(K, short),
+                   lambda: zeros_theorem_report(f, K, short),
+                   lambda: disc_bound2_report(K, short)):
+        with pytest.raises(DomainError, match="located to T = 1.5"):
+            report()
+    with pytest.raises(DomainError, match="located to T = 0.5"):
+        corollary_S_check(f, K, ctx.zeros(text, 0.5))

@@ -126,3 +126,28 @@ def test_import_loads_no_scipy_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# parameters kept for callers that pass them positionally and may not change
+UNREAD_PARAMETERS_ALLOWED = {("bounds.py", "corollary_S_check", "f"),
+                             ("bounds.py", "zeros_theorem_report", "f")}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda in the package is loaded
+    in its body, so that no argument is passed only to be dropped."""
+    unread = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {sub.id for node in body for sub in ast.walk(node)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            label = getattr(fn, "name", "<lambda>")
+            unread += [(name, label, p) for p in params if p not in loaded
+                       and (name, label, p) not in UNREAD_PARAMETERS_ALLOWED]
+    assert unread == []

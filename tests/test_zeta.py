@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tests.conftest import TABLE_CUBIC_QUARTIC, TABLE_QUINTIC
-from zetaheights import direct_series, locate_zeros, zero_statistics
+from tests.conftest import FIXTURE_POLYS, TABLE_CUBIC_QUARTIC, TABLE_QUINTIC
+from zetaheights import (EXPONENTIAL, direct_series, gaussian, locate_zeros,
+                         zero_statistics)
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
@@ -595,3 +596,156 @@ def test_hermite_pieces_reproduce_a_cubic():
     dx = u - grid[i]
     got = ((pieces[0][i] * dx + pieces[1][i]) * dx + pieces[2][i]) * dx + pieces[3][i]
     assert np.max(np.abs(got - cubic(u))) <= 1e-13
+
+
+# -- located zeros: one kernel sum, every bracket bisected in lockstep ----
+
+# perfbench's table1 rows, located to T = 2
+TABLE_ROWS = ("x^3+18*x^2+312", "x^3+3*x+213", "x^4+3*x^2+30", "x^4+18*x^2+60",
+              "x^5+42", "x^5+2*x^2+26")
+SYNTHETIC = ZeroList(T=3.0, ordinates=(0.6, 1.1, 1.7, 2.4),
+                     bracket_widths=(0.0,) * 4, zero_at_origin=True)
+
+
+@pytest.mark.parametrize("poly", FIXTURE_POLYS + ("synthetic",))
+def test_kernel_sum_is_each_zero_sum_it_replaced(ctx, poly):
+    """kernel_sum against the five hand-written zero sums it replaced:
+    lambda_K(2), the ledgers' located zero side, and the zero sums of the
+    Northcott, index-or-zeros and tower-discriminant reports."""
+    zl = SYNTHETIC if poly == "synthetic" else ctx.zeros(poly, 2.0)
+    n = 3 if poly == "synthetic" else ctx.field(poly).n_K
+    low = [t for t in zl.ordinates if t < 2.0]
+    origin = [1.0] if zl.zero_at_origin else []
+    lam = math.fsum([2.0 / (1.0 + t * t) for t in low] + origin)
+    assert zl.kernel_sum(lambda t: 1.0 / (1.0 + t * t), below=2.0) == lam
+    assert zero_statistics(zl, 2.0).lam == lam
+    for kernel in (EXPONENTIAL.phi_critical, gaussian(0.212).phi_critical):
+        terms = [2.0 * kernel(t) for t in zl.ordinates]
+        if zl.zero_at_origin:
+            terms.append(kernel(0.0))
+        assert zl.kernel_sum(kernel) == math.fsum(terms)
+    y = 0.212
+    gauss = math.fsum(2.0 * (math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y))
+                      for t in low)
+    low_sum = math.fsum(4.0 * (1.0 / (1.0 + t * t) - 0.2) for t in low)
+    tower = math.fsum(2.0 * (n ** (-t * t / 4.0) - 1.0 / n) for t in low)
+    if zl.zero_at_origin:
+        gauss += 1.0 - math.exp(-1.0 / y)
+        low_sum += 2.0 * (1.0 - 0.2)
+        tower += 1.0 - 1.0 / n
+    assert zl.kernel_sum(lambda t: math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y),
+                         below=2.0) == gauss
+    assert zl.kernel_sum(lambda t: 2.0 * (1.0 / (1.0 + t * t) - 0.2),
+                         below=2.0) == low_sum
+    assert zl.kernel_sum(lambda t: n ** (-t * t / 4.0) - 1.0 / n, below=2.0) == tower
+
+
+def test_kernel_sum_refuses_heights_past_the_located_one():
+    assert SYNTHETIC.kernel_sum(lambda t: 1.0, below=3.0 + 1e-13) == 9.0
+    with pytest.raises(DomainError, match="located to T = 3"):
+        SYNTHETIC.kernel_sum(lambda t: 1.0, below=3.01)
+
+
+@pytest.mark.parametrize("poly", ("x^2+1", "x^4+1", "x^3+3*x+213"))
+def test_zero_at_origin_is_a_bool(ctx, poly):
+    assert type(ctx.zeros(poly, 2.0).zero_at_origin) is bool
+
+
+def _count_hardy(monkeypatch, zero_at=None):
+    """Wrap hardy to record the points of each call; zero_at = (call, index)
+    makes that call return 0.0 at that element."""
+    calls = []
+    hardy = ZetaEvaluator.hardy
+
+    def counted(self, t):
+        out = hardy(self, t)
+        calls.append(np.array(t, dtype=float))
+        if zero_at is not None and len(calls) - 1 == zero_at[0]:
+            out = out.copy()
+            out[zero_at[1]] = 0.0
+        return out
+    monkeypatch.setattr(ZetaEvaluator, "hardy", counted)
+    return calls
+
+
+def _scalar_bisection(ev, T, step):
+    """The located zeros bisected one at a time on the grid of this step,
+    with one scalar hardy call per bisection step."""
+    n = round(T / step)
+    ts = np.arange(n + 1) * T / n
+    vals = ev.hardy(ts)
+    zeros, widths = [], []
+    for i in np.flatnonzero(((vals[:-1] == 0.0) & (ts[:-1] > 0.0))
+                            | (vals[:-1] * vals[1:] < 0)).tolist():
+        lo, hi, flo = float(ts[i]), float(ts[i + 1]), float(vals[i])
+        if flo == 0.0:
+            zeros.append(lo)
+            widths.append(0.0)
+            continue
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            fm = ev.hardy(mid)
+            if fm == 0.0:
+                lo = hi = mid
+            elif (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+        widths.append(hi - lo)
+    return tuple(zeros), tuple(widths)
+
+
+def test_lockstep_bisection_costs_one_call_per_step(ctx, monkeypatch):
+    """x^3+3x+213 at T = 2: one scan and ceil(log2(0.01 / 1e-9)) = 24
+    halvings, each one hardy call for every zero."""
+    ev = ctx.evaluator("x^3+3*x+213")
+    calls = _count_hardy(monkeypatch)
+    zl = locate_zeros(ev, 2.0)
+    assert zl.diagnostics["scan_step"] == 0.01
+    assert len(zl.ordinates) > 1
+    assert len(calls) == 1 + 24 == 1 + math.ceil(math.log2(0.01 / 1e-9))
+    assert [len(c) for c in calls[1:]] == [len(zl.ordinates)] * 24
+
+
+@pytest.mark.parametrize("poly, T", [(p, 2.0) for p in TABLE_ROWS]
+                         + sorted(SESSION_HEIGHTS.items()))
+def test_lockstep_bisection_is_the_scalar_one(ctx, monkeypatch, poly, T):
+    """On perfbench's table rows at T = 2 and session fields at their
+    heights, the first grid is accepted, the scan makes 1 + 24 hardy calls,
+    and the ordinates and widths are bit-equal to a bisection of one zero at
+    a time."""
+    ev = ctx.evaluator(poly)
+    calls = _count_hardy(monkeypatch)
+    zl = locate_zeros(ev, T)
+    assert zl.diagnostics["scan_step"] == 0.01 and len(calls) == 1 + 24
+    monkeypatch.undo()
+    assert (zl.ordinates, zl.bracket_widths) == _scalar_bisection(ev, T, 0.01)
+
+
+def test_an_exact_zero_on_the_grid_closes_its_bracket(ctx, monkeypatch):
+    """Z = 0.0 at the left end of a sign change: the zero is that grid point,
+    of width 0, and it takes no bisection step."""
+    ev = ctx.evaluator("x^3+3*x+213")
+    ts = np.arange(201) * 2.0 / 200
+    vals = ev.hardy(ts)
+    i = int(np.flatnonzero(vals[:-1] * vals[1:] < 0)[0])
+    calls = _count_hardy(monkeypatch, zero_at=(0, i))
+    zl = locate_zeros(ev, 2.0)
+    assert zl.ordinates[0] == ts[i] and zl.bracket_widths[0] == 0.0
+    assert [len(c) for c in calls[1:]] == [len(zl.ordinates) - 1] * 24
+
+
+def test_an_exact_zero_at_a_midpoint_closes_its_bracket(ctx, monkeypatch):
+    """Z = 0.0 at the first midpoint of the first bracket: that zero is the
+    midpoint, of width 0, and later halvings leave it out."""
+    ev = ctx.evaluator("x^3+3*x+213")
+    ts = np.arange(201) * 2.0 / 200
+    vals = ev.hardy(ts)
+    i = int(np.flatnonzero(vals[:-1] * vals[1:] < 0)[0])
+    calls = _count_hardy(monkeypatch, zero_at=(1, 0))
+    zl = locate_zeros(ev, 2.0)
+    assert zl.ordinates[0] == 0.5 * (ts[i] + ts[i + 1])
+    assert zl.bracket_widths[0] == 0.0
+    assert len(calls[1]) == len(zl.ordinates)
+    assert [len(c) for c in calls[2:]] == [len(zl.ordinates) - 1] * 23
