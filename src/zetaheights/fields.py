@@ -469,6 +469,8 @@ class _FieldState:
         self.primes = np.zeros(0, dtype=np.int64)
         self.coeff_array = None        # float64 a_n, 1-indexed via [n]
         self.coeff_limit = 0
+        self.prime_read = None         # (q, N_q log q) where N_q > 0, to prime_read_limit
+        self.prime_read_limit = 1
         self.evaluators: dict = {}     # RunConfig.cache_key() -> ZetaEvaluator
 
 

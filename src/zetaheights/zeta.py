@@ -159,7 +159,10 @@ class ZeroList:
     diagnostics: dict = field(default_factory=dict)
 
     def count_below(self, T: float) -> int:
-        """N_K(T): zeros with |t| < T, conjugates paired, origin once."""
+        """N_K(T): zeros with |t| < T, conjugates paired, origin once.
+        DomainError where T passes the located height by more than 1e-12."""
+        if self.T + 1e-12 < T:
+            raise DomainError(f"zeros are located to T = {self.T:g}, not to {T:g}")
         n = 2 * sum(1 for t in self.ordinates if t < T)
         return n + (1 if self.zero_at_origin else 0)
 

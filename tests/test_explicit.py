@@ -270,15 +270,15 @@ def test_quad_closed_forms():
     """The adaptive 7-15 rule on a smooth integral, a kinked one and a
     half-line Gaussian moment, each against its closed form."""
     from zetaheights.explicit import _quad
-    assert _quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert _quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12, abs=0)
     # max(1/2, e^{-t}) kinks at t = log 2
-    kinked = _quad(lambda t: max(0.5, math.exp(-t)), 0.0, 3.0)
+    kinked = _quad(lambda t: np.maximum(0.5, np.exp(-t)), 0.0, 3.0)
     assert kinked == pytest.approx(2.0 - 0.5 * math.log(2.0), rel=1e-11, abs=0)
     for y in (0.05, 0.2, 1.0):
         a = 1.0 / (4.0 * y)
         closed = (2.0 * math.exp(-4.0 * a) / (2.0 * a)
                   + math.sqrt(math.pi / a) * math.erfc(2.0 * math.sqrt(a)) / (4.0 * a))
-        got = _quad(lambda t: t * t * math.exp(-a * t * t), 2.0, math.inf)
+        got = _quad(lambda t: t * t * np.exp(-a * t * t), 2.0, math.inf)
         assert got == pytest.approx(closed, rel=1e-11, abs=0), y
 
 
@@ -315,3 +315,85 @@ def test_kernel_msum_matches_the_plain_loop(ctx, text):
     qs, _ = _nonzero_counts(ctx.field(text), 10 ** 6)
     for y in (0.05, 0.1, 0.2, 0.3):
         assert np.array_equal(_kernel_msum(gaussian(y), qs), _plain_msum(y, qs)), y
+
+
+def test_exponential_quadratures_match_closed_forms():
+    """archimedean_integrals returns the exponential kernel's (2, pi - 2,
+    16/3) without quadrature; the 7-15 rule on their integrands meets each
+    within 1e-10."""
+    from zetaheights.explicit import _quad, _sinh_cosh_integrals
+    F = EXPONENTIAL.F
+    got = (*_sinh_cosh_integrals(F),
+           4.0 * _quad(lambda x: F(x) * np.cosh(x / 2.0), 0.0, 80.0))
+    closed = (2.0, math.pi - 2.0, 16.0 / 3.0)
+    for value, want in zip(got, closed):
+        assert abs(value - want) <= 1e-10 * max(1.0, want), (value, want)
+    arch = archimedean_integrals(EXPONENTIAL)
+    assert (arch.sinh_integral, arch.cosh_integral, arch.f_cosh_integral) == closed
+
+
+@pytest.mark.parametrize("y", [0.001, 0.05, 0.212, 1.0 / math.log(4.0), 1.0])
+def test_gaussian_f_cosh_quadrature_matches_closed_form(y):
+    """4 int_0^inf e^{-y x^2} cosh(x/2) dx, returned as 2 e^{1/16y}
+    sqrt(pi/y), against the 7-15 rule to the peak 1/4y plus seven widths
+    1/sqrt(y) plus 20."""
+    from zetaheights.explicit import _quad
+    kind = gaussian(y)
+    upper = 1.0 / (4.0 * y) + 7.0 / math.sqrt(y) + 20.0
+    got = 4.0 * _quad(lambda x: kind.F(x) * np.cosh(x / 2.0), 0.0, upper)
+    closed = archimedean_integrals(kind).f_cosh_integral
+    assert closed == 2.0 * math.exp(1.0 / (16.0 * y)) * math.sqrt(math.pi / y)
+    assert abs(got / closed - 1.0) <= 1e-10, (y, got, closed)
+
+
+def test_field_independent_integrals_run_once(monkeypatch):
+    """archimedean_integrals and aux_functions are cached: a second call
+    at the same kernel or y runs no Gauss-Kronrod panel, and the
+    exponential kernel's integrals run none even on the first call."""
+    from zetaheights import explicit
+    panels = []
+    gk15 = explicit._gk15
+
+    def counted(fn, a, b):
+        panels.append((a, b))
+        return gk15(fn, a, b)
+
+    monkeypatch.setattr(explicit, "_gk15", counted)
+    archimedean_integrals.cache_clear()
+    aux_functions.cache_clear()
+    archimedean_integrals(EXPONENTIAL)
+    assert panels == []
+    first = (archimedean_integrals(gaussian(0.212)), aux_functions(0.212))
+    ran = len(panels)
+    assert ran > 0
+    assert (archimedean_integrals(gaussian(0.212)), aux_functions(0.212)) == first
+    assert len(panels) == ran
+
+
+def test_prime_read_is_override_free_and_read_only(ctx, monkeypatch):
+    """Overrides before and after a prime sum leave the field's cached
+    prime read alone: prime_side on Q(i) equals, bit for bit, its value on
+    a freshly built field and the sum written out from norm_counts; the
+    cached arrays are read-only."""
+    from zetaheights import (build_number_field, fields, norm_counts,
+                             parse_polynomial, splitting_table)
+    from zetaheights.explicit import _kernel_msum, _nonzero_counts
+    K = ctx.field("x^2+1")
+    X, kind, forced = 10 ** 5, gaussian(0.3), {13: [(1, 2)]}
+    prime_side(K, EXPONENTIAL, 2 * X)   # a read at 2X, sliced to X below
+    values = []
+    for _ in range(2):
+        q, n = norm_counts(K, X, override=forced)
+        assert n[np.searchsorted(q, 13)] == 0 and n[np.searchsorted(q, 169)] == 1
+        assert splitting_table(K, X, override=forced).counts[13] == 0
+        values.append(prime_side(K, kind, X).value)
+    monkeypatch.setattr(fields, "_FIELDS", {})   # a field built afresh
+    fresh = build_number_field(parse_polynomial("x^2+1"))
+    assert fresh.state is not K.state
+    want = prime_side(fresh, kind, X).value
+    assert values == [want, want]
+    q, n = norm_counts(fresh, X)
+    qs, counts = q[n > 0].astype(float), n[n > 0].astype(float)
+    assert want == 2.0 * float(np.dot(counts * np.log(qs), _kernel_msum(kind, qs)))
+    for arr in (*_nonzero_counts(K, X), *K.state.prime_read):
+        assert not arr.flags.writeable

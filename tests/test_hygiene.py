@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no import inside a function, no
 private helper (nor any intlinalg function) that nothing
 in the package calls, no RunConfig field that nothing reads or that the
-README does not name, and no scipy at run time."""
+README does not name, no scipy at run time, and no cache keyed by a
+field or a zero list."""
 
 import ast
 import subprocess
@@ -151,3 +152,23 @@ def test_every_parameter_is_read():
             unread += [(name, label, p) for p in params if p not in loaded
                        and (name, label, p) not in UNREAD_PARAMETERS_ALLOWED]
     assert unread == []
+
+
+def test_no_cached_function_takes_a_field_or_zero_list():
+    """No lru_cache-decorated function takes a NumberField or a ZeroList.
+    What is computed about one field lives on its K.state, so a module-level
+    cache never serves one field's results for another nor keeps a field
+    alive. Every parameter of a cached function is annotated, so that the
+    check sees what it takes."""
+    found = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any({"lru_cache", "cache"} & _names(d) for d in fn.decorator_list)):
+                continue
+            args = fn.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs:
+                hint = ast.unparse(a.annotation) if a.annotation else ""
+                if not hint or "NumberField" in hint or "ZeroList" in hint:
+                    found.append(f"{name}: {fn.name}({a.arg}: {hint or '?'})")
+    assert found == []

@@ -646,6 +646,18 @@ def test_kernel_sum_refuses_heights_past_the_located_one():
         SYNTHETIC.kernel_sum(lambda t: 1.0, below=3.01)
 
 
+def test_count_below_refuses_heights_past_the_located_one(ctx):
+    """count_below holds kernel_sum's height check: on x^2+1 located to
+    T = 2, N_K(30) is not 0 but unknown."""
+    assert SYNTHETIC.count_below(3.0 + 1e-13) == 9
+    with pytest.raises(DomainError, match="located to T = 3"):
+        SYNTHETIC.count_below(3.01)
+    zl = ctx.zeros("x^2+1", 2.0)
+    assert zl.count_below(2.0) == zero_statistics(zl, 2.0).N
+    with pytest.raises(DomainError, match="located to T = 2"):
+        zl.count_below(30.0)
+
+
 @pytest.mark.parametrize("poly", ("x^2+1", "x^4+1", "x^3+3*x+213"))
 def test_zero_at_origin_is_a_bool(ctx, poly):
     assert type(ctx.zeros(poly, 2.0).zero_at_origin) is bool
