@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import IntPolynomial, height_profile, is_root_of_unity
 from .errors import DomainError
 from .explicit import (EULER_GAMMA, EXPONENTIAL, HSW_CONST, LOG_8PI,
-                       archimedean_integrals, aux_functions, density_tail,
+                       archimedean_side, aux_functions, density_tail,
                        gaussian, prime_side, single_m_prime_sum)
 from .fields import NumberField, norm_counts, uniform_splittings
 from .primes import sieve_primes
@@ -86,7 +86,12 @@ def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
     """
     if not (0 < delta < math.inf and 0 < epsilon < math.inf):   # NaN fails too
         raise DomainError("delta and epsilon must be finite and positive")
+    if K is None and (table is None or degree is None):
+        raise DomainError("membership needs a field, or a table and its degree")
     n = degree if degree is not None else K.n_K
+    if n < (1 if Y is None else 2):
+        raise DomainError("membership needs degree >= 1, and >= 2 with a pinned "
+                          "Y: its Gaussian weight takes y = 1/log n_K")
     y_low = math.log(n) ** 2 if n > 1 else 0.0
     y_high = math.sqrt(n)
     witness = None
@@ -124,6 +129,12 @@ def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
                        aa_lower_bound=aa)
 
 
+def _gaussian_single_prime_sum(K: NumberField, X: int) -> float:
+    """The m = 1 Gaussian prime sum at Y_STAR to X plus its density tail."""
+    kind = gaussian(Y_STAR)
+    return single_m_prime_sum(K, kind, X) + density_tail(kind, X)
+
+
 def northcott_report(K: NumberField, zeros: ZeroList,
                      X: int = 10 ** 6) -> BoundReport:
     """Discriminant lower bound, three readings.
@@ -140,8 +151,7 @@ def northcott_report(K: NumberField, zeros: ZeroList,
     gauss_zero_sum = zeros.kernel_sum(
         lambda t: math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y), below=2.0)
     aux = aux_functions(y)
-    prime_single = (single_m_prime_sum(K, gaussian(y), X)
-                    + density_tail(gaussian(y), X))
+    prime_single = _gaussian_single_prime_sum(K, X)
     terms_a = {
         "constant": 2.0,
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N / n,
@@ -191,8 +201,7 @@ def corollary_S_check(f: IntPolynomial, K: NumberField, zeros: ZeroList,
     """Membership test: zero + prime + index terms against log n_K."""
     n = K.n_K
     stats1 = zero_statistics(zeros, 1.0)
-    prime_single = (single_m_prime_sum(K, gaussian(Y_STAR), X)
-                    + density_tail(gaussian(Y_STAR), X))
+    prime_single = _gaussian_single_prime_sum(K, X)
     lhs_terms = {
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N,
         "prime_term": 2.0 * prime_single,
@@ -230,8 +239,7 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
     # Precursor via the two lemma identities: log d = A + Z + P with the
     # far zeros bounded through the counting window, rearranged as
     # log d <= 2 N_K(2) + 0.629 log d + remainder, remainder an interval.
-    a_const = ((2.0 - math.pi / 2.0) * K.r1
-               + (EULER_GAMMA + LOG_8PI - 2.0) * n - 16.0 / 3.0)
+    a_const = -sum(archimedean_side(K, EXPONENTIAL).values())
     # 2 sum_{|t|<2} (1/(1+t^2) - 1/5)
     low_sum = zeros.kernel_sum(lambda t: 2.0 * (1.0 / (1.0 + t * t) - 0.2),
                                below=2.0)
@@ -297,14 +305,14 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
         "prime_term": 2.0 * prime_sum,
     }
     y = 1.0 / logn
-    arch = archimedean_integrals(gaussian(y))
-    aux = aux_functions(y)
+    # the Gaussian ledger's terms at y; (r1/n)(pi/2 - I_cosh) from two of them
+    arch = gaussian(y).archimedean_terms(K)
     remainders = {
-        "sinh_integral": arch.sinh_integral,
-        "cosh_integral_scaled": (K.r1 / n) * arch.cosh_integral,
-        "f_cosh_over_n": arch.f_cosh_integral / n,
-        "F1_times_lhs": aux.F1 * lhs,
-        "archimedean_r1_surplus": (K.r1 / n) * (math.pi / 2.0 - arch.cosh_integral),
+        "sinh_integral": arch["sinh_integral"],
+        "cosh_integral_scaled": arch["cosh_integral_scaled"],
+        "f_cosh_over_n": arch["f_cosh_over_n"],
+        "F1_times_lhs": aux_functions(y).F1 * lhs,
+        "archimedean_r1_surplus": -(arch["r1_term"] + arch["cosh_integral_scaled"]),
     }
     return BoundReport(
         theorem_id="tower-disc-lower-bound",

@@ -1,8 +1,13 @@
 """Explicit-formula identities for the completed Dedekind zeta function.
 
-Both test kernels from the height-bound analysis are supported: the
-exponential kernel F(x) = e^{-|x|} (phi(1/2+it) = 2/(1+t^2)) and the
-Gaussian kernel F(x) = e^{-y x^2} (phi(1/2+it) = sqrt(pi/y) e^{-t^2/4y}).
+Both test kernels from the height-bound analysis are objects: Exponential,
+F(x) = e^{-|x|} (phi(1/2+it) = 2/(1+t^2)), and Gaussian(y), F(x) = e^{-y x^2}
+(phi(1/2+it) = sqrt(pi/y) e^{-t^2/4y}). Each carries what depends on the
+kernel: F, phi and -phi' on the critical line, the archimedean integrals,
+the prime m-sum and its m = 1 term, the density tail and the prime tail.
+Both ledgers run through one identity body on the unnormalised form
+log d_K + archimedean_side - P, which the Gaussian ledger divides by n_K,
+and the bound reports read their archimedean terms from the same place.
 Asymptotic O(y)/o(1) shortcuts are replaced by exactly evaluated integrals
 so the identities close at finite parameters; zero-sum tails are bracketed
 two-sidedly through the explicit counting window.
@@ -36,36 +41,151 @@ PSI_UPPER = 1.03883  # psi(x) < 1.03883 x for all x > 0
 PSI_LOWER = 0.9      # psi(x) > 0.9 x for x >= 100
 
 
-@dataclass(frozen=True)
-class TestFunctionKind:
-    """Which even test function drives the identity."""
+class _Kernel:
+    """The prime side's tail bound, which both kernels share."""
 
-    kind: str  # "exponential" | "gaussian"
-    y: float = 0.0
+    def prime_tail_bound(self, n_K: int, X: int) -> float:
+        # sum_{q > X} of N_q <= n_K times Lambda-weighted h(t) = log t
+        # (m-sum at t), bounded by parts against 0.9 x <= psi(x) < 1.03883 x
+        h_X, integral_h = self.prime_tail_h(X)
+        return 2.0 * n_K * (PSI_UPPER * (X * h_X + integral_h)
+                            - PSI_LOWER * X * h_X)
+
+
+@dataclass(frozen=True)
+class Exponential(_Kernel):
+    """F(x) = e^{-|x|}, phi(1/2+it) = 2/(1+t^2); no method needs an
+    instance but archimedean_terms."""
+
+    name = "exponential"
+
+    @staticmethod
+    def F(x):
+        return np.exp(-np.abs(x))
+
+    @staticmethod
+    def phi_critical(t):
+        return 2.0 / (1.0 + t * t)
+
+    @staticmethod
+    def zero_tail(window, T):
+        # int_T^inf -phi' window in u = log t, where integrands decay at
+        # least like e^{-u} poly(u)
+        def integrand(u):
+            t = np.exp(u)
+            return 4.0 * t / (1.0 + t * t) ** 2 * window(t) * t
+        return _quad(integrand, math.log(T), math.log(T) + 120.0, tol=1e-11)
+
+    @staticmethod
+    def integrals():
+        return ArchimedeanIntegrals(2.0, math.pi - 2.0, 16.0 / 3.0)
+
+    def archimedean_terms(self, K):
+        arch = archimedean_integrals(self)
+        return {"log_dK": K.log_abs_disc, **archimedean_side(K, self),
+                "sinh_integral": arch.sinh_integral,
+                "cosh_integral": arch.cosh_integral}
+
+    @staticmethod
+    def msum(qs):
+        return 1.0 / (qs ** 1.5 - 1.0)
+
+    @staticmethod
+    def single_terms(weighted, qs):
+        return weighted / qs ** 1.5
+
+    @staticmethod
+    def density_tail(X):
+        return 2.0 / math.sqrt(X)
+
+    @staticmethod
+    def prime_tail_h(X):
+        lx = math.log(X)
+        integral_h = _quad(lambda u: u * np.exp(u) / (np.exp(1.5 * u) - 1.0),
+                           lx, lx + 300.0, tol=1e-13)
+        return lx / (X ** 1.5 - 1.0), integral_h
+
+
+@dataclass(frozen=True)
+class Gaussian(_Kernel):
+    """F(x) = e^{-y x^2}, phi(1/2+it) = sqrt(pi/y) e^{-t^2/4y}, y in (0, 1]."""
+
+    y: float
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "gaussian"):
-            raise DomainError(f"unknown kernel {self.kind!r}")
-        if self.kind == "gaussian" and not 0.0 < self.y <= 1.0:
-            raise DomainError("gaussian kernel needs y in (0, 1]")
+        if not 0.0 < self.y <= 1.0:
+            raise DomainError("y must lie in (0, 1]")
 
-    def F(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "exponential":
-            return np.exp(-np.abs(x))
+    @property
+    def name(self):
+        return f"gaussian(y={self.y})"
+
+    def F(self, x):
         return np.exp(-self.y * x * x)
 
-    def phi_critical(self, t: float) -> float:
-        """phi(1/2 + it), the zero-side kernel."""
-        if self.kind == "exponential":
-            return 2.0 / (1.0 + t * t)
+    def phi_critical(self, t):
         return math.sqrt(math.pi / self.y) * math.exp(-t * t / (4.0 * self.y))
 
+    def zero_tail(self, window, T):
+        # int_T^inf -phi' window on the compact effective support of -phi'
+        y = self.y
+        return _quad(lambda t: math.sqrt(math.pi / y) * (t / (2.0 * y))
+                     * np.exp(-t * t / (4.0 * y)) * window(t),
+                     T, T + math.sqrt(4.0 * y * 250.0) + 5.0, tol=1e-13)
 
-EXPONENTIAL = TestFunctionKind("exponential")
+    def integrals(self):
+        i_f = 2.0 * math.exp(1.0 / (16.0 * self.y)) * math.sqrt(math.pi / self.y)
+        return ArchimedeanIntegrals(*_sinh_cosh_integrals(self.F), i_f)
+
+    def archimedean_terms(self, K):
+        arch, n = archimedean_integrals(self), K.n_K
+        return {"log_dK_over_n": K.log_abs_disc / n,
+                "r1_term": -math.pi * K.r1 / (2.0 * n),
+                "euler_log8pi": -(EULER_GAMMA + LOG_8PI),
+                "sinh_integral": arch.sinh_integral,
+                "cosh_integral_scaled": (K.r1 / n) * arch.cosh_integral,
+                "f_cosh_over_n": arch.f_cosh_integral / n}
+
+    def msum(self, qs):
+        """sum_{m <= 400} q^{-m/2} F(m log q) per q. The terms fall in m, so
+        a q leaves once its term is at most 2^-54 of its total: under half
+        an ulp, it and every later term leave the total as is."""
+        logq = np.log(qs)
+        total = np.zeros_like(logq)
+        idx, active = np.arange(len(logq)), logq
+        for m in range(1, 401):
+            term = np.exp(-0.5 * m * active - self.y * (m * active) ** 2)
+            total[idx] += term
+            keep = term > 2.0 ** -54 * total[idx]
+            idx, active = idx[keep], active[keep]
+            if not len(idx):
+                break
+        return total
+
+    def single_terms(self, weighted, qs):
+        return weighted / np.sqrt(qs) * np.exp(-self.y * np.log(qs) ** 2)
+
+    def density_tail(self, X):
+        # in u = log t, int_{log X}^inf e^{u/2 - y u^2} du = e^{1/16y}
+        # sqrt(pi/y) / 2 erfc(sqrt(y) (log X - 1/4y)), completing the square
+        y = self.y
+        return (math.exp(1.0 / (16.0 * y)) * math.sqrt(math.pi / y) / 2.0
+                * math.erfc(math.sqrt(y) * (math.log(X) - 1.0 / (4.0 * y))))
+
+    def prime_tail_h(self, X):
+        # e^u h(e^u) = u e^{g(u)} + u e^{-4 y u^2}, g(u) = u/2 - y u^2; as
+        # u e^g = e^g / 4y - g' e^g / 2y, both parts integrate in closed form
+        y, lx = self.y, math.log(X)
+        h_X = lx * math.exp(-0.5 * lx - y * lx * lx) * (
+            1.0 + math.exp(-0.5 * lx - 3.0 * y * lx * lx))
+        integral_h = (self.density_tail(X) / (4.0 * y)
+                      + math.exp(0.5 * lx - y * lx * lx) / (2.0 * y)
+                      + math.exp(-4.0 * y * lx * lx) / (8.0 * y))
+        return h_X, integral_h
 
 
-def gaussian(y: float) -> TestFunctionKind:
-    return TestFunctionKind("gaussian", y)
+EXPONENTIAL = Exponential()
+gaussian = Gaussian
 
 
 # ----------------------------------------------------------------------
@@ -174,17 +294,26 @@ def _quad(fn, a, b, tol=1e-12):
 
 
 @lru_cache(maxsize=64)
-def archimedean_integrals(kind: TestFunctionKind) -> ArchimedeanIntegrals:
+def archimedean_integrals(kind: Exponential | Gaussian) -> ArchimedeanIntegrals:
     """The three archimedean integrals of the kernel, cached by kernel.
 
     The exponential kernel's are (2, pi - 2, 16/3) and the Gaussian f-cosh
     integral is 2 e^{1/16y} sqrt(pi/y), all in closed form; the Gaussian
     sinh and cosh integrals come from _sinh_cosh_integrals.
     """
-    if kind.kind == "exponential":
-        return ArchimedeanIntegrals(2.0, math.pi - 2.0, 16.0 / 3.0)
-    i_f = 2.0 * math.exp(1.0 / (16.0 * kind.y)) * math.sqrt(math.pi / kind.y)
-    return ArchimedeanIntegrals(*_sinh_cosh_integrals(kind.F), i_f)
+    return kind.integrals()
+
+
+def archimedean_side(K: NumberField, kind: Exponential | Gaussian) -> dict:
+    """The identity's archimedean side for the kernel, unnormalised, as the
+    terms r1 (I_cosh - pi/2), n_K (I_sinh - gamma - log 8pi) and I_f: they
+    sum to -(pi/2) r1 - (gamma + log 8pi) n_K + n_K I_sinh + r1 I_cosh + I_f.
+    For the exponential kernel the first two are exactly -(2 - pi/2) r1 and
+    -(gamma + log 8pi - 2) n_K."""
+    arch = archimedean_integrals(kind)
+    return {"r1_term": K.r1 * (arch.cosh_integral - math.pi / 2.0),
+            "degree_term": K.n_K * (arch.sinh_integral - (EULER_GAMMA + LOG_8PI)),
+            "f_cosh": arch.f_cosh_integral}
 
 
 def _sinh_cosh_integrals(F):
@@ -217,25 +346,6 @@ class PrimeSideResult:
         return self.value + self.tail_estimate
 
 
-def _kernel_msum(kind: TestFunctionKind, qs: np.ndarray) -> np.ndarray:
-    """sum_{m <= 400} q^{-m/2} F(m log q) per q, vectorized. The Gaussian
-    terms fall in m, so a q leaves once its term is at most 2^-54 of its
-    total: under half an ulp, it and every later term leave the total as is."""
-    logq = np.log(qs)
-    if kind.kind == "exponential":
-        return 1.0 / (qs ** 1.5 - 1.0)
-    total = np.zeros_like(logq)
-    idx, active = np.arange(len(logq)), logq
-    for m in range(1, 401):
-        term = np.exp(-0.5 * m * active - kind.y * (m * active) ** 2)
-        total[idx] += term
-        keep = term > 2.0 ** -54 * total[idx]
-        idx, active = idx[keep], active[keep]
-        if not len(idx):
-            break
-    return total
-
-
 def _nonzero_counts(K: NumberField, X: int):
     """The prime powers q <= X with N_q(K) > 0 and their N_q log q: two
     read-only float arrays sliced from the pair K.state keeps for the
@@ -254,7 +364,8 @@ def _nonzero_counts(K: NumberField, X: int):
     return qs[:end], weights[:end]
 
 
-def prime_side(K: NumberField, kind: TestFunctionKind, X: int) -> PrimeSideResult:
+def prime_side(K: NumberField, kind: Exponential | Gaussian,
+               X: int) -> PrimeSideResult:
     """2 sum_{q<=X} N_q(K) log q sum_m q^{-m/2} F(m log q), with tails.
 
     tail_bound uses N_q <= n_K and the Chebyshev bound psi(x) < 1.03883 x;
@@ -262,92 +373,26 @@ def prime_side(K: NumberField, kind: TestFunctionKind, X: int) -> PrimeSideResul
     (theta_K(x) ~ x), which is what the closure identities consume.
     """
     qs, weights = _nonzero_counts(K, X)
-    value = (2.0 * float(np.dot(weights, _kernel_msum(kind, qs)))
-             if len(qs) else 0.0)
-    tail_bound, tail_estimate = _prime_tails(K.n_K, kind, X)
-    return PrimeSideResult(value=value, tail_bound=tail_bound,
-                           tail_estimate=tail_estimate)
+    value = 2.0 * float(np.dot(weights, kind.msum(qs))) if len(qs) else 0.0
+    return PrimeSideResult(value=value,
+                           tail_bound=kind.prime_tail_bound(K.n_K, X),
+                           tail_estimate=2.0 * kind.density_tail(X))
 
 
-def single_m_prime_sum(K: NumberField, kind: TestFunctionKind, X: int) -> float:
+def single_m_prime_sum(K: NumberField, kind: Exponential | Gaussian,
+                       X: int) -> float:
     """sum_{q<=X} N_q log q q^{-1/2} F(log q): the prime side's m = 1
     terms alone, undoubled and without a tail."""
     qs, weighted = _nonzero_counts(K, X)
-    if kind.kind == "exponential":
-        terms = weighted / qs ** 1.5
-    else:
-        terms = weighted / np.sqrt(qs) * np.exp(-kind.y * np.log(qs) ** 2)
-    return math.fsum(terms.tolist())
+    return math.fsum(kind.single_terms(weighted, qs).tolist())
 
 
-def density_tail(kind: TestFunctionKind, X: int) -> float:
+def density_tail(kind: Exponential | Gaussian, X: int) -> float:
     """int_X^inf t^{-1/2} F(log t) dt: the m = 1 prime sum beyond X with
-    N_q log q replaced by its density. For the Gaussian, in u = log t,
-    int_{log X}^inf e^{u/2 - y u^2} du = e^{1/16y} sqrt(pi/y) / 2
-    erfc(sqrt(y) (log X - 1/4y)), completing the square."""
+    N_q log q replaced by its density, in closed form for both kernels."""
     if X < 2:
         raise DomainError("cutoff must be >= 2")
-    if kind.kind == "exponential":
-        return 2.0 / math.sqrt(X)
-    y = kind.y
-    return (math.exp(1.0 / (16.0 * y)) * math.sqrt(math.pi / y) / 2.0
-            * math.erfc(math.sqrt(y) * (math.log(X) - 1.0 / (4.0 * y))))
-
-
-def _prime_tails(n_K: int, kind: TestFunctionKind, X: int):
-    # s(t): the per-prime factor log t * (m-sum), m = 1 dominating beyond X.
-    # The integrals run in u = log t, where the integrands are smooth and
-    # effectively compactly supported; the Gaussian's has a closed form.
-    lx = math.log(X)
-    if kind.kind == "exponential":
-        def h(t):
-            return math.log(t) / (t ** 1.5 - 1.0)
-        integral_h = _quad(lambda u: u * np.exp(u) / (np.exp(1.5 * u) - 1.0),
-                           lx, lx + 300.0, tol=1e-13)
-    else:
-        y = kind.y
-
-        def h(t):
-            u = math.log(t)
-            return u * math.exp(-0.5 * u - y * u * u) * (
-                1.0 + math.exp(-0.5 * u - 3.0 * y * u * u))
-        # e^u h(e^u) = u e^{g(u)} + u e^{-4 y u^2}, g(u) = u/2 - y u^2; as
-        # u e^g = e^g / 4y - g' e^g / 2y, both parts integrate in closed form
-        integral_h = (density_tail(kind, X) / (4.0 * y)
-                      + math.exp(0.5 * lx - y * lx * lx) / (2.0 * y)
-                      + math.exp(-4.0 * y * lx * lx) / (8.0 * y))
-    # sum_{q > X} Lambda-weighted h against dpsi, bounded by parts
-    tail_bound = 2.0 * n_K * (PSI_UPPER * (X * h(X) + integral_h)
-                              - PSI_LOWER * X * h(X))
-    tail_estimate = 2.0 * density_tail(kind, X)
-    return tail_bound, tail_estimate
-
-
-# ----------------------------------------------------------------------
-# Zero-side tail bracketing
-# ----------------------------------------------------------------------
-
-def _zero_tail_bracket(K: NumberField, zl: ZeroList, kernel, neg_deriv,
-                       t_cap=None):
-    """Bracket sum_{|t|>T} kernel(t) through the counting window."""
-    T = max(zl.T, 1.0)
-    n_loc = zl.count_below(zl.T)
-    n_K, logd = K.n_K, K.log_abs_disc
-
-    def push(sign):
-        # the window's lower (sign -1) or upper edge, never below n_loc
-        def weight(t):
-            return neg_deriv(t) * np.maximum(float(n_loc), _counting_main(
-                n_K, logd, t) + sign * _counting_err(n_K, logd, t))
-        if t_cap is not None:
-            # compact effective support: integrate directly on [T, t_cap]
-            return _quad(weight, T, t_cap, tol=1e-13)
-        # integrate in u = log t; integrands decay at least like e^{-u} poly(u)
-        return _quad(lambda u: weight(np.exp(u)) * np.exp(u), math.log(T),
-                     math.log(T) + 120.0, tol=1e-11)
-
-    boundary = -kernel(T) * n_loc
-    return boundary + push(-1.0), boundary + push(1.0)
+    return kind.density_tail(X)
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +415,49 @@ class IdentityLedger:
         return asdict(self)
 
 
+def _identity(K: NumberField, zeros: ZeroList, kind: Exponential | Gaussian,
+              ps: PrimeSideResult, scale: float, slack: float, notes: dict,
+              failure: str) -> IdentityLedger:
+    """Both kernels' identity: log d_K + archimedean_side - P against the
+    located zero sum and the zeros above T, bracketed through the counting
+    window and widened by the prime tail bound; every side divided by
+    scale. A closure that misses by more than slack raises
+    ClosureFailureError."""
+    arithmetic = (sum(archimedean_side(K, kind).values(), K.log_abs_disc)
+                  - ps.corrected) / scale
+    located = zeros.kernel_sum(kind.phi_critical) / scale
+    T, n_loc = max(zeros.T, 1.0), zeros.count_below(zeros.T)
+
+    def window(sign):
+        # N_K(t) at the window's lower (sign -1) or upper edge, never below n_loc
+        return lambda t: np.maximum(float(n_loc), _counting_main(
+            K.n_K, K.log_abs_disc, t) + sign * _counting_err(K.n_K, K.log_abs_disc, t))
+
+    # by parts: sum_{|t|>T} phi = -phi(T) n_loc + int_T^inf -phi' N_K
+    tail_lo, tail_hi = (-kind.phi_critical(T) * n_loc + kind.zero_tail(window(sign), T)
+                        for sign in (-1.0, 1.0))
+    bracket = (located + tail_lo / scale - ps.tail_bound / scale,
+               located + tail_hi / scale + ps.tail_bound / scale)
+    accepted = bracket[0] - slack <= arithmetic <= bracket[1] + slack
+    ledger = IdentityLedger(
+        kernel=kind.name,
+        arithmetic_side=arithmetic,
+        archimedean_terms=kind.archimedean_terms(K),
+        prime_sum=ps.corrected / scale,
+        prime_tail_bound=ps.tail_bound / scale,
+        zero_side_located=located,
+        zero_side_bracket=bracket,
+        accepted=accepted,
+        notes=notes,
+    )
+    if not accepted:
+        raise ClosureFailureError(
+            f"{failure}: {arithmetic:.6f} outside "
+            f"[{bracket[0]:.6f}, {bracket[1]:.6f}]",
+            payload=ledger.to_dict())
+    return ledger
+
+
 def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLedger:
     """Exponential-kernel identity: arithmetic side vs bracketed zero sum.
 
@@ -381,49 +469,15 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLed
     """
     if zeros.T < 2.0 and zeros.ordinates:
         raise DomainError("identity needs zeros located to T >= 2")
-    arch = archimedean_integrals(EXPONENTIAL)
     ps = prime_side(K, EXPONENTIAL, X)
-    arithmetic = (K.log_abs_disc
-                  - (2.0 - math.pi / 2.0) * K.r1
-                  - (EULER_GAMMA + LOG_8PI - 2.0) * K.n_K
-                  + 16.0 / 3.0
-                  - ps.corrected)
-    kernel = EXPONENTIAL.phi_critical
-    located = zeros.kernel_sum(kernel)
-    tail_lo, tail_hi = _zero_tail_bracket(
-        K, zeros, kernel, lambda t: 4.0 * t / (1.0 + t * t) ** 2)
-    bracket = (located + tail_lo - ps.tail_bound,
-               located + tail_hi + ps.tail_bound)
-    accepted = bracket[0] - 1e-6 <= arithmetic <= bracket[1] + 1e-6
     # single-term rendering of the prime sum, kept as a labeled diagnostic
     single = 2.0 * single_m_prime_sum(K, EXPONENTIAL, X)
-    ledger = IdentityLedger(
-        kernel="exponential",
-        arithmetic_side=arithmetic,
-        archimedean_terms={
-            "log_dK": K.log_abs_disc,
-            "r1_term": -(2.0 - math.pi / 2.0) * K.r1,
-            "degree_term": -(EULER_GAMMA + LOG_8PI - 2.0) * K.n_K,
-            "f_cosh": 16.0 / 3.0,
-            "sinh_integral": arch.sinh_integral,
-            "cosh_integral": arch.cosh_integral,
-        },
-        prime_sum=ps.corrected,
-        prime_tail_bound=ps.tail_bound,
-        zero_side_located=located,
-        zero_side_bracket=bracket,
-        accepted=accepted,
-        notes={"prime_sum_truncated": ps.value,
-               "prime_tail_estimate": ps.tail_estimate,
-               "prime_sum_single_m": single,
-               "m_sum_vs_single_gap": ps.value - single},
-    )
-    if not accepted:
-        raise ClosureFailureError(
-            f"exponential identity failed: {arithmetic:.6f} outside "
-            f"[{bracket[0]:.6f}, {bracket[1]:.6f}]",
-            payload=ledger.to_dict())
-    return ledger
+    return _identity(K, zeros, EXPONENTIAL, ps, 1, 1e-6,
+                     {"prime_sum_truncated": ps.value,
+                      "prime_tail_estimate": ps.tail_estimate,
+                      "prime_sum_single_m": single,
+                      "m_sum_vs_single_gap": ps.value - single},
+                     "exponential identity failed")
 
 
 def identity_gaussian(K: NumberField, zeros: ZeroList, y: float,
@@ -434,56 +488,13 @@ def identity_gaussian(K: NumberField, zeros: ZeroList, y: float,
                   - (2 sqrt(pi)/n_K) e^{1/16y}/sqrt(y) + zero term
                   + prime side / n_K, with the zero term bracketed.
     """
-    if not 0.0 < y <= 1.0:
-        raise DomainError("y must lie in (0, 1]")
+    kind = gaussian(y)
     if zeros.T < 2.0:
         raise DomainError("identity needs zeros located to T >= 2")
-    kind = gaussian(y)
-    arch = archimedean_integrals(kind)
     ps = prime_side(K, kind, X)
-    n = K.n_K
-    arithmetic = (K.log_abs_disc / n
-                  - math.pi * K.r1 / (2.0 * n)
-                  - (EULER_GAMMA + LOG_8PI)
-                  + arch.sinh_integral
-                  + (K.r1 / n) * arch.cosh_integral
-                  + arch.f_cosh_integral / n
-                  - ps.corrected / n)
-    kernel = kind.phi_critical
-    located = zeros.kernel_sum(kernel) / n
-
-    def neg_deriv(t):
-        return math.sqrt(math.pi / y) * (t / (2.0 * y)) * np.exp(-t * t / (4.0 * y))
-
-    t_cap = zeros.T + math.sqrt(4.0 * y * 250.0) + 5.0
-    tail_lo, tail_hi = _zero_tail_bracket(K, zeros, kernel, neg_deriv, t_cap)
-    bracket = (located + tail_lo / n - ps.tail_bound / n,
-               located + tail_hi / n + ps.tail_bound / n)
-    accepted = bracket[0] - 1e-9 <= arithmetic <= bracket[1] + 1e-9
-    ledger = IdentityLedger(
-        kernel=f"gaussian(y={y})",
-        arithmetic_side=arithmetic,
-        archimedean_terms={
-            "log_dK_over_n": K.log_abs_disc / n,
-            "r1_term": -math.pi * K.r1 / (2.0 * n),
-            "euler_log8pi": -(EULER_GAMMA + LOG_8PI),
-            "sinh_integral": arch.sinh_integral,
-            "cosh_integral_scaled": (K.r1 / n) * arch.cosh_integral,
-            "f_cosh_over_n": arch.f_cosh_integral / n,
-        },
-        prime_sum=ps.corrected / n,
-        prime_tail_bound=ps.tail_bound / n,
-        zero_side_located=located,
-        zero_side_bracket=bracket,
-        accepted=accepted,
-        notes={"y": y, "prime_tail_estimate": ps.tail_estimate},
-    )
-    if not accepted:
-        raise ClosureFailureError(
-            f"gaussian identity failed at y={y}: {arithmetic:.6f} outside "
-            f"[{bracket[0]:.6f}, {bracket[1]:.6f}]",
-            payload=ledger.to_dict())
-    return ledger
+    return _identity(K, zeros, kind, ps, K.n_K, 1e-9,
+                     {"y": y, "prime_tail_estimate": ps.tail_estimate},
+                     f"gaussian identity failed at y={y}")
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +514,7 @@ class AuxFunctions:
 def aux_functions(y: float) -> AuxFunctions:
     """g, G, F1, the field-independent F2 integral, and H at parameter y,
     cached by y."""
-    if not 0.0 < y <= 1.0:
-        raise DomainError("y must lie in (0, 1]")
+    kind = gaussian(y)
     pref = 1.0 / (2.0 * math.sqrt(math.pi) * y ** 1.5)
     kern = lambda t: np.exp(-t * t / (4.0 * y))
     g_val = pref * (
@@ -516,7 +526,7 @@ def aux_functions(y: float) -> AuxFunctions:
     f1 = (2.0 / math.sqrt(math.pi * y) * math.exp(-1.0 / y)
           + G_val
           - HSW_LOG_COEFF * math.sqrt(math.pi / y) * math.exp(-1.0 / y))
-    f2 = 2.0 * math.sqrt(math.pi / y) * math.exp(1.0 / (16.0 * y))
-    i_sinh = archimedean_integrals(gaussian(y)).sinh_integral
+    arch = archimedean_integrals(kind)
     return AuxFunctions(g=g_val, G_at_inv_sqrt_y=G_val, F1=f1,
-                        F2_integral=f2, H=g_val - i_sinh)
+                        F2_integral=arch.f_cosh_integral,
+                        H=g_val - arch.sinh_integral)

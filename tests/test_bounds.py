@@ -81,6 +81,24 @@ def test_membership_monotone():
     assert not harder_eps.in_S
 
 
+def test_membership_edge_inputs_raise_domain_error(ctx):
+    """On Q a pinned Y would take the Gaussian weight at y = 1/log 1; with
+    no field, or a table without its degree, there is nothing to count or
+    no n_K; a degree below 1 has no window: each raises DomainError. Q's
+    unpinned search still returns, with no window to search."""
+    with pytest.raises(DomainError, match="degree >= 1, and >= 2"):
+        uncond_membership(ctx.field("x"), 0.5, 0.5, Y=5)
+    with pytest.raises(DomainError, match="a table and its degree"):
+        uncond_membership(None, 0.5, 0.5, degree=4)
+    table = SplittingTable(cutoff=10, counts={2: 4, 3: 4, 5: 4, 7: 4})
+    with pytest.raises(DomainError, match="a table and its degree"):
+        uncond_membership(None, 0.5, 0.5, table=table, Y=10)
+    for degree in (0, -3):
+        with pytest.raises(DomainError, match="degree >= 1"):
+            uncond_membership(None, 0.5, 0.5, table=table, degree=degree)
+    assert not uncond_membership(ctx.field("x"), 0.4, 0.5).in_S
+
+
 @pytest.mark.parametrize("delta,epsilon", [
     (math.nan, 0.5), (0.4, math.nan), (math.inf, 0.5), (0.4, math.inf),
     (0.0, 0.5), (0.4, -1.0),

@@ -230,7 +230,7 @@ def test_gaussian_prime_tail_bound_matches_mpmath(y):
     y u^2, against mpmath's 40-digit quadrature of I, each part taken
     from log X as e^{part at log X} times an integral over v = u - log X."""
     import mpmath as mp
-    from zetaheights.explicit import PSI_LOWER, PSI_UPPER, _prime_tails
+    from zetaheights.explicit import PSI_LOWER, PSI_UPPER
     mp.mp.dps = 40
     for X in (2, 10 ** 3, 10 ** 6):
         lx, yy = mp.log(X), mp.mpf(y)
@@ -243,7 +243,7 @@ def test_gaussian_prime_tail_bound_matches_mpmath(y):
         xh = lx * mp.exp(lx / 2 - yy * lx * lx) * (
             1 + mp.exp(-lx / 2 - 3 * yy * lx * lx))
         want = 2 * 3 * (PSI_UPPER * (xh + integral) - PSI_LOWER * xh)
-        got, _ = _prime_tails(3, gaussian(y), X)
+        got = gaussian(y).prime_tail_bound(3, X)
         assert abs(got - want) <= 1e-12 * want, (y, X, got)
 
 
@@ -311,10 +311,10 @@ def _plain_msum(y, qs):
 def test_kernel_msum_matches_the_plain_loop(ctx, text):
     """Dropping a q once its term is below 2^-54 of its total changes no
     bit of the m-sums, over every prime power to 10^6 with N_q > 0."""
-    from zetaheights.explicit import _kernel_msum, _nonzero_counts
+    from zetaheights.explicit import _nonzero_counts
     qs, _ = _nonzero_counts(ctx.field(text), 10 ** 6)
     for y in (0.05, 0.1, 0.2, 0.3):
-        assert np.array_equal(_kernel_msum(gaussian(y), qs), _plain_msum(y, qs)), y
+        assert np.array_equal(gaussian(y).msum(qs), _plain_msum(y, qs)), y
 
 
 def test_exponential_quadratures_match_closed_forms():
@@ -377,7 +377,7 @@ def test_prime_read_is_override_free_and_read_only(ctx, monkeypatch):
     cached arrays are read-only."""
     from zetaheights import (build_number_field, fields, norm_counts,
                              parse_polynomial, splitting_table)
-    from zetaheights.explicit import _kernel_msum, _nonzero_counts
+    from zetaheights.explicit import _nonzero_counts
     K = ctx.field("x^2+1")
     X, kind, forced = 10 ** 5, gaussian(0.3), {13: [(1, 2)]}
     prime_side(K, EXPONENTIAL, 2 * X)   # a read at 2X, sliced to X below
@@ -394,6 +394,74 @@ def test_prime_read_is_override_free_and_read_only(ctx, monkeypatch):
     assert values == [want, want]
     q, n = norm_counts(fresh, X)
     qs, counts = q[n > 0].astype(float), n[n > 0].astype(float)
-    assert want == 2.0 * float(np.dot(counts * np.log(qs), _kernel_msum(kind, qs)))
+    assert want == 2.0 * float(np.dot(counts * np.log(qs), kind.msum(qs)))
     for arr in (*_nonzero_counts(K, X), *K.state.prime_read):
         assert not arr.flags.writeable
+
+
+def test_engine_is_the_earlier_per_kernel_arithmetic(ctx):
+    """The one identity body and the reports that read its terms give, on
+    every bundled field, what the per-kernel formulas written out below
+    give, within 1e-13 max(1, |v|): the exponential arithmetic side, the
+    Gaussian one as its six normalised terms, the index-or-zeros remainder
+    interval and the tower bound's remainders."""
+    from tests.conftest import FIXTURE_POLYS
+    from zetaheights import (disc_bound2_report, zero_statistics,
+                             zeros_theorem_report)
+    from zetaheights import bounds as b
+    from zetaheights.errors import NotUniformSplittingError
+
+    def close(got, want):
+        return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    X, interval_fields = 10 ** 6, 0
+    for text in FIXTURE_POLYS:
+        K, f = ctx.field(text), ctx.poly(text)
+        n, r1, logd = K.n_K, K.r1, K.log_abs_disc
+        zl = ctx.zeros(text, 15.0 if text == "x" else 2.0)
+        P = prime_side(K, EXPONENTIAL, X)
+        want = (logd - (2.0 - math.pi / 2.0) * r1
+                - (EULER_GAMMA + LOG_8PI - 2.0) * n + 16.0 / 3.0 - P.corrected)
+        assert close(identity_exponential(K, zl, X).arithmetic_side, want), text
+        for y in (0.05, 0.1, 0.212):
+            arch = archimedean_integrals(gaussian(y))
+            want = (logd / n - math.pi * r1 / (2.0 * n) - (EULER_GAMMA + LOG_8PI)
+                    + arch.sinh_integral + (r1 / n) * arch.cosh_integral
+                    + arch.f_cosh_integral / n
+                    - prime_side(K, gaussian(y), X).corrected / n)
+            got = identity_gaussian(K, zl, y, X).arithmetic_side
+            assert close(got, want), (text, y)
+        zl2 = ctx.zeros(text, 2.0)
+        try:
+            report = zeros_theorem_report(f, K, zl2, X)
+        except NotUniformSplittingError:
+            report = None
+        if report is not None:
+            interval_fields += 1
+            a_const = ((2.0 - math.pi / 2.0) * r1
+                       + (EULER_GAMMA + LOG_8PI - 2.0) * n - 16.0 / 3.0)
+            low_sum = zl2.kernel_sum(lambda t: 2.0 * (1.0 / (1.0 + t * t) - 0.2),
+                                     below=2.0)
+            N = zero_statistics(zl2, 2.0).N
+
+            def remainder(sign, prime_val):
+                return (a_const + low_sum - 2.0 * N
+                        + (b.LEMMA46_LOGD + sign * b.C1_BOUND - b.BZ2_SHRINK) * logd
+                        + (b.LEMMA46_DEGREE + sign * b.C2_BOUND) * n
+                        + sign * b.LEMMA46_CONST + prime_val)
+            want = (remainder(-1.0, P.value), remainder(1.0, P.value + P.tail_bound))
+            got = report.notes["precursor"]["remainder_interval"]
+            assert all(map(close, got, want)), text
+        if n >= 3:
+            y = 1.0 / math.log(n)
+            arch = archimedean_integrals(gaussian(y))
+            want = {"sinh_integral": arch.sinh_integral,
+                    "cosh_integral_scaled": (r1 / n) * arch.cosh_integral,
+                    "f_cosh_over_n": arch.f_cosh_integral / n,
+                    "F1_times_lhs": aux_functions(y).F1 * logd / n,
+                    "archimedean_r1_surplus":
+                        (r1 / n) * (math.pi / 2.0 - arch.cosh_integral)}
+            got = disc_bound2_report(K, zl2).notes["remainders_at_y_1_over_log_n"]
+            assert got.keys() == want.keys()
+            assert all(close(got[k], want[k]) for k in want), text
+    assert interval_fields == 13   # all but x^5+2x^2+26 split uniformly

@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports, no import inside a function, no
 private helper (nor any intlinalg function) that nothing
 in the package calls, no RunConfig field that nothing reads or that the
-README does not name, no scipy at run time, and no cache keyed by a
-field or a zero list."""
+README does not name, no scipy at run time, no cache keyed by a
+field or a zero list, and no comparison against a kernel's name."""
 
 import ast
 import subprocess
@@ -171,4 +171,23 @@ def test_no_cached_function_takes_a_field_or_zero_list():
                 hint = ast.unparse(a.annotation) if a.annotation else ""
                 if not hint or "NumberField" in hint or "ZeroList" in hint:
                     found.append(f"{name}: {fn.name}({a.arg}: {hint or '?'})")
+    assert found == []
+
+
+def test_no_comparison_names_a_kernel():
+    """No comparison in the package has the string "exponential" or
+    "gaussian" as an operand, alone or inside the tuple, list or set it
+    tests membership of: what depends on the test function lives in its
+    kernel class."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            for operand in (node.left, *node.comparators):
+                elts = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                        else [operand])
+                if any(isinstance(e, ast.Constant) and e.value in ("exponential", "gaussian")
+                       for e in elts):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
