@@ -16,7 +16,6 @@ from .fields import (DirichletCoefficients, NumberField, PrimeSplitting,
                      dirichlet_coefficients, irreducibility_certificate,
                      norm_counts, prime_splitting, splitting_table,
                      variance_profile)
-from .modp import factor_mod_p
 from .bounds import (corollary_S_check, disc_bound2_report, lehmer_grh_report,
                      northcott_report, uncond_membership,
                      zeros_theorem_report)

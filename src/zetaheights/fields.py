@@ -1,12 +1,14 @@
 """Arithmetic of the number field K = Q(alpha).
 
 Maximal orders by the Dedekind criterion plus Round-2 enlargement, prime
-splitting (above index divisors by rank counts in the Berlekamp subalgebra
-of O/pO), norm counting tables, Dirichlet coefficients of the Dedekind zeta
-function, and the splitting-variance discriminant bound. Every order basis
-is an upper-triangular HNF over the power basis, so coordinates come from
-forward substitution in integers and the index from its diagonal (Cohen,
-GTM 138, 2.4.3 and 6.1.2).
+splitting (the shape of f mod p off the index; above index divisors, rank
+counts on the primitive idempotents of the Berlekamp subalgebra of O/pO,
+split with the order's own multiplication), norm counting tables,
+Dirichlet coefficients of the Dedekind zeta function, and the
+splitting-variance discriminant bound, whose shapes are prime splitting's.
+Every order basis is an upper-triangular HNF over the power basis, so
+coordinates come from forward substitution in integers and the index from
+its diagonal (Cohen, GTM 138, 2.4.3 and 6.1.2).
 """
 
 from __future__ import annotations
@@ -185,30 +187,27 @@ def _coords(basis, w, den=1):
     return x
 
 
-def _power_matrix(struct, p, e, n):
-    """Matrix rows = coords of b_i^e in the order basis, mod p; for e a
-    power of p, the matrix of the F_p-linear map x -> x^e on O/pO."""
-    rows = []
-    for i in range(n):
-        acc, sq, k = None, [1 if j == i else 0 for j in range(n)], e
-        while k:
-            if k & 1:
-                acc = sq if acc is None else [
-                    x % p for x in _mul_in_order(struct, acc, sq)]
-            k >>= 1
-            if k:
-                sq = [x % p for x in _mul_in_order(struct, sq, sq)]
-        rows.append(acc)
-    return rows
+def _power(struct, x, e, p):
+    """x^e in the order, e >= 1, by square-and-multiply with coordinates
+    reduced mod p after each product."""
+    acc = None
+    while e:
+        if e & 1:
+            acc = x if acc is None else [c % p for c in _mul_in_order(struct, acc, x)]
+        e >>= 1
+        if e:
+            x = [c % p for c in _mul_in_order(struct, x, x)]
+    return acc
 
 
 def _radical_mod_p(struct, p, n):
-    """Basis vectors of the nilradical of O/pO: the kernel of x -> x^(p^k)
-    for the least p^k >= n."""
+    """Basis vectors of the nilradical of O/pO: the kernel of the F_p-linear
+    map x -> x^(p^k) for the least p^k >= n, whose matrix has the rows
+    b_i^(p^k)."""
     e = p
     while e < n:
         e *= p
-    m = _power_matrix(struct, p, e, n)
+    m = [_power(struct, row, e, p) for row in la.identity(n)]
     return la.nullspace_mod_p([list(col) for col in zip(*m)], p)
 
 
@@ -479,7 +478,7 @@ class _FieldState:
 # ----------------------------------------------------------------------
 
 def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> PrimeSplitting:
-    """Shape (e_i, f_i) of p in O_K.
+    """Shape (e_i, f_i) of the prime p in O_K; DomainError unless p is prime.
 
     Dedekind's theorem when p does not divide the index; otherwise the
     primitive idempotents of the Berlekamp subalgebra {x : x^p = x} of O/pO
@@ -490,6 +489,8 @@ def prime_splitting(K: NumberField, p: int, override: dict | None = None) -> Pri
     override see the true splitting. A forced shape whose sum e*f is not
     n_K raises DomainError.
     """
+    if not is_prime(p):
+        raise DomainError(f"prime splitting needs a prime p, got {p}")
     if override and p in override:
         return PrimeSplitting(p, _forced_shape(K, p, override[p]))
     shapes = K.state.shapes
@@ -519,12 +520,14 @@ def _split_index_prime(K: NumberField, p: int):
     The Berlekamp subalgebra B = {x : x^p = x}, the left kernel of F - I for
     the Frobenius matrix F, is F_p^g with one coordinate per prime P above
     p: on O/P^e, x^p = x leaves no nilpotent and only F_p of the residue
-    field (Berlekamp 1967; Cohen, GTM 138, 6.2). Splitting 1 by each basis
-    vector b of B gives its primitive idempotents: on an idempotent eps,
-    x = eps b takes one value on each prime of eps, the roots r of its
-    minimal polynomial, and eps prod_{s != r} (x - s eps) / (r - s) keeps
-    the primes where x = r. For the idempotent of P, eps O/pO = O/P^e has
-    dimension e f and eps J, J the radical, has dimension (e - 1) f.
+    field (Berlekamp 1967; Cohen, GTM 138, 6.2). Each basis vector b of B
+    splits every idempotent eps on which x = eps b is not a multiple of eps,
+    until there are g = dim B of them. At p = 2, x is idempotent: x and
+    eps - x. At odd p, c = (x + a eps)^((p-1)/2) is 0 or +-1 on each prime
+    of eps: (c^2 + c)/2, (c^2 - c)/2 and eps - c^2, for the first a = 0, 1,
+    ... that gives two nonzero pieces (a = -v does, v a value of x on eps).
+    For the idempotent of P, eps O/pO = O/P^e has dimension e f and eps J,
+    J the radical, has dimension (e - 1) f.
     """
     order = K.state.max_order
     n = K.n_K
@@ -536,30 +539,35 @@ def _split_index_prime(K: NumberField, p: int):
     def rank(rows):
         return len(la.rref_mod_p(rows, p)[1])
 
-    frob = _power_matrix(struct, p, p, n)
+    def pieces(eps, x):
+        if p == 2:
+            return [x, [(e - c) % p for e, c in zip(eps, x)]]
+        for a in range(p):
+            c = _power(struct, [(xi + a * ei) % p for xi, ei in zip(x, eps)], (p - 1) // 2, p)
+            c2, half = mul(c, c), (p + 1) // 2
+            split = [[(s + t) * half % p for s, t in zip(c2, c)],
+                     [(s - t) * half % p for s, t in zip(c2, c)],
+                     [(e - s) % p for e, s in zip(eps, c2)]]
+            if sum(map(any, split)) > 1:
+                return split
+
+    frob = [_power(struct, row, p, p) for row in la.identity(n)]
     berlekamp = la.nullspace_mod_p(
         [[frob[i][j] - (i == j) for i in range(n)] for j in range(n)], p)
-    idempotents = [_coords(order.basis, [order.den] + [0] * (n - 1))]
+    idempotents = [[c % p for c in _coords(order.basis, [order.den] + [0] * (n - 1))]]
     for b in berlekamp:
-        split = []
-        for eps in idempotents:
+        if len(idempotents) == len(berlekamp):
+            break
+        todo, idempotents = idempotents, []
+        while todo:
+            eps = todo.pop()
             x = mul(eps, b)
-            powers, top = [eps], x
-            while rank(powers + [top]) > len(powers):
-                powers, top = powers + [top], mul(top, x)
-            low = la.solve_mod_p([list(col) for col in zip(*powers)], top, p)
-            mu = IntPolynomial(tuple((-c) % p for c in low) + (1,))
-            factors = modp.factor_mod_p(mu, p)
-            assert all(g.degree == 1 for g, _ in factors)   # x lies in F_p^g
-            roots = [(-g.coefficients[0]) % p for g, _ in factors]
-            for r in roots:
-                piece = eps
-                for s in roots:
-                    if s != r:
-                        inv = pow(r - s, -1, p)
-                        piece = mul(piece, [(xi - s * ei) * inv for xi, ei in zip(x, eps)])
-                split.append(piece)
-        idempotents = split
+            i = next(i for i, e in enumerate(eps) if e)
+            v = x[i] * pow(eps[i], -1, p)
+            if x == [v * e % p for e in eps]:
+                idempotents.append(eps)
+            else:
+                todo.extend(y for y in pieces(eps, x) if any(y))
     rad = _radical_mod_p(struct, p, n)
     shape = []
     for eps in idempotents:
@@ -724,30 +732,32 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
 def variance_profile(f: IntPolynomial, K: NumberField, p: int) -> VarianceProfile:
     """Normalized variance of the conjugate reduction counts at p.
 
-    Caller asserts K/Q Galois; uniformity of the factor degrees and
-    ramification indices is cross-checked and NotUniformSplittingError
-    raised otherwise. N_x counts multiplicities of roots of f mod p in the
-    prime field; conjugates belonging to nonsplit factors contribute to no
-    x, and N_infinity = 0 for monic integral f.
+    f must be K's defining polynomial and p a prime off the index, else
+    DomainError. Caller asserts K/Q Galois; uniformity of the shape of p is
+    cross-checked and NotUniformSplittingError raised otherwise. By
+    Dedekind's theorem f_p is the degree and e_p the multiplicity of the
+    factors of f mod p, and N_x counts multiplicities of its roots in the
+    prime field, one per prime of K above p with f = 1; conjugates in
+    nonsplit factors count for no x, and N_infinity = 0 for monic integral f.
     """
-    if K.index % p == 0:
-        raise DomainError("variance profile requires p coprime to the index")
-    factors = modp.factor_mod_p(f, p)
-    degrees = {poly.degree for poly, _ in factors}
-    mults = {mult for _, mult in factors}
-    if len(degrees) != 1 or len(mults) != 1:
+    if not is_prime(p) or K.index % p == 0:
+        raise DomainError(f"variance profile needs a prime p coprime to the index, got {p}")
+    if f != K.defining_poly:
+        raise DomainError(f"{f.text()} is not the defining polynomial "
+                          f"{K.defining_poly.text()} of the field")
+    factors = prime_splitting(K, p).factors
+    if len(set(factors)) != 1:
         raise NotUniformSplittingError(
-            f"splitting of {p} is not uniform: {[(g.degree, m) for g, m in factors]}")
-    f_p = degrees.pop()
-    e_p = mults.pop()
+            f"splitting of {p} is not uniform: (e, f) = {list(factors)}")
+    e_p, f_p = factors[0]
     m = f.degree
     q = p ** f_p
     mean = m / (q + 1)
     square_sum = 0.0
     points_hit = 0
-    for poly, mult in factors:
-        if poly.degree == 1:
-            square_sum += (mult - mean) ** 2
+    for e, f_i in factors:
+        if f_i == 1:
+            square_sum += (e - mean) ** 2
             points_hit += 1
     square_sum += (q + 1 - points_hit) * mean ** 2
     v_p = square_sum / (m * m)

@@ -2,10 +2,10 @@
 
 hnf brings an integer lattice to an upper-triangular Hermite basis, on
 which fields solves for coordinates and reads indices by triangular
-substitution; rref_mod_p reduces over F_p, and nullspace_mod_p and
-solve_mod_p read kernels and solutions off it. Everything works on lists
-of lists of Python ints; matrices stay small (n <= 16 for the fields
-handled here), so clarity beats asymptotics.
+substitution; rref_mod_p reduces over F_p, and nullspace_mod_p reads
+kernels off it. Everything works on lists of lists of Python ints;
+matrices stay small (n <= 16 for the fields handled here), so clarity
+beats asymptotics.
 """
 
 from __future__ import annotations
@@ -105,17 +105,3 @@ def nullspace_mod_p(m, p):
         basis.append(vec)
     return basis
 
-
-def solve_mod_p(rows, rhs, p):
-    """One x with sum_j rows[i][j] x_j = rhs[i] over F_p (free variables 0).
-
-    Raises ValueError when the system is inconsistent.
-    """
-    reduced, pivots = rref_mod_p([list(row) + [b] for row, b in zip(rows, rhs)], p)
-    m = len(rows[0])
-    if pivots and pivots[-1] == m:
-        raise ValueError("inconsistent system")
-    x = [0] * m
-    for row, c in zip(reduced, pivots):
-        x[c] = row[m]
-    return x

@@ -1,21 +1,21 @@
-"""Polynomial arithmetic and factorization over prime fields.
+"""Polynomial arithmetic and factorization shapes over prime fields.
 
 Dense coefficient lists (ascending, values in [0, p)) for the exact
-single-prime path. Root counts in F_q, q = p^k, over hundreds of thousands
-of columns are swept in numpy, one (p, q) per column: x^q mod (f, p) by
-square-and-multiply over the bits of q and deg gcd(x^q - x, f) by an
-inverse-free Euclid. Residues are balanced and reduced as x - p rint(x / p)
-in float64, exact while every intermediate stays within 2^53 (p up to about
-6.7e7 at degree 8, 1.1e8 at degree 3); primes past that run the same loop
-in int64. Pure f = x^n + c, and quadratics at odd q = p as y^2 = b^2 - 4ac,
-take a power-residue test in F_p instead.
+single-prime path: the shape of f mod p, its factor degrees and
+multiplicities, comes from squarefree and distinct-degree factorization;
+no factor is split further. Root counts in F_q, q = p^k, over hundreds of
+thousands of columns are swept in numpy, one (p, q) per column: x^q mod
+(f, p) by square-and-multiply over the bits of q and deg gcd(x^q - x, f)
+by an inverse-free Euclid. Residues are balanced and reduced as
+x - p rint(x / p) in float64, exact while every intermediate stays within
+2^53 (p up to about 6.7e7 at degree 8, 1.1e8 at degree 3); primes past
+that run the same loop in int64. Pure f = x^n + c, and quadratics at odd
+q = p as y^2 = b^2 - 4ac, take a power-residue test in F_p instead.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import zlib
 
 import numpy as np
 
@@ -138,65 +138,16 @@ def _distinct_degree(f, p):
     return out
 
 
-def _equal_degree_split(f, d, p, rng):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        r = [rng.randrange(p) for _ in range(n - 1)] + [1]
-        r = trim(r)
-        if p == 2:
-            # trace map x + x^2 + ... + x^{2^{d-1}}
-            t = list(r)
-            acc = list(r)
-            for _ in range(d - 1):
-                t = pmulmod(t, t, f, p)
-                acc = trim([(a + b) % p for a, b in
-                            zip(acc + [0] * len(t), t + [0] * len(acc))])
-            g = pgcd(acc, f, p)
-        else:
-            s = ppowmod(r, (p ** d - 1) // 2, f, p)
-            s_minus = trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(s)] or [p - 1])
-            g = pgcd(s_minus, f, p)
-        if 0 < len(g) - 1 < n:
-            rest = pdivmod(f, g, p)[0]
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
-
-
-def _monic_mod(f: IntPolynomial, p: int):
-    """f mod p made monic; LeadingCoeffVanishesError when lc(f) = 0 mod p."""
+def factor_shape_mod_p(f: IntPolynomial, p: int):
+    """Multiset of (degree, multiplicity) pairs for f mod p: squarefree,
+    then distinct-degree factorization of f made monic mod p. Raises
+    LeadingCoeffVanishesError when lc(f) = 0 mod p."""
     fp = reduce_mod(f, p)
     if len(fp) != f.degree + 1:
         raise LeadingCoeffVanishesError(f"leading coefficient of {f.text()} vanishes mod {p}")
     inv = pow(fp[-1], -1, p)
-    return [c * inv % p for c in fp]
-
-
-def factor_mod_p(f: IntPolynomial, p: int):
-    """Complete factorization of f mod p into monic irreducibles.
-
-    Returns [(IntPolynomial, multiplicity)] sorted by (degree, coefficients):
-    squarefree, then distinct-degree, then equal-degree splitting with a
-    generator seeded from (f, p), so output is deterministic. Raises
-    LeadingCoeffVanishesError when lc(f) = 0 mod p.
-    """
-    fp = _monic_mod(f, p)
-    rng = random.Random(zlib.crc32(repr((p, tuple(fp))).encode()))
-    factors = [(irr, mult) for sq, mult in _squarefree_decomposition(fp, p)
-               for d, block in _distinct_degree(sq, p)
-               for irr in _equal_degree_split(block, d, p, rng)]
-    factors.sort(key=lambda fm: (len(fm[0]), tuple(fm[0])))
-    return [(IntPolynomial(tuple(g)), mult) for g, mult in factors or [(fp, 1)]]
-
-
-def factor_shape_mod_p(f: IntPolynomial, p: int):
-    """Multiset of (degree, multiplicity) pairs for f mod p, without EDD.
-
-    Cheaper than factor_mod_p when only the splitting shape is needed.
-    """
     shape = []
-    for sq, mult in _squarefree_decomposition(_monic_mod(f, p), p):
+    for sq, mult in _squarefree_decomposition([c * inv % p for c in fp], p):
         for d, block in _distinct_degree(sq, p):
             shape.extend([(d, mult)] * ((len(block) - 1) // d))
     shape.sort()

@@ -14,13 +14,14 @@ import pytest
 from tests.conftest import (FIXTURE_POLYS, SMALL_FIXTURES,
                             TABLE_CUBIC_QUARTIC, TABLE_QUINTIC)
 from zetaheights import (EXPONENTIAL, archimedean_integrals, aux_functions,
-                         build_number_field, direct_series, factor_mod_p,
-                         hsw_window, identity_exponential,
+                         build_number_field, direct_series, hsw_window,
+                         identity_exponential,
                          mahler_inequality_margin, monotone_prime_sums,
                          northcott_report, parse_polynomial, splitting_table,
                          zero_statistics, zeros_theorem_report)
 from zetaheights.algebra import IntPolynomial, complex_roots, height_profile, is_root_of_unity
 from zetaheights.fields import dirichlet_coefficients, is_irreducible, prime_splitting
+from zetaheights.modp import factor_shape_mod_p
 from zetaheights.primes import sieve_primes
 from zetaheights.table1 import ROWS, column_tolerance
 
@@ -212,7 +213,7 @@ def test_criterion7_properties(ctx):
     for f in rng.sample(corpus, 25):
         for p in primes:
             brute = sum(1 for x in range(p) if f(x) % p == 0)
-            distinct = sum(1 for g, _m in factor_mod_p(f, p) if g.degree == 1)
+            distinct = sum(1 for d, _m in factor_shape_mod_p(f, p) if d == 1)
             assert distinct == brute
     # Kronecker: h = 0 exactly on cyclotomics (irreducible corpus members)
     from zetaheights.algebra import cyclotomic_polynomial

@@ -14,7 +14,8 @@ from zetaheights import (build_number_field, bz_disc_lower_bound,
 from zetaheights.algebra import IntPolynomial
 from zetaheights.errors import (DomainError, NotUniformSplittingError,
                                OverrideRequiredError)
-from zetaheights.fields import coefficient_array, is_irreducible, norm_counts
+from zetaheights.fields import (_split_index_prime, coefficient_array, is_irreducible,
+                                norm_counts)
 from zetaheights.primes import sieve_primes
 from zetaheights.table1 import ROWS
 
@@ -179,6 +180,42 @@ def test_scaled_generator_index_closed_form(text, q):
     n = K.n_K
     assert L.index == q ** (n * (n - 1) // 2) * K.index
     assert L.field_disc == K.field_disc
+
+
+@pytest.mark.parametrize("text", [row[0] for row in KNOWN_FIELDS] + [
+    text for text in SCALED_BASES if P(text).degree >= 7])
+def test_idempotent_split_matches_dedekind_off_the_index(text):
+    """The Berlekamp split holds at every prime, not only above the index:
+    off the index it must give Dedekind's shape, at p = 2 and at inert,
+    split and ramified primes alike."""
+    K = build_number_field(P(text))
+    for p in sieve_primes(100).tolist():
+        if K.index % p:
+            assert _split_index_prime(K, p) == prime_splitting(K, p).factors, p
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -5])
+def test_splitting_needs_a_prime(p):
+    """A p that is not prime raises DomainError, even where an override
+    names it, instead of hanging or failing deep inside the arithmetic."""
+    for text in ("x^2+1", "x^3+3*x+213"):
+        f = P(text)
+        K = build_number_field(f)
+        with pytest.raises(DomainError, match="prime"):
+            prime_splitting(K, p)
+        with pytest.raises(DomainError, match="prime"):
+            prime_splitting(K, p, override={p: [(1, K.n_K)]})
+        with pytest.raises(DomainError, match="prime"):
+            variance_profile(f, K, p)
+
+
+def test_variance_profile_reads_the_field_of_its_polynomial():
+    """5 is inert in Q(sqrt(-3)) and splits in Q(i): x^2+3 is not the
+    polynomial of Q(i), so its profile there is refused."""
+    K = build_number_field(P("x^2+1"))
+    with pytest.raises(DomainError, match="defining polynomial"):
+        variance_profile(P("x^2+3"), K, 5)
+    assert variance_profile(P("x^2+1"), K, 5).q == 5
 
 
 def _times_mod(u, v, f):

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, no import inside a function, no
 private helper (nor any intlinalg function) that nothing
 in the package calls, no RunConfig field that nothing reads or that the
-README does not name, no scipy at run time, no cache keyed by a
-field or a zero list, and no comparison against a kernel's name."""
+README does not name, no scipy at run time, no random numbers, no cache
+keyed by a field or a zero list, and no comparison against a kernel's
+name."""
 
 import ast
 import subprocess
@@ -116,6 +117,26 @@ def test_no_scipy_import_in_the_package():
                  alias.name.split(".")[0] == "scipy" for alias in node.names)
              or isinstance(node, ast.ImportFrom) and node.level == 0
              and (node.module or "").split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_no_random_numbers_in_the_package():
+    """No module imports random or reads numpy.random, so every result is
+    the same on every run without a seed to fix."""
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                dotted = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(d.split(".")[0] == "random" or d.split(".")[:2] in (
+                    ["numpy", "random"], ["np", "random"]) for d in dotted):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

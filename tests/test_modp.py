@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import nextprime, prevprime
 
-from zetaheights import factor_mod_p, modp
+from zetaheights import modp
 from zetaheights.algebra import IntPolynomial, discriminant, parse_polynomial
 from zetaheights.errors import DomainError, LeadingCoeffVanishesError
 from zetaheights.modp import (batch_root_counts, factor_shape_mod_p, pgcd, pmul,
@@ -23,26 +23,15 @@ def brute_force_roots(f, p):
 
 def test_factor_examples():
     f = parse_polynomial("x^2+1")
-    got = factor_mod_p(f, 5)
-    assert [(g.coefficients, m) for g, m in got] == [((2, 1), 1), ((3, 1), 1)]
-    got2 = factor_mod_p(f, 2)
-    assert [(g.coefficients, m) for g, m in got2] == [((1, 1), 2)]
-    cubic = parse_polynomial("x^3+3*x+213")
-    got3 = factor_mod_p(cubic, 2)
-    assert [(g.coefficients, m) for g, m in got3] == [((1, 1, 0, 1), 1)]
+    assert factor_shape_mod_p(f, 5) == [(1, 1), (1, 1)]
+    assert factor_shape_mod_p(f, 2) == [(1, 2)]
+    assert factor_shape_mod_p(parse_polynomial("x^3+3*x+213"), 2) == [(3, 1)]
 
 
 def test_factor_leading_coeff_vanishes():
     f = IntPolynomial.from_coefficients([1, 1, 5])
     with pytest.raises(LeadingCoeffVanishesError):
-        factor_mod_p(f, 5)
-
-
-def test_factor_deterministic():
-    f = parse_polynomial("x^6+2*x^4+3*x+1")
-    a = factor_mod_p(f, 101)
-    b = factor_mod_p(f, 101)
-    assert a == b
+        factor_shape_mod_p(f, 5)
 
 
 def test_linear_factor_count_matches_brute_force():
@@ -54,43 +43,27 @@ def test_linear_factor_count_matches_brute_force():
         coeffs = [rng.randint(-40, 40) for _ in range(deg)] + [1]
         f = IntPolynomial.from_coefficients(coeffs)
         for p in primes:
-            roots = brute_force_roots(f, p)
-            factors = factor_mod_p(f, p)
-            distinct = sum(1 for g, _m in factors if g.degree == 1)
-            assert distinct == len(roots)
-            root_set = {(-g.coefficients[0]) % p
-                        for g, _m in factors if g.degree == 1}
-            assert root_set == set(roots)
-
-
-@given(st.lists(st.integers(-20, 20), min_size=2, max_size=7),
-       st.sampled_from([2, 3, 5, 7, 11, 13]))
-@settings(max_examples=150, deadline=None)
-def test_factor_product_reconstructs(tail, p):
-    coeffs = tail + [1]
-    f = IntPolynomial.from_coefficients(coeffs)
-    if f.degree < 1:
-        return
-    factors = factor_mod_p(f, p)
-    prod = [1]
-    for g, mult in factors:
-        gp = reduce_mod(g, p)
-        for _ in range(mult):
-            prod = pmul(prod, gp, p)
-    assert prod == reduce_mod(f, p)
-    assert sum(g.degree * m for g, m in factors) == f.degree
+            distinct = sum(1 for d, _m in factor_shape_mod_p(f, p) if d == 1)
+            assert distinct == len(brute_force_roots(f, p))
 
 
 def test_factor_shape_agrees_with_full_factorization():
+    """The shape against sympy's factorization mod p, at the primes dividing
+    the discriminant (where f mod p has repeated factors) as well."""
+    from sympy import Poly, symbols
+    x = symbols("x")
     rng = random.Random(5)
     for _ in range(30):
         deg = rng.randint(1, 7)
         coeffs = [rng.randint(-30, 30) for _ in range(deg)] + [1]
         f = IntPolynomial.from_coefficients(coeffs)
-        for p in (2, 3, 7, 19, 31):
+        disc = discriminant(f)
+        bad = [p for p in sieve_primes(100).tolist() if disc and disc % p == 0]
+        for p in sorted({2, 3, 7, 19, 31, 1000003, *bad}):
             shape = factor_shape_mod_p(f, p)
-            full = sorted((g.degree, m) for g, m in factor_mod_p(f, p))
-            assert shape == full
+            full = sorted((g.degree(), m) for g, m in
+                          Poly(coeffs[::-1], x, modulus=p).factor_list()[1])
+            assert shape == full, (coeffs, p)
 
 
 def test_batch_root_counts_vs_brute_force():
