@@ -24,10 +24,12 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if not 0 < self.scan_step <= 0.05:  # also rejects nan
-            raise UsageError("scan_step must lie in (0, 0.05]")
-        if self.prime_cutoff < 2:
-            raise UsageError("prime_cutoff must be >= 2")
+        # the floor keeps locate_zeros' finest grid, three halvings at
+        # T = 40, within 3.2e6 points
+        if not 1e-4 <= self.scan_step <= 0.05:  # also rejects nan
+            raise UsageError("scan_step must lie in [1e-4, 0.05]")
+        if not (isinstance(self.prime_cutoff, int) and self.prime_cutoff >= 2):
+            raise UsageError("prime_cutoff must be an integer >= 2")
         if self.format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
 
@@ -58,8 +60,11 @@ def _coerce(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(float(raw)) if ("e" in raw or "." in raw) else int(raw)
+        if kind == "int":  # 1e6 is an int; 2.7 is not
+            value = float(raw) if ("e" in raw or "." in raw) else int(raw)
+            if value != int(value):
+                raise ValueError
+            return int(value)
         if kind == "float":
             return float(raw)
     except (ValueError, OverflowError):

@@ -14,7 +14,7 @@ class ZeroPolynomialError(ZetaHeightsError, ValueError):
 
 
 class NonConvergenceError(ZetaHeightsError, RuntimeError):
-    """Root iteration failed to meet its residual target within the cap."""
+    """A polished root failed its residual certificate."""
 
 
 class LeadingCoeffVanishesError(ZetaHeightsError, ValueError):

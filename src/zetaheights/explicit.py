@@ -271,20 +271,15 @@ def _gk15(fn, a, b):
 def _quad(fn, a, b, tol=1e-12):
     """int_a^b fn by globally adaptive 7-15 Gauss-Kronrod: bisect the
     interval of largest error estimate until the summed estimate is within
-    max(tol, 1e-11 |integral|) or 400 intervals are held. For b = inf the
-    substitution x = a + (1 - t) / t maps the integral onto t in (0, 1].
-    fn maps an array of nodes to an array of values, as in _gk15."""
-    if b == math.inf:
-        g, a, b = (lambda t, a=a: fn(a + (1.0 - t) / t) / (t * t)), 0.0, 1.0
-    else:
-        g = fn
-    val, err = _gk15(g, a, b)
+    max(tol, 1e-11 |integral|) or 400 intervals are held. fn maps an array
+    of nodes to an array of values, as in _gk15."""
+    val, err = _gk15(fn, a, b)
     heap = [(-err, a, b, val)]
     while err > max(tol, 1e-11 * abs(val)) and len(heap) < 400:
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for x0, x1 in ((lo, mid), (mid, hi)):
-            v, e = _gk15(g, x0, x1)
+            v, e = _gk15(fn, x0, x1)
             heapq.heappush(heap, (-e, x0, x1, v))
         val = math.fsum(piece[3] for piece in heap)
         err = -sum(piece[0] for piece in heap)
@@ -515,13 +510,10 @@ def aux_functions(y: float) -> AuxFunctions:
     """g, G, F1, the field-independent F2 integral, and H at parameter y,
     cached by y."""
     kind = gaussian(y)
-    pref = 1.0 / (2.0 * math.sqrt(math.pi) * y ** 1.5)
-    kern = lambda t: np.exp(-t * t / (4.0 * y))
-    g_val = pref * (
-        _quad(lambda t: t * t * kern(t) * np.log(t), 2.0, np.inf)
-        - math.log(2.0 * math.pi * math.e) * _quad(lambda t: t * t * kern(t), 2.0, np.inf)
-        - HSW_LOG_COEFF * math.pi * _quad(lambda t: t * kern(t) * np.log(t), 2.0, np.inf)
-        - HSW_DEGREE_COEFF * math.pi * _quad(lambda t: t * kern(t), 2.0, np.inf))
+    # g is the n_K coefficient of the zero tail above t = 2 through the
+    # counting window's lower edge, less its constant HSW_CONST
+    g_val = kind.zero_tail(lambda t: _counting_main(1, 0.0, t)
+                           - _counting_err(1, 0.0, t) + HSW_CONST, 2.0)
     G_val = math.erfc(1.0 / math.sqrt(y))
     f1 = (2.0 / math.sqrt(math.pi * y) * math.exp(-1.0 / y)
           + G_val

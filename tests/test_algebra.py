@@ -1,12 +1,16 @@
 """Exact polynomial algebra: parsing, discriminants, roots, heights."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetaheights
 from zetaheights.algebra import (IntPolynomial, complex_roots,
                                  cyclotomic_polynomial, discriminant,
                                  height_profile, is_root_of_unity,
@@ -35,6 +39,13 @@ def test_parse_rejects_zero():
 def test_parse_negative_and_parens():
     assert parse_polynomial("-x^2+2").coefficients == (2, 0, -1)
     assert parse_polynomial("x*(x+1)").coefficients == (0, 1, 1)
+
+
+def test_parse_refuses_degree_above_64_before_expanding():
+    assert parse_polynomial("(x+1)^64").degree == 64
+    for text in ("x^100000", "(x+1)^16000", "x^64*x", "(x^8+1)^9"):
+        with pytest.raises(SyntaxError, match="above 64"):
+            parse_polynomial(text)
 
 
 def test_parse_rejects_garbage():
@@ -312,6 +323,90 @@ def test_poly_divmod_exact_recovers_quotient_and_remainder(q, g_tail, lead, r, b
     x_power = IntPolynomial(tuple([0] * (len(g) - 1) + [1]))
     with pytest.raises(ValueError):
         poly_divmod_exact(x_power, bad)
+
+
+def test_discriminant_and_sturm_against_sympy_with_repeated_factors():
+    """discriminant and sturm_real_root_count, which read one Euclid chain,
+    against sympy's discriminant and count of distinct real roots, on
+    non-monic products of repeated factors with a cofactor that may share
+    one of them."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(23)
+    for _ in range(80):
+        factors = [[rng.randint(-6, 6) for _ in range(rng.randint(1, 2))]
+                   + [rng.choice([1, -1, 2, 3, -5])] for _ in range(rng.randint(1, 3))]
+        coeffs = [rng.choice([1, -2, 3, 7])]
+        for factor in factors:
+            for _ in range(rng.randint(1, 2)):
+                coeffs = _times(coeffs, factor)
+        coeffs = _times(coeffs, rng.choice(factors + [[rng.randint(-9, 9), 1], [1]]))
+        f = IntPolynomial.from_coefficients(coeffs)
+        poly = sympy.Poly(list(reversed(f.coefficients)), x)
+        assert discriminant(f) == int(sympy.discriminant(poly.as_expr(), x)), f.text()
+        want = len(poly.real_roots(multiple=False, radicals=False))
+        assert sturm_real_root_count(f) == want, f.text()
+
+
+def _mignotte(n, a):
+    """x^n - 2 (a x - 1)^2, with two roots near 1/a within 2 a^{-(n+2)/2}."""
+    return [-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1]
+
+
+def _product(*factors):
+    out = [1]
+    for factor in factors:
+        out = _times(out, factor)
+    return out
+
+
+HARD_ROOT_CASES = (
+    [(f"mignotte-{n}-{a}", _mignotte(n, a))
+     for n in range(4, 9) for a in (10, 100, 1000, 10 ** 4)]
+    + [("wilkinson-8", _product(*[[-k, 1] for k in range(1, 9)])),
+       ("pair-1e8", _product([1 - 10 ** 8, 1], [-1 - 10 ** 8, 1])),
+       ("triple-1e6", _product([1 - 10 ** 6, 1], [-10 ** 6, 1], [-1 - 10 ** 6, 1]))])
+
+
+@pytest.mark.parametrize("coeffs", [c for _, c in HARD_ROOT_CASES],
+                         ids=[name for name, _ in HARD_ROOT_CASES])
+def test_complex_roots_against_mpmath_on_hard_polynomials(coeffs):
+    """Clustered and ill-conditioned roots pass the residual certificate
+    and lie within 1e-4 relative of mpmath's 60-digit roots, matched
+    nearest to nearest; the triple cluster near 10^6 is the worst, near
+    1e-5."""
+    mpmath = pytest.importorskip("mpmath")
+    got = complex_roots(IntPolynomial(tuple(coeffs))).roots
+    with mpmath.workdps(60):
+        left = [complex(z) for z in mpmath.polyroots(coeffs[::-1], maxsteps=500,
+                                                     extraprec=500)]
+    assert len(got) == len(left)
+    for z in got:
+        ref = left.pop(min(range(len(left)), key=lambda k: abs(left[k] - z)))
+        assert abs(z - ref) <= 1e-4 * abs(ref), (z, ref)
+
+
+def test_roots_identical_across_blas_thread_counts():
+    """Roots are LAPACK eigenvalues: complex_roots and height_profile print
+    the same reprs in fresh interpreters under OPENBLAS_NUM_THREADS=1 and 2."""
+    corpus = ["x^2+1", "x^3+3*x+213", "x^5+42", "x^3-x^2-2*x-8", "x^6+65",
+              "x^8+3*x^7-x^6+3*x^5-2*x^4+3*x^3-3*x^2-2*x+2", "x^2-2*x+1"]
+    corpus += [",".join(map(str, c)) for _, c in HARD_ROOT_CASES[::3]]
+    corpus += [",".join(map(str, cyclotomic_polynomial(k).coefficients))
+               for k in (7, 15, 24, 40)]
+    code = ("import sys\n"
+            "from zetaheights.algebra import complex_roots, height_profile, parse_polynomial\n"
+            "for text in sys.argv[1:]:\n"
+            "    f = parse_polynomial(text)\n"
+            "    print(repr(complex_roots(f)), repr(height_profile(f)))\n")
+    src = os.path.dirname(os.path.dirname(zetaheights.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", code, *corpus], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outs[0].count("RootSet") == len(corpus)
+    assert outs[0] == outs[1]
 
 
 def test_squarefree_part_matches_sympy_sqf_list():

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from zetaheights.cli import main
+from zetaheights.config import RunConfig, load_config
+from zetaheights.errors import UsageError
 
 
 def run_cli(args, tmp_path):
@@ -47,6 +49,12 @@ def test_zero_polynomial_exit_3(tmp_path, capsys):
 
 def test_reducible_exit_3(tmp_path, capsys):
     assert run_cli(["invariants", "x^2-1"], tmp_path) == 3
+    assert not any(tmp_path.iterdir())
+
+
+def test_degree_above_64_exit_3(tmp_path, capsys):
+    assert run_cli(["invariants", "x^100000"], tmp_path) == 3
+    assert "above 64" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -200,14 +208,33 @@ def test_bad_config_key_exit_64(tmp_path, capsys):
     ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=0"],
     ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=-5"],
     ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=1e400"],
-], ids=["scan-nan", "scan-inf", "cutoff-1", "cutoff-0", "cutoff-neg", "cutoff-overflow"])
+    ["bound", "northcott", "x^2+1", "--set", "prime_cutoff=2.7"],
+    ["zeros", "x^2+1", "--set", "scan_step=1e-9"],
+], ids=["scan-nan", "scan-inf", "cutoff-1", "cutoff-0", "cutoff-neg", "cutoff-overflow",
+        "cutoff-fraction", "scan-tiny"])
 def test_bad_knob_value_exit_64(tmp_path, capsys, argv):
-    """A non-finite scan_step or a prime_cutoff below 2 is a usage error,
-    caught before any work, with nothing written."""
+    """A scan_step outside [1e-4, 0.05], or a prime_cutoff that is not an
+    integer >= 2, is a usage error, caught before any work, with nothing
+    written."""
     out = tmp_path / "o"
     assert main(argv + ["--output-dir", str(out)]) == 64
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [{"prime_cutoff": 2.7}, {"scan_step": 1e-9},
+                                    {"scan_step": 9.9e-5}])
+def test_run_config_refuses_fractional_cutoff_and_tiny_step(values):
+    """2.7 is not a prime cutoff, and below 1e-4 the finest scan grid at
+    T = 40 would pass 3.2e6 points."""
+    with pytest.raises(UsageError):
+        RunConfig(**values)
+
+
+def test_integral_cutoff_spellings_accepted():
+    assert load_config(None, {"prime_cutoff": "1e6"}).prime_cutoff == 10 ** 6
+    assert load_config(None, {"prime_cutoff": "2.0"}).prime_cutoff == 2
+    assert RunConfig(scan_step=1e-4).scan_step == 1e-4
 
 
 @pytest.mark.parametrize("how", ["file", "set"])

@@ -267,19 +267,32 @@ def test_prime_sums_reject_cutoff_below_two(ctx, X):
 
 
 def test_quad_closed_forms():
-    """The adaptive 7-15 rule on a smooth integral, a kinked one and a
-    half-line Gaussian moment, each against its closed form."""
+    """The adaptive 7-15 rule on a smooth integral and a kinked one, each
+    against its closed form."""
     from zetaheights.explicit import _quad
     assert _quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12, abs=0)
     # max(1/2, e^{-t}) kinks at t = log 2
     kinked = _quad(lambda t: np.maximum(0.5, np.exp(-t)), 0.0, 3.0)
     assert kinked == pytest.approx(2.0 - 0.5 * math.log(2.0), rel=1e-11, abs=0)
-    for y in (0.05, 0.2, 1.0):
-        a = 1.0 / (4.0 * y)
-        closed = (2.0 * math.exp(-4.0 * a) / (2.0 * a)
-                  + math.sqrt(math.pi / a) * math.erfc(2.0 * math.sqrt(a)) / (4.0 * a))
-        got = _quad(lambda t: t * t * np.exp(-a * t * t), 2.0, math.inf)
-        assert got == pytest.approx(closed, rel=1e-11, abs=0), y
+
+
+@pytest.mark.parametrize("y", [0.05, 0.212, 0.5, 1.0])
+def test_aux_g_against_four_moments(y):
+    """g, read off the Gaussian zero tail, against its four half-line
+    moments of e^{-t^2/4y} above t = 2, each by scipy's quad."""
+    from scipy.integrate import quad
+    from zetaheights.explicit import HSW_DEGREE_COEFF, HSW_LOG_COEFF
+
+    def moment(fn):
+        return quad(lambda t: fn(t) * math.exp(-t * t / (4.0 * y)), 2.0, math.inf,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    four = (moment(lambda t: t * t * math.log(t))
+            - math.log(2.0 * math.pi * math.e) * moment(lambda t: t * t)
+            - HSW_LOG_COEFF * math.pi * moment(lambda t: t * math.log(t))
+            - HSW_DEGREE_COEFF * math.pi * moment(lambda t: t))
+    expected = four / (2.0 * math.sqrt(math.pi) * y ** 1.5)
+    assert aux_functions(y).g == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_quad_raises_where_its_estimate_fails():
