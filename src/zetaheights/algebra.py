@@ -126,10 +126,32 @@ _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
                   ast.USub, ast.UAdd, ast.Load)
 
 
+MAX_COEFF_BITS = 4096  # largest bound on a parsed power's coefficients, in bits
+
+
 def _check_degree(degree):
     """Refuse, before expanding it, a product or power past degree 64."""
     if degree > 64:
         raise SyntaxError(f"degree {degree} is above 64, the largest parsed")
+
+
+def _power(base, e):
+    """base^e by repeated squaring, refused before any multiplication past
+    degree 64 or where its coefficients' bound ||base||_1^e passes
+    2^MAX_COEFF_BITS."""
+    _check_degree((len(base) - 1) * e)
+    norm = sum(abs(c) for c in base)
+    if norm > 1 and e * math.log2(norm) > MAX_COEFF_BITS:
+        raise SyntaxError(f"a power with coefficients up to 2^{e * math.log2(norm):.0f}"
+                          f" is above 2^{MAX_COEFF_BITS}, the largest parsed")
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mul(out, base)
+        e >>= 1
+        if e:
+            base = _mul(base, base)
+    return out
 
 
 def _expr_to_coeffs(node):
@@ -157,11 +179,7 @@ def _expr_to_coeffs(node):
             if not (isinstance(node.right, ast.Constant)
                     and isinstance(node.right.value, int) and node.right.value >= 0):
                 raise SyntaxError("exponent must be a nonnegative integer literal")
-            _check_degree((len(base) - 1) * node.right.value)
-            out = [1]
-            for _ in range(node.right.value):
-                out = _mul(out, base)
-            return out
+            return _power(base, node.right.value)
         left = _expr_to_coeffs(node.left)
         right = _expr_to_coeffs(node.right)
         if isinstance(node.op, (ast.Add, ast.Sub)):
@@ -181,7 +199,9 @@ def parse_polynomial(text: str) -> IntPolynomial:
     """Parse a comma-separated coefficient list or an expression in x.
 
     Grammar: ``poly := csv | expr`` with csv = ascending integers and expr
-    over the variable x using + - * ^ and integer literals.
+    over the variable x using + - * ^ and integer literals. SyntaxError,
+    before expanding it, for a product or power past degree 64 or a power
+    whose coefficients may pass 2^MAX_COEFF_BITS.
     """
     text = text.strip()
     if not text:

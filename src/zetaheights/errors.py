@@ -61,11 +61,14 @@ class InconsistentResidueError(ZetaHeightsError, RuntimeError):
 
 
 class IncompleteZeroSetError(ZetaHeightsError, RuntimeError):
-    """Zero scan not certified complete: |S| on the argument count's path
-    falls to rounding, or the scan's count differs from the argument
-    principle's after all rescans. From locate_zeros,
+    """Zero scan not certified complete: |S| on the argument count's top
+    edge falls to rounding; the evaluator's phase at 3/2 + iT leaves the
+    Euler product's by more than its tail; the count's Delta / pi lies too
+    far from an integer for the tail to fix it; or the scan's count differs
+    from the argument principle's after all rescans. From locate_zeros,
     ``diagnostics["attempts"]`` holds one report per attempt; from
-    argument_count alone, ``diagnostics["argument"]`` holds the count's own.
+    argument_count alone, ``diagnostics["argument"]`` holds the count's own,
+    with its Euler cutoff X, tail bound, gap and rounding.
     """
 
     def __init__(self, message, diagnostics=None):

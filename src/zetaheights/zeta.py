@@ -18,8 +18,11 @@ log-n grid, fine enough for the band-limited W.
 
 Zeros on the critical line are located as sign changes of Z(t) = S(1/2 + it)
 on a grid, every bracket of a grid bisected at once (one hardy call per
-halving), and certified complete by an argument-principle count. Every sum
-over the located zeros goes through ZeroList.kernel_sum.
+halving), and certified complete by an argument-principle count. That count
+takes the phase of S up sigma = 3/2 in closed form, its zeta_K part from the
+Euler product over the field's norm table (Backlund's method), and calls
+the evaluator only across the top edge 3/2 + iT -> 1/2 + iT. Every sum over
+the located zeros goes through ZeroList.kernel_sum.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .config import RunConfig, default_config
 from .errors import (DomainError, GridMissError, InconsistentResidueError,
                      IncompleteZeroSetError)
-from .fields import NumberField, coefficient_array
+from .fields import NumberField, coefficient_array, norm_counts
 
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
@@ -48,8 +51,9 @@ CONTOUR_HALFWIDTH_LOG = 48.0  # the contour ends where the Gamma factors decay b
 PANEL_WIDTH = 0.25  # Gauss-Legendre panel width in tau = log x
 PANEL_ORDER = 16  # nodes per panel
 BISECT_TOL = 1e-9  # bracket width of a located zero
-ARG_STEP = 0.1  # longest step of the argument count's path
-ARG_NOISE = 1e-12  # |S| / R below which rounding can turn the path's phase
+ARG_STEP = 0.1  # longest step along the argument count's top edge
+ARG_NOISE = 1e-12  # |S| / R below which rounding can turn the top edge's phase
+ARG_TAIL = math.pi / 8  # the count's bound on its Euler product's tail, in rad
 # B_2k / (2k (2k-1)), k = 1..8: Stirling's series for log Gamma (A&S 6.1.40)
 STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
             1 / 156, -3617 / 122400)
@@ -555,36 +559,93 @@ def _bisect(ev: ZetaEvaluator, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray):
     return tuple((0.5 * (lo + hi)).tolist()), tuple((hi - lo).tolist()), taken
 
 
+def _euler_tail(n_K: int, X: int) -> float:
+    """Bound on |log zeta_K(s) - sum_{N p <= X} -log(1 - N p^{-s})| for
+    Re s = 3/2: at most n_K prime ideals have a given norm q, |log(1 - z)|
+    <= |z| / (1 - |z|), and sum_{q > X} q^{-3/2} <= 2 / sqrt(X)."""
+    return 2.0 * n_K / (math.sqrt(X) * (1.0 - X ** -1.5))
+
+
+def _euler_cutoff(n_K: int) -> int:
+    """The least X whose tail bound is at most ARG_TAIL, about 26 n_K^2."""
+    X = math.ceil((2.0 * n_K / ARG_TAIL) ** 2)  # 2 n_K / sqrt(X) alone
+    while _euler_tail(n_K, X) > ARG_TAIL:
+        X += 1
+    return X
+
+
+def _euler_phase(K: NumberField, T: float):
+    """(Im log zeta_K(3/2 + iT), X, tail): the continuous branch, 0 at T =
+    0, as Im sum_q -N_q log(1 - q^{-s}) over the prime powers q <= X of the
+    field's override-free norm table (Backlund, Acta Math. 41, 1918). Each
+    term's principal log is continuous, as |q^{-s}| < 1/2; the prime ideals
+    of norm past X move the value by at most tail."""
+    X = _euler_cutoff(K.n_K)
+    q, n = norm_counts(K, X)
+    keep = n > 0
+    terms = -np.log1p(-np.exp(-complex(1.5, T) * np.log(q[keep])))
+    return math.fsum(n[keep] * terms.imag), X, _euler_tail(K.n_K, X)
+
+
 def argument_count(ev: ZetaEvaluator, T: float) -> dict:
-    """N(T), the zeros of S with |Im s| < T, as 2/pi times the change of
-    arg S along 3/2 -> 3/2 + iT -> 1/2 + iT: a quarter of the rectangle
+    """N(T), the zeros of S with |Im s| < T, as 2/pi times the change Delta
+    of arg S along 3/2 -> 3/2 + iT -> 1/2 + iT: a quarter of the rectangle
     [-1/2, 3/2] x [-T, T], as S(s) = S(1-s) = conj S(conj s) (Turing;
-    Booker, Exp. Math. 15, 2006). One completed call takes equal steps of
-    at most ARG_STEP; one per round halves every step over which the phase
-    moves pi/4 or more. Returns {"count", "calls": points on the path,
-    "min_ratio": the path's least |S| / R}; IncompleteZeroSetError where
-    that falls below ARG_NOISE (rounding can turn the phase) or a step
-    below ARG_STEP 2^-30 moves pi/4."""
-    corners = (complex(1.5, 0.0), complex(1.5, T), complex(0.5, T))
-    path = np.concatenate([corners[:1]] + [
-        np.linspace(a, b, math.ceil(abs(b - a) / ARG_STEP) + 1)[1:]
-        for a, b in zip(corners, corners[1:])])
+    Booker, Exp. Math. 15, 2006). Up sigma = 3/2 the phase is read at its
+    end alone, as Im log s(s-1) + Im log gamma-hat(s) + Im log zeta_K(s),
+    the last from the Euler product (_euler_phase). Only the top edge 3/2
+    + iT -> 1/2 + iT calls completed: equal steps of at most ARG_STEP in
+    one call, then one per round halving every step over which the phase
+    moves pi/4 or more.
+
+    Returns {"count", "calls": points on the top edge, "min_ratio": their
+    least |S| / R, "X": the Euler product's cutoff, "tail": its bound,
+    "gap": the evaluator's arg S(3/2 + iT) less the series' phase, mod 2 pi,
+    "rounding": Delta / pi's distance from its integer}. Raises
+    IncompleteZeroSetError, with that report in diagnostics["argument"],
+    where min_ratio falls below ARG_NOISE (rounding can turn the phase) or
+    a step below ARG_STEP 2^-30 moves pi/4; where |gap| passes tail + 1e-6;
+    or where rounding passes 1/2 - tail / pi, past which the count could be
+    another. DomainError for T outside (0, MAX_HEIGHT]."""
+    if not 0.0 < T <= MAX_HEIGHT:
+        raise DomainError(f"T must lie in (0, {MAX_HEIGHT:g}]")
+    zeta_phase, X, tail = _euler_phase(ev.field, T)
+    s = complex(1.5, T)
+    phase = (math.atan2(T, 1.5) + math.atan2(T, 0.5)
+             + float(ev.gamma.log_gamma_hat(s).imag) + zeta_phase)
+    path = np.linspace(s, complex(0.5, T), math.ceil(1.0 / ARG_STEP) + 1)
     vals = ev.completed(path)
+    gap = float(np.angle(vals[0] * np.exp(-1j * phase)))
+    report = {"calls": len(path), "min_ratio": None, "X": X, "tail": tail, "gap": gap}
+
+    def refuse(why):
+        return IncompleteZeroSetError(f"argument count to T = {T:g} unresolved: {why}",
+                                      diagnostics={"argument": {"T": T, **report}})
+
     while True:
         least = float(np.abs(vals).min()) / ev.pole_term
+        report.update(calls=len(path), min_ratio=least)
         steps = np.angle(vals[1:] / vals[:-1])
         wide = np.flatnonzero(np.abs(steps) >= math.pi / 4.0)
         if least < ARG_NOISE or np.any(abs(np.diff(path)[wide]) <= ARG_STEP / 2**30):
-            raise IncompleteZeroSetError(
-                f"argument count to T = {T:g} unresolved: |S| falls to {least:.3g} R"
-                f" on its path, below the noise floor {ARG_NOISE:g} R", diagnostics={
-                    "argument": {"T": T, "calls": len(path), "min_ratio": least}})
+            raise refuse(f"|S| falls to {least:.3g} R on the top edge, below the "
+                         f"noise floor {ARG_NOISE:g} R")
         if not len(wide):
-            return {"count": 2 * round(float(steps.sum()) / math.pi),
-                    "calls": len(path), "min_ratio": least}
+            break
         mid = 0.5 * (path[wide] + path[wide + 1])
         path = np.insert(path, wide + 1, mid)
         vals = np.insert(vals, wide + 1, ev.completed(mid))
+    if not abs(gap) <= tail + 1e-6:
+        raise refuse(f"the gap between the evaluator's arg S(3/2 + iT) and the Euler "
+                     f"product's phase is {gap:.3g} rad, {abs(gap) - tail - 1e-6:.3g} "
+                     f"past its bound tail + 1e-6 = {tail + 1e-6:.3g}")
+    turns = (phase + math.fsum(steps.tolist())) / math.pi
+    report["rounding"] = off = abs(turns - round(turns))
+    if not off <= 0.5 - tail / math.pi:
+        raise refuse(f"Delta / pi = {turns:.6g} lies {off:.3g} from an integer, "
+                     f"{off - 0.5 + tail / math.pi:.3g} past 1/2 - tail / pi = "
+                     f"{0.5 - tail / math.pi:.3g}")
+    return {"count": 2 * round(turns), **report}
 
 
 def locate_zeros(ev: ZetaEvaluator, T: float) -> ZeroList:

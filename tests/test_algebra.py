@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetaheights
-from zetaheights.algebra import (IntPolynomial, complex_roots,
+from zetaheights.algebra import (MAX_COEFF_BITS, IntPolynomial, complex_roots,
                                  cyclotomic_polynomial, discriminant,
                                  height_profile, is_root_of_unity,
                                  mahler_inequality_margin, parse_polynomial,
@@ -46,6 +46,26 @@ def test_parse_refuses_degree_above_64_before_expanding():
     for text in ("x^100000", "(x+1)^16000", "x^64*x", "(x^8+1)^9"):
         with pytest.raises(SyntaxError, match="above 64"):
             parse_polynomial(text)
+
+
+def test_parse_refuses_large_constant_powers_at_once():
+    """A power whose coefficient bound passes 2^MAX_COEFF_BITS fails before
+    any multiplication; powers of 1 and -1 and the largest parsed ones
+    expand by repeated squaring."""
+    import time
+    for text in ("2^100000", "10^1000000000", f"2^{MAX_COEFF_BITS + 1}"):
+        start = time.perf_counter()
+        with pytest.raises(SyntaxError, match=f"above 2\\^{MAX_COEFF_BITS}"):
+            parse_polynomial(text)
+        assert time.perf_counter() - start < 0.1, text
+    assert parse_polynomial("1^1000000").coefficients == (1,)
+    assert parse_polynomial("(-1)^1000001").coefficients == (-1,)
+    assert parse_polynomial("2^64").coefficients == (2 ** 64,)
+    assert parse_polynomial(f"2^{MAX_COEFF_BITS}").coefficients == (2 ** MAX_COEFF_BITS,)
+    assert parse_polynomial("(x+1)^64").coefficients == tuple(
+        math.comb(64, k) for k in range(65))
+    assert parse_polynomial("(x^2-3*x+1)^13*(x+2)") == parse_polynomial(
+        "*".join(["(x^2-3*x+1)"] * 13 + ["(x+2)"]))
 
 
 def test_parse_rejects_garbage():

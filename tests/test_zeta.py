@@ -14,10 +14,11 @@ from zetaheights import (EXPONENTIAL, direct_series, gaussian, locate_zeros,
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import (ARG_STEP, MAX_HEIGHT, WGRID_STEP_FACTOR,
-                              ZeroList, ZetaEvaluator,
+from zetaheights.zeta import (ARG_STEP, ARG_TAIL, MAX_HEIGHT,
+                              WGRID_STEP_FACTOR, ZeroList, ZetaEvaluator,
                               _completeness_checks, _contour_halfwidth,
-                              _digamma, _hermite_pieces, _log_k0, _loggamma,
+                              _digamma, _euler_cutoff, _euler_phase,
+                              _euler_tail, _hermite_pieces, _log_k0, _loggamma,
                               _mellin_barnes_logw, argument_count)
 
 CATALAN = 0.915965594177219015054603514932
@@ -422,16 +423,12 @@ def test_hardy_and_completed_take_arrays(ctx, text):
     assert np.max(np.abs(z - [ev.hardy(t) for t in ts.tolist()])) <= tol
 
 
-def _refinement_depth(points, T):
-    """Halvings of the count's finest step below its equal ARG_STEP steps,
-    up 3/2 + i[0, T] and across [1/2, 3/2] + iT."""
-    depth = 0
-    for coords, length in ((points[points.real == 1.5].imag, T),
-                           (points[points.imag == T].real, 1.0)):
-        step = length / math.ceil(length / ARG_STEP)
-        finest = np.diff(np.unique(coords)).min()
-        depth = max(depth, round(math.log2(step / finest)))
-    return depth
+def _refinement_depth(points):
+    """Halvings of the count's finest step below its equal ARG_STEP steps
+    across the top edge [1/2, 3/2] + iT."""
+    step = 1.0 / math.ceil(1.0 / ARG_STEP)
+    finest = np.diff(np.unique(points.real)).min()
+    return round(math.log2(step / finest))
 
 
 @pytest.mark.parametrize("poly, T", [("x^2+1", 11.0), ("x^5+42", 2.0)])
@@ -453,8 +450,9 @@ def test_scans_and_counts_evaluate_whole_arrays(ctx, monkeypatch, poly, T):
     assert sum(map(len, seen["hardy"])) == zl.diagnostics["z_values"]
     assert len(seen["hardy"]) <= 1 + halvings + bisection_steps
     points = np.concatenate(seen["completed"])
+    assert np.all(points.imag == T)
     assert len(points) == zl.diagnostics["completeness"]["argument"]["calls"]
-    assert len(seen["completed"]) <= 1 + _refinement_depth(points, T)
+    assert len(seen["completed"]) <= 1 + _refinement_depth(points)
 
 
 def test_complex_roots_deterministic(ctx):
@@ -474,13 +472,14 @@ SESSION_HEIGHTS = {"x": 26.0, "x^2+1": 11.0, "x^2-x-1": 11.0, "x^2+x+1": 12.0,
 @pytest.mark.parametrize("poly", sorted(SESSION_HEIGHTS))
 def test_argument_count_matches_mpmath_zeros(ctx, poly):
     """N(T) from the argument principle against twice the number of mpmath
-    ordinates below T, at T = 2 and at the session height."""
+    ordinates below T, at T = 2 and at the session height, from under 20
+    and under 40 points on the top edge."""
     ordinates = json.loads(REFERENCE.read_text())["fields"][poly]["ordinates"]
     ev = ctx.evaluator(poly)
-    for T in (2.0, SESSION_HEIGHTS[poly]):
+    for T, most in ((2.0, 20), (SESSION_HEIGHTS[poly], 40)):
         got = argument_count(ev, T)
         assert got["count"] == 2 * sum(1 for t in ordinates if float(t) < T)
-        assert got["min_ratio"] >= 1e-6 and got["calls"] < 300
+        assert got["min_ratio"] >= 1e-6 and got["calls"] < most
 
 
 @pytest.mark.parametrize("poly, T", [("x^2+1", 30.0), ("x^4+1", 15.0)])
@@ -490,6 +489,114 @@ def test_argument_count_refuses_below_the_noise_floor(ctx, poly, T):
     with pytest.raises(IncompleteZeroSetError, match="noise floor") as info:
         argument_count(ctx.evaluator(poly), T)
     assert info.value.diagnostics["argument"]["min_ratio"] < 1e-12
+
+
+@pytest.mark.parametrize("n_K, X", enumerate(
+    (27, 104, 234, 416, 649, 934, 1272, 1661), start=1))
+def test_euler_cutoff_is_the_least_within_the_tail(n_K, X):
+    """X is the least integer with 2 n_K / (sqrt(X) (1 - X^{-3/2})) <= pi/8."""
+    assert _euler_cutoff(n_K) == X
+    assert _euler_tail(n_K, X) <= ARG_TAIL < _euler_tail(n_K, X - 1)
+
+
+@pytest.mark.parametrize("poly", ["x", "x^2+1"])
+@pytest.mark.parametrize("T", [2.0, 11.0, 26.0])
+@pytest.mark.parametrize("bound", [ARG_TAIL, 0.01])
+def test_euler_phase_matches_mpmath(ctx, monkeypatch, poly, T, bound):
+    """Im log zeta_K(3/2 + iT) from the Euler product to X lies within its
+    tail bound of mpmath's: zeta on Q, zeta L(s, chi_-4) on Q(i), at the
+    count's bound and at 0.01 (X = 40,000 and 160,000). Each factor's |log|
+    on sigma = 3/2 is below log zeta(3/2) < pi, so the principal logs are
+    the continuous branch."""
+    import mpmath as mp
+    from zetaheights import zeta
+    monkeypatch.setattr(zeta, "ARG_TAIL", bound)
+    phase, X, tail = _euler_phase(ctx.field(poly), T)
+    with mp.workdps(30):
+        s = mp.mpc(1.5, T)
+        want = mp.im(mp.log(mp.zeta(s)))
+        if poly == "x^2+1":
+            want += mp.im(mp.log(mp.dirichlet(s, [0, 1, 0, -1])))
+    assert abs(phase - float(want)) <= tail <= bound
+
+
+# the counts that arg S read from the evaluator along the whole path
+# 3/2 -> 3/2 + iT -> 1/2 + iT gave; None where |S| on the top edge falls
+# below the noise floor
+PINNED_COUNTS = [
+    ("x^3+18*x^2+312", 2.0, 2), ("x^3+3*x+213", 2.0, 4), ("x^4+3*x^2+30", 2.0, 6),
+    ("x^4+18*x^2+60", 2.0, 4), ("x^5+42", 2.0, 8), ("x^5+2*x^2+26", 2.0, 8),
+    ("x", 2.0, 0), ("x", 26.0, 6), ("x^2+1", 2.0, 0), ("x^2+1", 11.0, 4),
+    ("x^2-x-1", 2.0, 0), ("x^2-x-1", 11.0, 4), ("x^2+x+1", 2.0, 0),
+    ("x^2+x+1", 12.0, 4), ("x^4+1", 2.0, 0), ("x^4+1", 5.0, 4),
+    ("x^2+1", 20.0, 12), ("x^2+1", 22.0, 16), ("x^4+1", 10.0, 12),
+    ("x^4+1", 11.0, 16), ("x^3+3*x+213", 8.0, 18), ("x^7-2", 2.0, 4),
+    ("x^8-2", 2.0, 2), ("x^8+1", 2.0, 2), ("x^7-x-1", 2.0, 2),
+    ("x^2+1", 30.0, None), ("x^2+1", 40.0, None), ("x^4+1", 12.0, None),
+    ("x^4+1", 15.0, None),
+]
+
+
+@pytest.mark.parametrize("poly, T, count", PINNED_COUNTS)
+def test_argument_count_pinned(ctx, poly, T, count):
+    """The count with the phase on sigma = 3/2 from the Euler product equals
+    the whole-path count, from at most 20 points on the top edge; the
+    refusals stay at the noise floor."""
+    ev = ctx.evaluator(poly)
+    if count is None:
+        with pytest.raises(IncompleteZeroSetError, match="noise floor") as info:
+            argument_count(ev, T)
+        report = info.value.diagnostics["argument"]
+        assert report["min_ratio"] < 1e-12 and report["calls"] <= 20
+        return
+    got = argument_count(ev, T)
+    assert got["count"] == count
+    assert got["calls"] <= 20 and got["X"] == _euler_cutoff(ev.field.n_K)
+
+
+def test_rotated_evaluator_fails_the_gap(ctx, monkeypatch):
+    """S turned by e^{0.5i} leaves the top edge's steps as they were but
+    moves arg S(3/2 + iT) off the Euler product's phase by 0.5 rad, past
+    the tail bound: the count raises and names the gap."""
+    ev = ctx.evaluator("x^2+1")
+    true = argument_count(ev, 11.0)
+    completed = ZetaEvaluator.completed
+    monkeypatch.setattr(ZetaEvaluator, "completed",
+                        lambda self, s: completed(self, s) * np.exp(0.5j))
+    with pytest.raises(IncompleteZeroSetError, match="gap") as info:
+        argument_count(ev, 11.0)
+    report = info.value.diagnostics["argument"]
+    assert report["gap"] == pytest.approx(true["gap"] + 0.5, abs=1e-12)
+    assert report["T"] == 11.0 and report["tail"] == true["tail"]
+
+
+def test_top_edge_off_the_real_axis_fails_the_rounding(ctx, monkeypatch):
+    """S turned by e^{i (pi/2) (3/2 - sigma)} agrees with the Euler product
+    at 3/2 + iT but ends a quarter turn off the real axis at 1/2 + iT, so
+    Delta / pi lies 1/2 from an integer: the count raises and names it."""
+    ev = ctx.evaluator("x^2+1")
+    completed = ZetaEvaluator.completed
+    monkeypatch.setattr(ZetaEvaluator, "completed", lambda self, s: completed(
+        self, s) * np.exp(0.5j * math.pi * (1.5 - np.real(s))))
+    with pytest.raises(IncompleteZeroSetError, match="from an integer") as info:
+        argument_count(ev, 11.0)
+    report = info.value.diagnostics["argument"]
+    assert report["rounding"] == pytest.approx(0.5, abs=0.01)
+    assert abs(report["gap"]) <= report["tail"]
+
+
+def test_argument_count_rejects_height_outside_its_range(ctx, monkeypatch):
+    """T outside (0, MAX_HEIGHT], or nan, raises before any evaluation."""
+    ev = ctx.evaluator("x^2+1")
+    calls = []
+    completed = ZetaEvaluator.completed
+    monkeypatch.setattr(ZetaEvaluator, "completed",
+                        lambda self, s: calls.append(s) or completed(self, s))
+    for T in (math.nan, -5.0, 0.0, MAX_HEIGHT + 5.0, math.inf):
+        with pytest.raises(DomainError, match="T must lie in"):
+            argument_count(ev, T)
+    assert not calls
+    assert argument_count(ev, 1e-6)["count"] == 0
 
 
 @pytest.mark.parametrize("poly", TABLE_CUBIC_QUARTIC + TABLE_QUINTIC)
