@@ -13,9 +13,9 @@ import numpy as np
 
 from .algebra import IntPolynomial, height_profile, is_root_of_unity
 from .errors import DomainError
-from .explicit import (EULER_GAMMA, EXPONENTIAL, HSW_CONST, LOG_8PI,
-                       archimedean_side, aux_functions, density_tail,
-                       gaussian, prime_side, single_m_prime_sum)
+from .explicit import (EULER_GAMMA, EXPONENTIAL, LOG_8PI, archimedean_side,
+                       aux_functions, density_tail, gaussian, pairwise_sum,
+                       prime_side, single_m_prime_sum)
 from .fields import NumberField, norm_counts, uniform_splittings
 from .primes import sieve_primes
 from .reports import BoundReport, SMembership
@@ -49,7 +49,7 @@ def lehmer_grh_report(f: IntPolynomial, K: NumberField,
     n = K.n_K
     lhs = 2.0 * n * profile.weil_height
     disc_bound = DISC_ZERO_COEFF * (stats.lam - stats.N / 5.0)
-    report = BoundReport(
+    return BoundReport(
         theorem_id="lehmer-grh",
         lhs=lhs,
         rhs_terms={
@@ -68,7 +68,6 @@ def lehmer_grh_report(f: IntPolynomial, K: NumberField,
             "grh_conditional": True,
         },
     )
-    return report
 
 
 def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
@@ -119,20 +118,13 @@ def uncond_membership(K: NumberField | None, delta: float, epsilon: float,
             break
     aa = 0.0
     if witness is not None:
-        y_param = 1.0 / math.log(n)
-        lo = (1.0 - epsilon) * witness
-        aa = 2.0 * delta * math.fsum(
-            math.log(p) / math.sqrt(p) * math.exp(-y_param * math.log(p) ** 2)
-            for p in sieve_primes(witness).tolist() if lo < p <= witness)
+        p = sieve_primes(witness)
+        p = p[p > (1.0 - epsilon) * witness]
+        aa = 2.0 * delta * pairwise_sum(
+            np.log(p) / np.sqrt(p) * np.exp(-(1.0 / math.log(n)) * np.log(p) ** 2))[0]
     return SMembership(delta=delta, epsilon=epsilon, witness_Y=witness,
                        qualifying_primes=qualifying, in_S=witness is not None,
                        aa_lower_bound=aa)
-
-
-def _gaussian_single_prime_sum(K: NumberField, X: int) -> float:
-    """The m = 1 Gaussian prime sum at Y_STAR to X plus its density tail."""
-    kind = gaussian(Y_STAR)
-    return single_m_prime_sum(K, kind, X) + density_tail(kind, X)
 
 
 def northcott_report(K: NumberField, zeros: ZeroList,
@@ -151,7 +143,8 @@ def northcott_report(K: NumberField, zeros: ZeroList,
     gauss_zero_sum = zeros.kernel_sum(
         lambda t: math.exp(-t * t / (4.0 * y)) - math.exp(-1.0 / y), below=2.0)
     aux = aux_functions(y)
-    prime_single = _gaussian_single_prime_sum(K, X)
+    ps = prime_side(K, gaussian(y), X)   # the m-sum for (c), its m = 1 sum for (a)
+    prime_single = ps.single_m + density_tail(gaussian(y), X)
     terms_a = {
         "constant": 2.0,
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N / n,
@@ -162,29 +155,20 @@ def northcott_report(K: NumberField, zeros: ZeroList,
                             * gauss_zero_sum / n)
     # proof-exact variant (c): every piece of the y = 0.212 inequality
     inv = 1.0 / (1.0 - aux.F1)
-    ps_full = prime_side(K, gaussian(y), X)
-    f2_full = (aux.F2_integral
-               + HSW_CONST * math.sqrt(math.pi / y) * math.exp(-1.0 / y))
     terms_c = {
         "main": (aux.H + EULER_GAMMA + LOG_8PI) * inv,
-        "dropped_O1": -(f2_full / n) * inv,
+        "dropped_O1": -(aux.F2 / n) * inv,
         "zero_term": inv * math.sqrt(math.pi / y) * gauss_zero_sum / n,
-        "prime_term": inv * ps_full.corrected / n,
+        "prime_term": inv * ps.corrected / n,
     }
-    report = BoundReport(
+    return BoundReport(
         theorem_id="northcott-disc-lower-bound",
         lhs=lhs,
         rhs_terms=terms_a,
         asymptotic_slack=True,
         notes={
-            "variants": {
-                "a": {"terms": terms_a,
-                      "margin": lhs - math.fsum(terms_a.values())},
-                "b": {"terms": terms_b,
-                      "margin": lhs - math.fsum(terms_b.values())},
-                "c": {"terms": terms_c,
-                      "margin": lhs - math.fsum(terms_c.values())},
-            },
+            "variants": {k: {"terms": t, "margin": lhs - math.fsum(t.values())}
+                         for k, t in (("a", terms_a), ("b", terms_b), ("c", terms_c))},
             "constant_checks": {
                 "2.032_is_2x1.016": NORTHCOTT_PRIME_COEFF == 2 * 1.016,
                 "one_over_1_minus_F1": inv,
@@ -193,7 +177,6 @@ def northcott_report(K: NumberField, zeros: ZeroList,
             "grh_conditional": True,
         },
     )
-    return report
 
 
 def corollary_S_check(f: IntPolynomial, K: NumberField, zeros: ZeroList,
@@ -201,7 +184,8 @@ def corollary_S_check(f: IntPolynomial, K: NumberField, zeros: ZeroList,
     """Membership test: zero + prime + index terms against log n_K."""
     n = K.n_K
     stats1 = zero_statistics(zeros, 1.0)
-    prime_single = _gaussian_single_prime_sum(K, X)
+    prime_single = (single_m_prime_sum(K, gaussian(Y_STAR), X)
+                    + density_tail(gaussian(Y_STAR), X))
     lhs_terms = {
         "zero_term": NORTHCOTT_ZERO_COEFF * stats1.N,
         "prime_term": 2.0 * prime_single,
@@ -255,7 +239,7 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
         remainder(+C1_BOUND, +C2_BOUND, +LEMMA46_CONST,
                   ps.value + ps.tail_bound),
     )
-    report = BoundReport(
+    return BoundReport(
         theorem_id="index-or-zeros",
         lhs=lhs,
         rhs_terms=terms,
@@ -285,7 +269,6 @@ def zeros_theorem_report(f: IntPolynomial, K: NumberField,
             "grh_conditional": True,
         },
     )
-    return report
 
 
 def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
@@ -298,7 +281,7 @@ def disc_bound2_report(K: NumberField, zeros: ZeroList) -> BoundReport:
     logn = math.log(n)
     zero_sum = zeros.kernel_sum(lambda t: n ** (-t * t / 4.0) - 1.0 / n, below=2.0)
     q, c = norm_counts(K, int(logn))
-    prime_sum = math.fsum(((c / n) * np.log(q) / np.sqrt(q)).tolist())
+    prime_sum = pairwise_sum((c / n) * np.log(q) / np.sqrt(q))[0]
     terms = {
         "euler_log8pi": EULER_GAMMA + LOG_8PI,
         "zero_term": math.sqrt(math.pi * logn) / n * zero_sum,

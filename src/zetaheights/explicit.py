@@ -8,12 +8,14 @@ the prime m-sum and its m = 1 term, the density tail and the prime tail.
 Both ledgers run through one identity body on the unnormalised form
 log d_K + archimedean_side - P, which the Gaussian ledger divides by n_K,
 and the bound reports read their archimedean terms from the same place.
-Asymptotic O(y)/o(1) shortcuts are replaced by exactly evaluated integrals
-so the identities close at finite parameters; zero-sum tails are bracketed
-two-sidedly through the explicit counting window.
-Integrands take arrays, one call per 15-node Gauss-Kronrod panel. The
-field-independent integrals are cached, and each field keeps one read of
-its prime powers with N_q > 0 on K.state for the prime sums.
+Zero-sum tails are bracketed two-sidedly through the explicit counting
+window. Every integral is exact: in closed form for the exponential kernel
+(its zero tail through the inverse tangent integral, its prime tail as a
+series) and for the Gaussian f-cosh integral, density and prime tails; the
+adaptive Gauss-Kronrod _quad serves only the Gaussian sinh and cosh
+integrals (cached) and zero tail. A prime sum is one numpy pass over the
+prime powers with N_q > 0, read once per field onto K.state: np.dot for
+the m-sum, numpy's pairwise np.sum, with its rounding bound, for m = 1.
 """
 
 from __future__ import annotations
@@ -68,13 +70,20 @@ class Exponential(_Kernel):
         return 2.0 / (1.0 + t * t)
 
     @staticmethod
-    def zero_tail(window, T):
-        # int_T^inf -phi' window in u = log t, where integrands decay at
-        # least like e^{-u} poly(u)
-        def integrand(u):
-            t = np.exp(u)
-            return 4.0 * t / (1.0 + t * t) ** 2 * window(t) * t
-        return _quad(integrand, math.log(T), math.log(T) + 120.0, tol=1e-11)
+    def zero_tail(c, floor, T):
+        """int_T^inf -phi'(t) max(floor, f(t)) dt, f = c . (1, log t, t, t log t)
+        a counting edge, in closed form for T >= 1: -phi' = 4t/(1+t^2)^2,
+        and f'' = n_K/(pi t) -+ 0.228 n_K/t^2 > 0, so f lies below the floor
+        on one interval [a, b] at most, whose ends (the kinks) are bisected
+        on either side of the minimum of f."""
+        f = lambda t: c[0] + c[1] * math.log(t) + (c[2] + c[3] * math.log(t)) * t - floor
+        slope = lambda t: c[1] / t + c[2] + c[3] * (math.log(t) + 1.0)
+        low = T if slope(T) >= 0.0 else _crossing(slope, T)
+        if f(low) >= 0.0:
+            return float(c @ _tail_moments(T))
+        a = T if f(T) <= 0.0 else _crossing(lambda t: -f(t), T, low)
+        at_T, at_a, at_b = (_tail_moments(t) for t in (T, a, _crossing(f, low)))
+        return float(c @ (at_T - at_a + at_b) + floor * (at_a[0] - at_b[0]))
 
     @staticmethod
     def integrals():
@@ -87,12 +96,14 @@ class Exponential(_Kernel):
                 "cosh_integral": arch.cosh_integral}
 
     @staticmethod
-    def msum(qs):
-        return 1.0 / (qs ** 1.5 - 1.0)
+    def single(qs):
+        return 1.0 / qs ** 1.5
 
     @staticmethod
-    def single_terms(weighted, qs):
-        return weighted / qs ** 1.5
+    def prime_terms(qs):
+        """Per q: the geometric m-sum 1/(q^{3/2} - 1) and its m = 1 term."""
+        q15 = qs ** 1.5
+        return 1.0 / (q15 - 1.0), 1.0 / q15
 
     @staticmethod
     def density_tail(X):
@@ -100,10 +111,15 @@ class Exponential(_Kernel):
 
     @staticmethod
     def prime_tail_h(X):
-        lx = math.log(X)
-        integral_h = _quad(lambda u: u * np.exp(u) / (np.exp(1.5 * u) - 1.0),
-                           lx, lx + 300.0, tol=1e-13)
-        return lx / (X ** 1.5 - 1.0), integral_h
+        # int_{log X}^inf u e^u/(e^{3u/2} - 1) du = sum_k int u e^{-a_k u} du,
+        # a_k = 3k/2 - 1, summed to the first term below 2^-54 of the total
+        lx, integral_h, k = math.log(X), 0.0, 1
+        while True:
+            a = 1.5 * k - 1.0
+            term = math.exp(-a * lx) * (lx / a + 1.0 / (a * a))
+            integral_h, k = integral_h + term, k + 1
+            if term < 2.0 ** -54 * integral_h:
+                return lx / (X ** 1.5 - 1.0), integral_h
 
 
 @dataclass(frozen=True)
@@ -126,11 +142,13 @@ class Gaussian(_Kernel):
     def phi_critical(self, t):
         return math.sqrt(math.pi / self.y) * math.exp(-t * t / (4.0 * self.y))
 
-    def zero_tail(self, window, T):
-        # int_T^inf -phi' window on the compact effective support of -phi'
+    def zero_tail(self, c, floor, T):
+        # int_T^inf -phi' max(floor, c . (1, log t, t, t log t)) on the
+        # compact effective support of -phi'
         y = self.y
         return _quad(lambda t: math.sqrt(math.pi / y) * (t / (2.0 * y))
-                     * np.exp(-t * t / (4.0 * y)) * window(t),
+                     * np.exp(-t * t / (4.0 * y)) * np.maximum(
+                         floor, c[0] + c[1] * np.log(t) + (c[2] + c[3] * np.log(t)) * t),
                      T, T + math.sqrt(4.0 * y * 250.0) + 5.0, tol=1e-13)
 
     def integrals(self):
@@ -146,24 +164,36 @@ class Gaussian(_Kernel):
                 "cosh_integral_scaled": (K.r1 / n) * arch.cosh_integral,
                 "f_cosh_over_n": arch.f_cosh_integral / n}
 
-    def msum(self, qs):
-        """sum_{m <= 400} q^{-m/2} F(m log q) per q. The terms fall in m, so
-        a q leaves once its term is at most 2^-54 of its total: under half
-        an ulp, it and every later term leave the total as is."""
+    def single(self, qs):
         logq = np.log(qs)
-        total = np.zeros_like(logq)
-        idx, active = np.arange(len(logq)), logq
-        for m in range(1, 401):
+        return np.exp(-0.5 * logq - self.y * logq ** 2)
+
+    def prime_terms(self, qs):
+        """Per q: sum_{m <= 400} q^{-m/2} F(m log q) and its m = 1 term. The
+        terms fall in m, so a q leaves once its term is at most 2^-54 of its
+        total: under half an ulp, it and every later term leave the total as
+        is. So every q whose exponent puts its m = 2 term below 2^-54/e of
+        the first leaves at once; the loop runs on the rest, totals in acc."""
+        logq = np.log(qs)
+        first = np.exp(-0.5 * logq - self.y * logq ** 2)
+        total = first.copy()
+        idx = np.flatnonzero(-0.5 * logq - 3.0 * self.y * logq ** 2
+                             > -54.0 * math.log(2.0) - 1.0)
+        active, acc = logq[idx], first[idx]
+        for m in range(2, 401):
             term = np.exp(-0.5 * m * active - self.y * (m * active) ** 2)
-            total[idx] += term
-            keep = term > 2.0 ** -54 * total[idx]
-            idx, active = idx[keep], active[keep]
+            acc = acc + term
+            keep = term > 2.0 ** -54 * acc
+            if not keep.all():
+                total[idx[~keep]] = acc[~keep]
+                idx, active, acc = idx[keep], active[keep], acc[keep]
             if not len(idx):
                 break
-        return total
+        total[idx] = acc
+        return total, first
 
-    def single_terms(self, weighted, qs):
-        return weighted / np.sqrt(qs) * np.exp(-self.y * np.log(qs) ** 2)
+    def msum(self, qs):
+        return self.prime_terms(qs)[0]
 
     def density_tail(self, X):
         # in u = log t, int_{log X}^inf e^{u/2 - y u^2} du = e^{1/16y}
@@ -208,17 +238,64 @@ def hsw_window(n_K: int, log_dK: float, T: float) -> HswWindow:
     """Two-sided window for N_K(T) from the explicit counting bound."""
     if T < 1.0:
         raise DomainError("window requires T >= 1")
-    return HswWindow(T=T, main_term=float(_counting_main(n_K, log_dK, T)),
-                     error_budget=float(_counting_err(n_K, log_dK, T)))
+    c, log_T = _counting_edge(n_K, log_dK, 1.0), math.log(T)
+    return HswWindow(T=T, main_term=float((c[2] + c[3] * log_T) * T),
+                     error_budget=float(c[0] + c[1] * log_T))
 
 
-def _counting_main(n_K, log_dK, t):
-    return (t / math.pi) * (log_dK + n_K * np.log(t / (2.0 * math.pi * math.e)))
+def _counting_edge(n_K, log_dK, sign):
+    """The coefficients of 1, log t, t and t log t in main(t) + sign err(t),
+    the explicit counting window's lower (sign -1) or upper (sign +1) edge
+    for N_K(t): main(t) = (t/pi)(log d_K + n_K log(t/2 pi e)) and err(t) =
+    0.228 (log d_K + n_K log t) + 23.108 n_K + 4.520."""
+    return np.array([sign * (HSW_LOG_COEFF * log_dK + HSW_DEGREE_COEFF * n_K + HSW_CONST),
+                     sign * HSW_LOG_COEFF * n_K,
+                     (log_dK - n_K * math.log(2.0 * math.pi * math.e)) / math.pi,
+                     n_K / math.pi])
 
 
-def _counting_err(n_K, log_dK, t):
-    return (HSW_LOG_COEFF * (log_dK + n_K * np.log(t))
-            + HSW_DEGREE_COEFF * n_K + HSW_CONST)
+def _crossing(fn, lo, hi=None):
+    """Where fn, increasing, turns positive, between lo (fn <= 0) and hi (or
+    the first 2^j lo with fn > 0), bisected until no double lies between."""
+    if hi is None:
+        hi = 2.0 * lo
+        while fn(hi) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if fn(mid) > 0.0 else (mid, hi)
+    return hi
+
+
+def _tail_moments(a):
+    """int_a^inf 4t/(1+t^2)^2 (1, log t, t, t log t) dt for a >= 1, with
+    pi/2 - arctan a written as arctan(1/a) and Ti2(a) = Ti2(1/a) +
+    (pi/2) log a, so that no term cancels at large a."""
+    inv, log_a, d = 1.0 / a, math.log(a), 1.0 + a * a
+    odd = math.atan(inv) + a / d
+    return np.array([2.0 / d, 2.0 * log_a / d + math.log1p(inv * inv), 2.0 * odd,
+                     2.0 * (log_a * odd + _ti2(inv) + math.atan(inv))])
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _ti2(x):
+    """Ti2(x) = int_0^x arctan(u)/u du, 0 < x <= 1: to 1/2 by its series
+    sum (-1)^k x^{2k+1}/(2k+1)^2 up to the first term below 2^-54 of the sum;
+    above by 16-point Gauss-Legendre on [0, x], whose error is at most
+    (64/15) (x/2) M rho^-32/(rho^2 - 1) < 1.2e-20 (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 19.3): arctan(u)/u is analytic
+    but at +-i, and below M = 1.46 on the ellipse rho = 4 about [0, 1]."""
+    if x > 0.5:
+        u = 0.5 * x * (_GL16[0] + 1.0)
+        return 0.5 * x * float(_GL16[1] @ (np.arctan(u) / u))
+    total, k, power = 0.0, 0, x
+    while True:
+        term = power / (2 * k + 1) ** 2
+        total += -term if k % 2 else term
+        if term < 2.0 ** -54 * total:
+            return total
+        k, power = k + 1, power * x * x
 
 
 # ----------------------------------------------------------------------
@@ -335,10 +412,27 @@ class PrimeSideResult:
     value: float          # truncated double sum over q <= X, m >= 1
     tail_bound: float     # rigorous bound via N_q <= n_K and psi(x) < 1.03883 x
     tail_estimate: float  # prime-counting estimate of the actual tail
+    single_m: float       # the m = 1 terms alone, undoubled: single_m_prime_sum
+    single_m_rounding: float  # bound on the rounding of single_m's summation
 
     @property
     def corrected(self) -> float:
         return self.value + self.tail_estimate
+
+
+def pairwise_sum(terms):
+    """np.sum(terms) and gamma_k sum |terms| (u = 2^-53, gamma_k = k u/(1 - k u)),
+    which bounds its rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 4.2) when no term passes more than k
+    additions. numpy halves a contiguous array longer than 128, its first
+    half a multiple of 8 long, and sums each block in 8 strided accumulators,
+    a tree of depth 3 and at most 7 leftovers: 24 additions at most (14 + 3
+    + 7 at 127 terms), so k = 24 + h for h halvings on the longest path."""
+    n, k = len(terms), 24
+    while n > 128:
+        n, k = n - (n // 2 - n // 2 % 8), k + 1
+    ku = k * 2.0 ** -53
+    return float(np.sum(terms)), ku / (1.0 - ku) * float(np.sum(np.abs(terms)))
 
 
 def _nonzero_counts(K: NumberField, X: int):
@@ -366,20 +460,21 @@ def prime_side(K: NumberField, kind: Exponential | Gaussian,
     tail_bound uses N_q <= n_K and the Chebyshev bound psi(x) < 1.03883 x;
     tail_estimate replaces the prime-counting measure by its density
     (theta_K(x) ~ x), which is what the closure identities consume.
+    single_m, the m = 1 sum, comes from the same per-q arrays.
     """
     qs, weights = _nonzero_counts(K, X)
-    value = 2.0 * float(np.dot(weights, kind.msum(qs))) if len(qs) else 0.0
-    return PrimeSideResult(value=value,
-                           tail_bound=kind.prime_tail_bound(K.n_K, X),
-                           tail_estimate=2.0 * kind.density_tail(X))
+    msum, single = kind.prime_terms(qs)
+    return PrimeSideResult(2.0 * float(np.dot(weights, msum)),
+                           kind.prime_tail_bound(K.n_K, X), 2.0 * kind.density_tail(X),
+                           *pairwise_sum(weights * single))
 
 
 def single_m_prime_sum(K: NumberField, kind: Exponential | Gaussian,
                        X: int) -> float:
     """sum_{q<=X} N_q log q q^{-1/2} F(log q): the prime side's m = 1
-    terms alone, undoubled and without a tail."""
-    qs, weighted = _nonzero_counts(K, X)
-    return math.fsum(kind.single_terms(weighted, qs).tolist())
+    terms alone, undoubled and without a tail: prime_side's single_m."""
+    qs, weights = _nonzero_counts(K, X)
+    return pairwise_sum(weights * kind.single(qs))[0]
 
 
 def density_tail(kind: Exponential | Gaussian, X: int) -> float:
@@ -422,15 +517,10 @@ def _identity(K: NumberField, zeros: ZeroList, kind: Exponential | Gaussian,
                   - ps.corrected) / scale
     located = zeros.kernel_sum(kind.phi_critical) / scale
     T, n_loc = max(zeros.T, 1.0), zeros.count_below(zeros.T)
-
-    def window(sign):
-        # N_K(t) at the window's lower (sign -1) or upper edge, never below n_loc
-        return lambda t: np.maximum(float(n_loc), _counting_main(
-            K.n_K, K.log_abs_disc, t) + sign * _counting_err(K.n_K, K.log_abs_disc, t))
-
-    # by parts: sum_{|t|>T} phi = -phi(T) n_loc + int_T^inf -phi' N_K
-    tail_lo, tail_hi = (-kind.phi_critical(T) * n_loc + kind.zero_tail(window(sign), T)
-                        for sign in (-1.0, 1.0))
+    # by parts: sum_{|t|>T} phi = -phi(T) n_loc + int_T^inf -phi' N_K, with
+    # N_K(t) at either edge of the window and never below n_loc
+    tail_lo, tail_hi = (-kind.phi_critical(T) * n_loc + kind.zero_tail(
+        _counting_edge(K.n_K, K.log_abs_disc, sign), float(n_loc), T) for sign in (-1.0, 1.0))
     bracket = (located + tail_lo / scale - ps.tail_bound / scale,
                located + tail_hi / scale + ps.tail_bound / scale)
     accepted = bracket[0] - slack <= arithmetic <= bracket[1] + slack
@@ -466,7 +556,7 @@ def identity_exponential(K: NumberField, zeros: ZeroList, X: int) -> IdentityLed
         raise DomainError("identity needs zeros located to T >= 2")
     ps = prime_side(K, EXPONENTIAL, X)
     # single-term rendering of the prime sum, kept as a labeled diagnostic
-    single = 2.0 * single_m_prime_sum(K, EXPONENTIAL, X)
+    single = 2.0 * ps.single_m
     return _identity(K, zeros, EXPONENTIAL, ps, 1, 1e-6,
                      {"prime_sum_truncated": ps.value,
                       "prime_tail_estimate": ps.tail_estimate,
@@ -502,6 +592,7 @@ class AuxFunctions:
     G_at_inv_sqrt_y: float
     F1: float
     F2_integral: float
+    F2: float   # F2_integral plus the HSW_CONST part of the zero tail g leaves out
     H: float
 
 
@@ -512,8 +603,8 @@ def aux_functions(y: float) -> AuxFunctions:
     kind = gaussian(y)
     # g is the n_K coefficient of the zero tail above t = 2 through the
     # counting window's lower edge, less its constant HSW_CONST
-    g_val = kind.zero_tail(lambda t: _counting_main(1, 0.0, t)
-                           - _counting_err(1, 0.0, t) + HSW_CONST, 2.0)
+    g_val = kind.zero_tail(_counting_edge(1, 0.0, -1.0) + [HSW_CONST, 0.0, 0.0, 0.0],
+                           -math.inf, 2.0)
     G_val = math.erfc(1.0 / math.sqrt(y))
     f1 = (2.0 / math.sqrt(math.pi * y) * math.exp(-1.0 / y)
           + G_val
@@ -521,4 +612,5 @@ def aux_functions(y: float) -> AuxFunctions:
     arch = archimedean_integrals(kind)
     return AuxFunctions(g=g_val, G_at_inv_sqrt_y=G_val, F1=f1,
                         F2_integral=arch.f_cosh_integral,
+                        F2=arch.f_cosh_integral + HSW_CONST * kind.phi_critical(2.0),
                         H=g_val - arch.sinh_integral)

@@ -598,9 +598,9 @@ def _extend_norm_table(K: NumberField, X: int):
 
     For a good prime p, one not dividing the polynomial discriminant, f mod
     p is squarefree and has g_k = sum over j | k of j N_{p^j} roots in
-    F_{p^k}. N_p = g_1 comes from one batched root count, kept from the old
-    table where it reaches, and N_{p^k} from one more per k >= 2 over the
-    good p with p^k <= X. The powers of any other prime hold -1 until
+    F_{p^k}. N_{p^k} is kept from the old table for p^k up to its limit,
+    and comes from one batched root count per k over the good p with p^k
+    beyond it and <= X. The powers of any other prime hold -1 until
     norm_counts splits it.
     """
     state = K.state
@@ -615,19 +615,17 @@ def _extend_norm_table(K: NumberField, X: int):
     q = np.sort(np.concatenate([primes, np.array(powers, dtype=np.int64)]))
     n = np.full(len(q), -1, dtype=np.int64)
     good = primes[~np.isin(primes, state.bad_primes)]
-    known = good <= state.norm_limit
-    counts = {1: np.empty(len(good), dtype=np.int64)}
-    counts[1][known] = state.norm_n[np.searchsorted(state.norm_q, good[known])]
-    counts[1][~known] = modp.batch_root_counts(f, good[~known])
-    pk, k = good, 1
-    while True:
+    pk, k, counts = good, 1, {}
+    while len(pk):
+        old = int(np.searchsorted(pk, state.norm_limit, side="right"))   # a prefix
+        counts[k] = np.empty(len(pk), dtype=np.int64)
+        counts[k][:old] = state.norm_n[np.searchsorted(state.norm_q, pk[:old])]
+        g = modp.batch_root_counts(f, good[old:len(pk)], None if k == 1 else pk[old:])
+        counts[k][old:] = (g - sum(j * counts[j][old:len(pk)]
+                                   for j in range(1, k) if k % j == 0)) // k
         n[np.searchsorted(q, pk)] = counts[k]
         m = int(np.count_nonzero(pk <= X // good[: len(pk)]))   # a prefix
-        if not m:
-            break
         pk, k = pk[:m] * good[:m], k + 1
-        g = modp.batch_root_counts(f, good[:m], pk)
-        counts[k] = (g - sum(j * counts[j][:m] for j in range(1, k) if k % j == 0)) // k
     state.norm_q, state.norm_n, state.norm_limit, state.primes = q, n, X, primes
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDiscriminantError, DegreeMismatchError, DomainError
+from .explicit import pairwise_sum
 from .fields import NumberField, build_number_field, norm_counts
 
 
@@ -69,7 +70,7 @@ def monotone_prime_sums(K: NumberField, L: NumberField, x: int,
 
 def _weighted_sum(K: NumberField, x: int, override=None) -> float:
     q, c = norm_counts(K, x, override)
-    return math.fsum((c * np.log(q)).tolist()) / K.n_K
+    return pairwise_sum(c * np.log(q))[0] / K.n_K
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def tower_corollary_report(tower: Tower):
     for i, K in enumerate(tower.levels):
         logn = math.log(K.n_K) if K.n_K > 1 else 0.0
         q, c = norm_counts(K, int(logn), tower.override(i))
-        lhs = 0.5 * math.fsum((c / K.n_K * np.log(q) / np.sqrt(q)).tolist())
+        lhs = 0.5 * pairwise_sum(c / K.n_K * np.log(q) / np.sqrt(q))[0]
         rhs = 0.5 * (K.log_abs_disc / K.n_K)
         rows.append(CorollaryRow(degree=K.n_K, lhs=lhs, rhs=rhs,
                                  holds=lhs <= rhs + 1e-12))

@@ -478,3 +478,112 @@ def test_engine_is_the_earlier_per_kernel_arithmetic(ctx):
             assert got.keys() == want.keys()
             assert all(close(got[k], want[k]) for k in want), text
     assert interval_fields == 13   # all but x^5+2x^2+26 split uniformly
+
+
+# the perfbench `session` fields and the heights its zero scans reach
+SESSION_HEIGHTS = {"x": 26.0, "x^2+1": 11.0, "x^2-x-1": 11.0, "x^2+x+1": 12.0,
+                   "x^4+1": 5.0}
+
+
+@pytest.mark.parametrize("text", sorted(SESSION_HEIGHTS))
+def test_pairwise_single_sum_within_its_rounding_bound(ctx, text):
+    """At X = 10^6, for both kernels, np.sum of the m = 1 terms lies within
+    the reported gamma_k sum |terms| of their exact sum (math.fsum), and
+    single_m_prime_sum returns the sum prime_side carries."""
+    from zetaheights.explicit import _nonzero_counts, single_m_prime_sum
+    K, X = ctx.field(text), 10 ** 6
+    qs, weights = _nonzero_counts(K, X)
+    for kind in (EXPONENTIAL, gaussian(0.212), gaussian(0.05)):
+        ps = prime_side(K, kind, X)
+        exact = math.fsum((weights * kind.prime_terms(qs)[1]).tolist())
+        assert abs(ps.single_m - exact) <= ps.single_m_rounding, (kind, text)
+        assert ps.single_m_rounding < 1e-13 * exact
+        assert single_m_prime_sum(K, kind, X) == ps.single_m
+
+
+@pytest.mark.parametrize("X", [2, 100, 10 ** 6])
+def test_exponential_prime_tail_series_against_mpmath(X):
+    """The series for int_{log X}^inf u e^u/(e^{3u/2} - 1) du meets
+    mpmath's quadrature within 1e-15 relative."""
+    import mpmath as mp
+    with mp.workdps(30):
+        lx = mp.log(X)
+        want = mp.quad(lambda u: u * mp.exp(u) / mp.expm1(1.5 * u), [lx, lx + 1, mp.inf])
+    h_X, got = EXPONENTIAL.prime_tail_h(X)
+    assert abs(got - want) <= 1e-15 * want, (X, got, want)
+    assert h_X == math.log(X) / (X ** 1.5 - 1.0)
+
+
+def _exponential_zero_tail_reference(n_K, log_dK, sign, floor, T):
+    """int_T^inf 4t/(1+t^2)^2 max(floor, main(t) + sign err(t)) dt by mpmath,
+    the counting window written out afresh, split at the exact kinks: the
+    roots of main + sign err = floor, bracketed on a geometric grid from T
+    and solved to 40 digits."""
+    import mpmath as mp
+    with mp.workdps(40):
+        def f(t):
+            main = t / mp.pi * (log_dK + n_K * mp.log(t / (2 * mp.pi * mp.e)))
+            err = (mp.mpf("0.228") * (log_dK + n_K * mp.log(t))
+                   + mp.mpf("23.108") * n_K + mp.mpf("4.520"))
+            return main + sign * err - floor
+        grid = [mp.mpf(T) * 2 ** (mp.mpf(j) / 8) for j in range(160)]
+        kinks = [mp.findroot(f, (a, b), solver="anderson")
+                 for a, b in zip(grid, grid[1:]) if (f(a) > 0) != (f(b) > 0)]
+        ends = [mp.mpf(T), *kinks, mp.inf]
+        total = 0
+        for a, b in zip(ends, ends[1:]):
+            above = f(a + 1 if b == mp.inf else (a + b) / 2) > 0
+            total += mp.quad(lambda t: 4 * t / (1 + t * t) ** 2
+                             * (f(t) + floor if above else floor), [a, b])
+        return total, len(kinks)
+
+
+@pytest.mark.parametrize("text", sorted(SESSION_HEIGHTS))
+def test_exponential_zero_tail_closed_form_against_mpmath(ctx, text):
+    """The closed-form exponential zero tail, through both window edges and
+    floored at the zeros located, as the identity reads it, meets the mpmath
+    reference within 1e-14 relative: on each session field at T = 2 and at
+    its session height, and for an empty list at T < 1 (read at T = 1). The
+    lower edge kinks on every list here, the upper edge on none."""
+    from zetaheights.explicit import _counting_edge
+    K = ctx.field(text)
+    empty = type(ctx.zeros(text, 2.0))(T=0.5, ordinates=(), bracket_widths=())
+    for zl in (ctx.zeros(text, 2.0), ctx.zeros(text, SESSION_HEIGHTS[text]), empty):
+        T, n_loc = max(zl.T, 1.0), zl.count_below(zl.T)
+        for sign in (-1.0, 1.0):
+            got = EXPONENTIAL.zero_tail(_counting_edge(K.n_K, K.log_abs_disc, sign),
+                                        float(n_loc), T)
+            want, kinks = _exponential_zero_tail_reference(
+                K.n_K, K.log_abs_disc, sign, n_loc, T)
+            assert abs(got - want) <= 1e-14 * abs(want), (text, zl.T, sign, got, want)
+            assert kinks == (sign < 0), (text, zl.T, sign)
+
+
+def test_warm_reports_run_no_quadrature(ctx, monkeypatch):
+    """Warm calls of the exponential ledger and the Northcott, corollary-S
+    and index-or-zeros reports run no Gauss-Kronrod panel, and one
+    northcott_report forms the Gaussian per-q terms once."""
+    from zetaheights import (corollary_S_check, explicit, northcott_report,
+                             zeros_theorem_report)
+    K, f, X = ctx.field("x^2+1"), ctx.poly("x^2+1"), 10 ** 6
+    zl2, zlh = ctx.zeros("x^2+1", 2.0), ctx.zeros("x^2+1", 11.0)
+    calls = (lambda: identity_exponential(K, zlh, X),
+             lambda: northcott_report(K, zl2, X),
+             lambda: corollary_S_check(f, K, zl2, X),
+             lambda: zeros_theorem_report(f, K, zl2, X))
+    for call in calls:   # fills the caches and the field's prime read
+        call()
+    panels, formed = [], []
+    gk15 = explicit._gk15
+    monkeypatch.setattr(explicit, "_gk15",
+                        lambda fn, a, b: panels.append((a, b)) or gk15(fn, a, b))
+    for call in calls:
+        call()
+    assert panels == []
+    for name in ("prime_terms", "single"):
+        def counted(self, qs, _name=name, _method=getattr(explicit.Gaussian, name)):
+            formed.append(_name)
+            return _method(self, qs)
+        monkeypatch.setattr(explicit.Gaussian, name, counted)
+    northcott_report(K, zl2, X)
+    assert formed == ["prime_terms"]

@@ -212,3 +212,15 @@ def test_no_comparison_names_a_kernel():
                        for e in elts):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_array_prime_sums_take_no_exact_sum_over_a_list():
+    """explicit, bounds and towers sum their prime arrays with numpy's
+    pairwise sum (explicit.pairwise_sum): no math.fsum over .tolist()."""
+    found = []
+    for name in ("explicit.py", "bounds.py", "towers.py"):
+        for node in ast.walk(_modules()[name]):
+            if (isinstance(node, ast.Call) and "fsum" in _names(node.func)
+                    and any("tolist" in _names(arg) for arg in node.args)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -143,3 +143,28 @@ def test_norm_counts_match_prime_splitting(text):
             want[pk] = degrees.count(k)
             pk, k = pk * p, k + 1
     assert dict(zip(q.tolist(), n.tolist())) == want
+
+
+def test_table_growth_counts_only_new_prime_powers(monkeypatch):
+    """Growing x^2+1's table from 416 to 10^5 keeps every N_{p^k} the old
+    table held: no modulus the batched root count sweeps is at most 416,
+    and the grown table equals a fresh build."""
+    from zetaheights import fields, modp
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    K = build_number_field(P("x^2+1"))
+    norm_counts(K, 416)
+    moduli = []
+    count = modp.batch_root_counts
+
+    def recorded(f, primes, field_sizes=None):
+        moduli.extend((primes if field_sizes is None else field_sizes).tolist())
+        return count(f, primes, field_sizes)
+
+    monkeypatch.setattr(modp, "batch_root_counts", recorded)
+    q, n = norm_counts(K, 10 ** 5)
+    assert moduli and min(moduli) > 416
+    assert {419, 23 ** 2} <= set(moduli)   # a new p and a new p^2
+    monkeypatch.setattr(modp, "batch_root_counts", count)
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    q2, n2 = norm_counts(build_number_field(P("x^2+1")), 10 ** 5)
+    assert np.array_equal(q, q2) and np.array_equal(n, n2)
