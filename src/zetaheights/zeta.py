@@ -61,6 +61,11 @@ STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
                   1 / 12, -3617 / 8160)
 _polyval = np.polynomial.polynomial.polyval
+# column k: the Lagrange row at stencil offset _SPREAD_OFFSETS[k], by powers of t
+_SPREAD_OFFSETS = np.arange(1 - SPREAD_POINTS // 2, SPREAD_POINTS // 2 + 1)
+_SPREAD_BASIS = np.array([np.poly(np.delete(_SPREAD_OFFSETS, k))[::-1]
+                          / np.prod(o - np.delete(_SPREAD_OFFSETS, k))
+                          for k, o in enumerate(_SPREAD_OFFSETS)]).T
 
 
 def _loggamma(z):
@@ -140,9 +145,9 @@ class GammaFactor:
         return 2.0 ** self.r2
 
     def log_gamma_hat(self, s: complex) -> complex:
-        """log of |d|^{s/2} Gamma_R(s)^{r1} Gamma_C(s)^{r2}."""
-        return (math.log(self.front) + s * math.log(self.scale)
-                + self.r1 * _loggamma(s / 2.0) + self.r2 * _loggamma(s))
+        """log of |d|^{s/2} Gamma_R(s)^{r1} Gamma_C(s)^{r2}, bit for bit."""
+        return sum((r * _loggamma(s / d) for r, d in ((self.r1, 2.0), (self.r2, 1.0))
+                    if r), math.log(self.front) + s * math.log(self.scale))
 
     @classmethod
     def of(cls, K: NumberField) -> "GammaFactor":
@@ -193,6 +198,13 @@ def _contour_halfwidth(degree: int) -> float:
     return CONTOUR_HALFWIDTH_LOG / (math.pi / 4.0 * degree)
 
 
+def _phase_matrix(v: np.ndarray, h: float) -> np.ndarray:
+    """e^{-i v m h}, m = 32 a + b < KERNEL_BLOCK, as e^{-i v 32 a h} e^{-i v b h}."""
+    coarse = np.exp(-1j * np.outer(v, np.arange(0, KERNEL_BLOCK, 32) * h))
+    fine = np.exp(-1j * np.outer(v, np.arange(32) * h))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(v), KERNEL_BLOCK)
+
+
 def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray) -> np.ndarray:
     """log W on a uniform grid of u = log y, -inf where W is not positive:
     W(e^u) = (1/pi) Re int_0^vmax G(c+iv) e^{-(c+iv)u} dv, G(z) =
@@ -201,23 +213,23 @@ def _mellin_barnes_logw(r1: int, r2: int, log_grid: np.ndarray) -> np.ndarray:
     point of |G(c) e^{-cu}| at its midpoint, (r1/2) psi(c/2) + r2 psi(c) = u;
     off it the terms cancel and rounding swamps W. Split as e^{-(c+iv)u_J}
     e^{-(c+iv)(u-u_J)}, the grid is one (blocks x nodes) @ (nodes x
-    KERNEL_BLOCK) product."""
+    KERNEL_BLOCK) product, its phase matrix from _phase_matrix."""
     step = CONTOUR_STEP
     v = np.arange(0.0, _contour_halfwidth(r1 + 2 * r2) + step, step)
     weights = np.where(v == 0.0, 0.5 * step, step)
     starts = log_grid[::KERNEL_BLOCK]
-    offsets = np.arange(KERNEL_BLOCK) * ((log_grid[-1] - log_grid[0])
-                                         / max(len(log_grid) - 1, 1))
+    h = (log_grid[-1] - log_grid[0]) / max(len(log_grid) - 1, 1)
+    offsets = np.arange(KERNEL_BLOCK) * h
     cs = np.linspace(0.5, 2.0, 151)  # psi increases, so interp inverts it
     c = np.interp(starts + offsets.mean(),
                   0.5 * r1 * _digamma(0.5 * cs) + r2 * _digamma(cs), cs)
     # most blocks clip to c = 2: take log G once per distinct c
     distinct, row = np.unique(c, return_inverse=True)
-    zd = distinct[:, None] + 1j * v
-    log_g = (r1 * _loggamma(zd / 2.0) + r2 * _loggamma(zd))[row]
+    zd = distinct[:, None] + 1j * v  # 0 x + y = y: skip a Gamma of weight 0
+    log_g = sum(r * _loggamma(zd / d) for r, d in ((r1, 2.0), (r2, 1.0)) if r)[row]
     z = c[:, None] + 1j * v
     head = weights * np.exp(log_g - z * starts[:, None])
-    vals = (head @ np.exp(-1j * np.outer(v, offsets))).real
+    vals = (head @ _phase_matrix(v, h)).real
     vals *= np.exp(-np.outer(c, offsets)) / math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(vals.ravel()[: len(log_grid)])
@@ -362,31 +374,32 @@ class ZetaEvaluator:
         W(e^u) is band-limited in u to the contour halfwidth v, so at eta =
         SPREAD_STEP / v the rows reproduce each a_n W(n e^tau / Q) to
         rounding. Below n0 = SPREAD_POINTS / eta a stencil holds too few a_n
-        to save work; n0 >= 204 up to degree 8, so none reaches n = 1."""
+        to save work; n0 >= 204 up to degree 8, so none reaches n = 1. Cell
+        j = floor(log n / eta) is a run of the sorted n, and its masses come
+        from moments sum a_n t^d, t = log n / eta - j, in 2^16-term chunks."""
         eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree)
         n = np.flatnonzero(self.a[1: self.N + 1]) + 1
         cut = int(np.searchsorted(n, SPREAD_POINTS / eta, side="right"))
         near, far = n[:cut], n[cut:]
-        offsets = range(1 - SPREAD_POINTS // 2, SPREAD_POINTS // 2 + 1)
-        # grid cell j = floor(log n / eta); a j rounded off by one at either
-        # end is clipped, and the rows still hold for t just outside [0, 1)
-        j_lo, j_hi = ((int(math.log(far[0]) / eta), int(math.log(far[-1]) / eta))
-                      if len(far) else (0, -SPREAD_POINTS))
-        first = j_lo + offsets[0]
-        masses = np.zeros(j_hi - j_lo + SPREAD_POINTS)
+        if not len(far):
+            return (np.log(near), self.a[near]), (eta, 0, np.zeros(0))
+        # clip a j rounded off by one at either end: the rows hold just past it
+        j_lo, j_hi = int(math.log(far[0]) / eta), int(math.log(far[-1]) / eta)
+        moments = np.zeros((j_hi - j_lo + 1, SPREAD_POINTS))
         for lo in range(0, len(far), 1 << 16):
             chunk = far[lo: lo + (1 << 16)]
             t = np.log(chunk) / eta
             j = np.clip(t.astype(np.intp), j_lo, j_hi)
             t -= j
-            coeffs = self.a[chunk]
-            for o in offsets:
-                row = coeffs / math.prod(o - p for p in offsets if p != o)
-                for p in offsets:
-                    if p != o:
-                        row *= t - p
-                masses += np.bincount(j + (o - first), row, len(masses))
-        return (np.log(near), self.a[near]), (eta, first, masses)
+            runs = np.flatnonzero(np.diff(j, prepend=j_lo - 1))
+            power = self.a[chunk]
+            sums = [np.add.reduceat(power, runs)]
+            for _ in range(SPREAD_POINTS - 1):
+                sums.append(np.add.reduceat(np.multiply(power, t, out=power), runs))
+            moments[j[runs] - j_lo] += np.transpose(sums)  # a cut cell adds twice
+        cells = np.arange(len(moments))[:, None] + np.arange(SPREAD_POINTS)
+        masses = np.bincount(cells.ravel(), (moments @ _SPREAD_BASIS).ravel())
+        return (np.log(near), self.a[near]), (eta, j_lo + 1 - SPREAD_POINTS // 2, masses)
 
     def _theta(self, split, taus: np.ndarray) -> np.ndarray:
         """sum a_n W(n e^tau / Q) at each tau. Near n term by term, over n <=
