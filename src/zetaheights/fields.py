@@ -598,10 +598,10 @@ def _extend_norm_table(K: NumberField, X: int):
 
     For a good prime p, one not dividing the polynomial discriminant, f mod
     p is squarefree and has g_k = sum over j | k of j N_{p^j} roots in
-    F_{p^k}. N_{p^k} is kept from the old table for p^k up to its limit,
-    and comes from one batched root count per k over the good p with p^k
-    beyond it and <= X. The powers of any other prime hold -1 until
-    norm_counts splits it.
+    F_{p^k}. N_{p^k} is kept from the old table for p^k up to its limit;
+    past it, two batched root counts give g_k: one at q = p, one over every
+    new p^k with k >= 2, a field size per column. The powers of any other
+    prime hold -1 until norm_counts splits it.
     """
     state = K.state
     f = K.defining_poly
@@ -615,17 +615,23 @@ def _extend_norm_table(K: NumberField, X: int):
     q = np.sort(np.concatenate([primes, np.array(powers, dtype=np.int64)]))
     n = np.full(len(q), -1, dtype=np.int64)
     good = primes[~np.isin(primes, state.bad_primes)]
-    pk, k, counts = good, 1, {}
+    levels, pk, counts = [], good, {}   # p^k over a prefix of good; how many are old
     while len(pk):
-        old = int(np.searchsorted(pk, state.norm_limit, side="right"))   # a prefix
+        levels.append((pk, int(np.searchsorted(pk, state.norm_limit, side="right"))))
+        m = int(np.count_nonzero(pk <= X // good[: len(pk)]))   # a prefix
+        pk = pk[:m] * good[:m]
+    new = [(good[old:len(pk)], pk[old:]) for pk, old in levels]
+    roots = [modp.batch_root_counts(f, ps) for ps, _ in new[:1]]
+    if len(new) > 1:   # every k >= 2 in one call, split back by k
+        ps, qs = (np.concatenate(c) for c in zip(*new[1:]))
+        roots += np.split(modp.batch_root_counts(f, ps, qs),
+                          np.cumsum([len(c[0]) for c in new[1:-1]]))
+    for k, ((pk, old), g) in enumerate(zip(levels, roots), 1):
         counts[k] = np.empty(len(pk), dtype=np.int64)
         counts[k][:old] = state.norm_n[np.searchsorted(state.norm_q, pk[:old])]
-        g = modp.batch_root_counts(f, good[old:len(pk)], None if k == 1 else pk[old:])
         counts[k][old:] = (g - sum(j * counts[j][old:len(pk)]
                                    for j in range(1, k) if k % j == 0)) // k
         n[np.searchsorted(q, pk)] = counts[k]
-        m = int(np.count_nonzero(pk <= X // good[: len(pk)]))   # a prefix
-        pk, k = pk[:m] * good[:m], k + 1
     state.norm_q, state.norm_n, state.norm_limit, state.primes = q, n, X, primes
 
 

@@ -8,7 +8,7 @@ thousands of columns are swept in numpy, one (p, q) per column: x^q mod
 (f, p) by square-and-multiply over the bits of q and deg gcd(x^q - x, f)
 by an inverse-free Euclid. Residues are balanced and reduced as
 x - p rint(x / p) in float64, exact while every intermediate stays within
-2^53 (p up to about 6.7e7 at degree 8, 1.1e8 at degree 3); primes past
+2^53 (p up to about 4.75e7 at degree 8, 7.75e7 at degree 3); primes past
 that run the same loop in int64. Pure f = x^n + c, and quadratics at odd
 q = p as y^2 = b^2 - 4ac, take a power-residue test in F_p instead.
 """
@@ -172,8 +172,8 @@ def _float_bound(terms: int) -> int:
     input is a sum of at most `terms` products of residues plus one residue,
     |x| <= terms m^2 + m, so p rint(x (1/p)) = x - r stays within terms m^2
     + 2m = terms m^2 + p + 4 <= 2^53, where every integer is a float64: the
-    product, the difference and so r are exact. terms = d gives p up to
-    about 1.1e8 at d = 3 and 6.7e7 at d = 8.
+    product, the difference and so r are exact. The sweep's rows sum up to
+    2d products: terms = 2d gives p up to about 7.75e7 at d = 3, 4.75e7 at 8.
     """
     p = 2 * math.isqrt(2 ** 53 // terms)
     while terms * (p + 4) ** 2 + 4 * p + 16 > 2 ** 55:
@@ -227,8 +227,7 @@ def _gcd_degrees(a, b, mod):
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.where(swap, db, da), np.where(swap, da, db)
         lc_lo, lc_hi = np.where(live, b[0], 1), np.where(live, a[0], 0)
-        a = mod(lc_lo * a - lc_hi * b)
-        a = np.concatenate([a[1:], np.zeros_like(a[:1])])   # drop the zero lc
+        a[:-1], a[-1] = mod(lc_lo * a[1:] - lc_hi * b[1:]), 0   # row 0 cancels
         da -= 1
     return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
 
@@ -244,27 +243,32 @@ def _sweep_block(coeffs, ps, qs):
     """Root counts in F_q of monic f (ascending int64 coefficients) for one
     block of columns (p, q): x^q mod (f, p), then deg gcd(x^q - x, f)."""
     d, n = len(coeffs) - 1, len(ps)
-    p, mod = _modulus(ps, d)
+    p, mod = _modulus(ps, 2 * d)
     f = mod((coeffs % ps).astype(p.dtype))
-    fold = np.empty((d, d, n), dtype=p.dtype)   # fold[k] = x^(d+k) mod (f, p)
-    fold[0] = -f[:d]
-    for k in range(1, d):
-        fold[k, 0], fold[k, 1:] = 0, fold[k - 1, :-1]
-        fold[k] = mod(fold[k] - fold[k - 1, -1] * f[:d])
-    r = np.zeros((d, n), dtype=p.dtype)
-    r[0] = 1
+    low = [(j, f[j]) for j in range(d) if coeffs[j, 0] != 0]   # same in every column
+    step = d - max((j for j, _ in low), default=0)   # rows that feed none of each other
+
+    def fold(r):   # rows 0 .. 2d - 1 of exact integers -> r mod (f, p)
+        for hi in range(2 * d, d, -step):   # x^i = -x^(i-d) (f - x^d), i < hi
+            lo = max(hi - step, d)
+            top = mod(r[lo:hi])
+            for j, fj in low:
+                r[lo - d + j: hi - d + j] -= top * fj
+        return mod(r[:d])
+
+    # start from x^e0, e0 = q >> shift < 2d: the largest q keeps floor(log2 2d) bits
+    shift = max(int(qs.max()).bit_length() - (2 * d).bit_length() + 1, 0)
+    r = fold((np.arange(2 * d)[:, None] == qs >> shift).astype(p.dtype))
     sq = np.zeros((2 * d + 1, n), dtype=p.dtype)   # r^2 in rows 1 .. 2d - 1
-    for bit in range(int(qs.max()).bit_length() - 1, -1, -1):
-        twice = 2 * r
-        sq[1] = r[0] * r[0]
-        sq[2: d + 1] = twice[0] * r[1:]
+    for bit in range(shift - 1, -1, -1):
+        sq[1: d + 1] = r[0] * r   # r_0^2, then the cross terms r_i r_j, i < j
         sq[d + 1: 2 * d] = 0
-        for i in range(1, d):
-            sq[1 + 2 * i] += r[i] * r[i]
-            sq[2 + 2 * i: 1 + i + d] += twice[i] * r[i + 1:]
+        for i in range(1, d - 1):
+            sq[2 + 2 * i: 1 + i + d] += r[i] * r[i + 1:]
+        sq[2: 2 * d - 1] *= 2
+        sq[3: 2 * d: 2] += r[1:] * r[1:]   # and the squares r_i^2, i > 0
         # x r^2 (rows 0 .. 2d - 1) where the bit is set, else r^2
-        r = mod(np.where((qs >> bit) & 1 == 1, sq[:-1], sq[1:]))
-        r = mod(r[:d] + np.einsum("kc,kjc->jc", r[d:], fold))
+        r = fold(np.where((qs >> bit) & 1 == 1, sq[:-1], sq[1:]))
     r[1] = mod(r[1] - 1)   # x^q - x
     return _gcd_degrees(f[::-1], r[::-1], mod)
 
@@ -274,9 +278,10 @@ def _power_residue_counts(n: int, c: int, primes: np.ndarray, field_sizes: np.nd
 
     For p not dividing c there are g = gcd(n, q - 1) of them when
     (-c)^((q - 1) / g) = 1 and none otherwise (Ireland and Rosen, GTM 84,
-    7.1); -c lies in F_p, so the exponent reduces mod p - 1. For p | c the
-    one root is 0. One square-and-multiply in int64 per block of columns,
-    exact while (p - 1)^2 < 2^63, p up to about 3.04e9, past which DomainError.
+    7.1); -c lies in F_p, so the exponent e reduces mod p - 1. For p | c the
+    one root is 0. One square-and-multiply in int64 per block, over the
+    columns with e != 0 (base^0 = 1), exact while (p - 1)^2 < 2^63, p up to
+    about 3.04e9, past which DomainError.
     """
     p_max = math.isqrt(2 ** 63 - 1) + 1
     if int(primes.max(initial=0)) > p_max:
@@ -289,10 +294,13 @@ def _power_residue_counts(n: int, c: int, primes: np.ndarray, field_sizes: np.nd
         base = (neg % ps).astype(np.int64)
         g = np.gcd(n, qs - 1)
         e = (qs - 1) // g % (ps - 1)
-        r = np.ones(len(ps), dtype=np.int64)
-        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            r = r * r % ps
-            r = np.where((e >> bit) & 1 == 1, r * base % ps, r)
+        live = slice(None) if e.all() else np.flatnonzero(e)   # base^0 = 1 elsewhere
+        r, ps, b, e = np.ones(len(ps), dtype=np.int64), ps[live], base[live], e[live]
+        t = np.ones(len(ps), dtype=np.int64)
+        for bit in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+            t = t * t % ps
+            t = np.where((e >> bit) & 1 == 1, t * b % ps, t)
+        r[live] = t
         counts[i: i + _BLOCK] = np.where(base == 0, 1, np.where(r == 1, g, 0))
     return counts
 
@@ -308,15 +316,16 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     column, as does a x^2 + b x + c at odd p = q, as y^2 = b^2 - 4ac.
     Every other column is swept, in fixed-size blocks sorted by p, one
     column per (p, q) and one row per coefficient. x^q mod f comes by
-    square-and-multiply over the bits of q: each bit squares r by
-    symmetric products into 2d + 1 rows, takes the rows shifted by one
-    (times x) where the bit is set, reduces them, and folds rows d .. 2d - 1
-    back with x^(d..2d-1) mod f. A batched Euclid with no inverses then
-    gives deg gcd(x^q - x, f). Residues are balanced; a block runs in exact
-    float64 while its largest prime is within _float_bound(d), about 1.1e8
-    at d = 3 and 6.7e7 at d = 8, and in int64 past it, exact while
-    d (p - 1)^2 < 2^63: p up to about 1.07e9 at d = 8 and 1.75e9 at d = 3.
-    A larger swept prime raises DomainError.
+    square-and-multiply from x^e0, e0 < 2d the leading bits of q: each later
+    bit squares r by symmetric products into 2d + 1 rows, takes them shifted
+    by one (times x) where the bit is set, and folds rows 2d - 1 .. d down
+    through f's nonzero coefficients below x^d, as many rows at once as its
+    gap below x^d allows. A batched Euclid with no inverses gives deg
+    gcd(x^q - x, f). Residues are balanced; a row sums up to 2d products,
+    so a block runs in exact float64 while its largest prime is within
+    _float_bound(2d), about 7.75e7 at d = 3 and 4.75e7 at d = 8, and in
+    int64 past it, exact while d (p - 1)^2 < 2^63: p up to about 1.07e9 at
+    d = 8 and 1.75e9 at d = 3, past which DomainError.
     """
     d = f.degree
     primes = np.asarray(primes, dtype=np.int64)
@@ -339,7 +348,7 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
         raise DomainError(f"degree-{d} batched root counts need p <= {p_max}, "
                           f"so that d (p - 1)^2 < 2^63; got {top}")
     coeffs = _coefficient_column(f)
-    split = int(np.searchsorted(primes[order], _float_bound(d), side="right"))
+    split = int(np.searchsorted(primes[order], _float_bound(2 * d), side="right"))
     for part in (order[:split], order[split:]):   # float64, then int64
         for start in range(0, len(part), _BLOCK):
             at = part[start: start + _BLOCK]

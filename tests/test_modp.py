@@ -303,3 +303,81 @@ def test_pure_field_root_counts_at_the_int64_edge():
         assert got[:3] == swept(f, ps[:3], ps[:3] ** k).tolist()
     with pytest.raises(DomainError, match=r"2\^63"):
         batch_root_counts(f, np.array([7, nextprime(int64_prime_bound(1))]))
+
+
+# the two primes on each side of each degree's float64 sweep bound, where a
+# row of the square plus its top-down fold sums up to 2d products
+SWEEP_EDGE_PRIMES = {d: float_edge_primes(2 * d) for d in range(3, 9)}
+
+
+def sparse_polynomials(d, rng):
+    """x^d + b and x^d + a x^j + b for every 0 < j < d, squarefree over Q."""
+    out = []
+    for j in [None] + list(range(1, d)):
+        while True:
+            a, b = rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(-60, 60)
+            coeffs = [b] + [0] * (d - 1) + [1]
+            if j is not None:
+                coeffs[j] = a
+            f = IntPolynomial.from_coefficients(coeffs)
+            if b and discriminant(f):
+                out.append(f)
+                break
+    return out
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_sweep_of_binomials_and_trinomials(d):
+    """The top-down fold reads only f's nonzero coefficients below x^d:
+    x^d + b and x^d + a x^j + b at every j, swept at primes of every bit
+    length, both sides of the float64 bound at 2d products and the int64
+    edge, against the single-prime factorization. Binomials take the power
+    residues in batch_root_counts, and the sweep directly as well."""
+    for f in sparse_polynomials(d, random.Random(100 + d)):
+        disc = discriminant(f)
+        primes = [p for p in MIXED_PRIMES + SWEEP_EDGE_PRIMES[d] + TOP_PRIMES[d]
+                  if disc % p]
+        random.Random(d).shuffle(primes)
+        ps = np.array(primes, dtype=np.int64)
+        want = [linear_factor_count(f, p) for p in primes]
+        assert batch_root_counts(f, ps).tolist() == want, f
+        order = np.argsort(ps)   # the sweep takes one block, float or int64
+        split = np.searchsorted(ps[order], modp._float_bound(2 * d), side="right")
+        for at in (order[:split], order[split:]):
+            assert swept(f, ps[at], ps[at]).tolist() == [want[i] for i in at], f
+
+
+def test_power_residue_counts_against_pow():
+    """Every column against Python's pow for n = 2..8: q = p^k for k <= 3,
+    columns whose exponent (q - 1)/g mod (p - 1) is 0 mixed with the rest in
+    one block, constants that primes divide, and a block with no 0 exponent."""
+    ps = sieve_primes(400)
+    cols = [(p, p ** k) for p in ps.tolist() for k in (1, 2, 3)]
+    p_arr = np.array([p for p, _ in cols], dtype=np.int64)
+    q_arr = np.array([q for _, q in cols], dtype=np.int64)
+    for n in range(2, 9):
+        for c in (1, -2, 3, 42, 65, -210, 2 * 3 * 5 * 7 * 11 * 13, 2 ** 70 + 1):
+            want = [power_residue_count(n, c, p, q) for p, q in cols]
+            got = modp._power_residue_counts(n, c, p_arr, q_arr).tolist()
+            assert got == want, (n, c)
+        e = (q_arr - 1) // np.gcd(n, q_arr - 1) % (p_arr - 1)
+        assert (e == 0).any() and (e != 0).any()
+    odd = ps[1:]   # n = 2 at q = p: e = (p - 1)/2 is never 0 for odd p
+    assert modp._power_residue_counts(2, -3, odd, odd).tolist() == [
+        power_residue_count(2, -3, p, p) for p in odd.tolist()]
+
+
+@pytest.mark.parametrize("deg", range(2, 9))
+def test_sweep_block_with_field_sizes_from_2_to_2_to_the_40(deg):
+    """One block whose q run from 2 to 2^40: small q start from x^q itself
+    or from x^0, the largest from its leading floor(log2 2d) bits."""
+    rng = random.Random(deg)
+    f = IntPolynomial.from_coefficients([rng.randint(-30, 30) for _ in range(deg)] + [1])
+    cols = [(p, p ** k) for p in (2, 3, 5, 7, 1009, 65537)
+            for k in range(1, 41) if p ** k <= 2 ** 40]
+    ps = np.array([p for p, _ in cols], dtype=np.int64)
+    qs = np.array([q for _, q in cols], dtype=np.int64)
+    assert len(cols) < modp._BLOCK and qs.min() == 2 and qs.max() == 2 ** 40
+    want = [roots_in_field(f, p, q) for p, q in cols]
+    assert swept(f, ps, qs).tolist() == want
+    assert batch_root_counts(f, ps, qs).tolist() == want

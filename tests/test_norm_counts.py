@@ -168,3 +168,59 @@ def test_table_growth_counts_only_new_prime_powers(monkeypatch):
     monkeypatch.setattr(fields, "_FIELDS", {})
     q2, n2 = norm_counts(build_number_field(P("x^2+1")), 10 ** 5)
     assert np.array_equal(q, q2) and np.array_equal(n, n2)
+
+
+def test_table_growth_makes_two_root_count_calls(monkeypatch):
+    """x^5+2x^2+26's table to 357,786 takes one call at q = p and one over
+    every p^k with k >= 2; regrown to 10^6 it takes two more, and neither
+    sweeps a modulus the old table held."""
+    from zetaheights import fields, modp
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    K = build_number_field(P("x^5+2*x^2+26"))
+    calls = []
+    count = modp.batch_root_counts
+
+    def recorded(f, primes, field_sizes=None):
+        calls.append((primes if field_sizes is None else field_sizes).tolist())
+        return count(f, primes, field_sizes)
+
+    monkeypatch.setattr(modp, "batch_root_counts", recorded)
+    norm_counts(K, 357_786)
+    assert len(calls) == 2 and {3, 357_781} <= set(calls[0])
+    assert {9, 27, 3 ** 11} <= set(calls[1])   # 2 divides the discriminant
+    calls.clear()
+    norm_counts(K, 10 ** 6)
+    assert len(calls) == 2 and all(min(c) > 357_786 for c in calls)
+    assert 599 ** 2 in calls[1] and 71 ** 3 in calls[1]   # new p^2 and p^3
+
+
+def test_norm_counts_with_no_good_prime(monkeypatch):
+    """A fresh x^2+1 table to X = 1 holds nothing, and to X = 2 only the
+    ramified 2, split by prime_splitting: no root count is asked for."""
+    from zetaheights import fields, modp
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    K = build_number_field(P("x^2+1"))
+    calls = []
+    monkeypatch.setattr(modp, "batch_root_counts", lambda *args: calls.append(args))
+    q, n = norm_counts(K, 1)
+    assert q.tolist() == [] and n.tolist() == []
+    q, n = norm_counts(K, 2)
+    assert q.tolist() == [2] and n.tolist() == [1] and calls == []
+
+
+def test_norm_table_memory(monkeypatch):
+    """A fresh x^5+42 table to 914,329 peaked at 4,137,133 traced bytes
+    when each growth made one root-count call per k; it must stay within
+    10% of that."""
+    import tracemalloc
+
+    from zetaheights import fields
+    monkeypatch.setattr(fields, "_FIELDS", {})
+    K = build_number_field(P("x^5+42"))
+    tracemalloc.start()
+    try:
+        norm_counts(K, 914_329)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4_137_133, peak
