@@ -8,13 +8,14 @@ single cached kernel
     W(y) = (1/2 pi i) int_(c) Gamma(z/2)^r1 Gamma(z)^r2 y^{-z} dz,
 
 computed once on a uniform grid in log y, one saddle-point contour per
-block of the grid (Gamma by Stirling's series, once per distinct contour),
-and interpolated in log y by cubic Hermite pieces. Swapping the n-sum and the
+block of the grid (log Gamma by Stirling's series in real arithmetic, once
+per distinct contour), and interpolated in log y by cubic Hermite pieces. Swapping the n-sum and the
 x-integral turns every S(s) evaluation into a short fixed quadrature over
 the theta profile sum_n a_n W(n x / Q), one matrix product per block of
 points, which is what makes dense zero scans affordable. That profile sums
 the small n term by term and the rest through masses spread onto a uniform
-log-n grid, fine enough for the band-limited W.
+log-n grid, fine enough for the band-limited W, read at each tau only as
+far as the kernel grid reaches.
 
 Zeros on the critical line are located as sign changes of Z(t) = S(1/2 + it)
 on a grid, every bracket of a grid bisected at once (one hardy call per
@@ -71,15 +72,28 @@ _SPREAD_BASIS = np.array([np.poly(np.delete(_SPREAD_OFFSETS, k))[::-1]
 def _loggamma(z):
     """Principal log Gamma(z) for Re z > 0: Stirling's series at w = z + 8,
     where its 8 terms leave under 1e-16, less log z(z+1) ... (z+6)(z+7) as
-    four principal logs of pair products. Each factor's argument lies in
-    (-pi/2, pi/2), so each pair's lies in (-pi, pi) and no branch is crossed."""
+    four principal logs of pair products, subtracted in turn. Each factor's
+    argument lies in (-pi/2, pi/2), so each pair's lies in (-pi, pi) and no
+    branch is crossed. The logs are taken in real arithmetic, the modulus
+    as log(re^2 + im^2) / 2 and the argument by arctan2: numpy's complex
+    log costs several times both. A 0-d z gives a numpy complex scalar."""
     z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
     w = z + 8.0
     small = 0.5 * math.log(TWO_PI) - 0.5 + _polyval(1.0 / (w * w), STIRLING) / w
+    re, im, y2 = small.real, small.imag, y * y
     for j in range(0, 8, 2):
-        small -= np.log((z + j) * (z + j + 1.0))
-    # (w - 1/2) log w - w with one rounding of the large part
-    return ((w - 0.5) * (np.log(w) - 1.0) + small)[()]
+        a = x + j
+        pr, pi = a * (a + 1.0) - y2, y * (2.0 * a + 1.0)
+        re -= 0.5 * np.log(pr * pr + pi * pi)
+        im -= np.arctan2(pi, pr)
+    # (w - 1/2)(log w - 1) with one rounding of the large part
+    a = x + 8.0
+    lr, li = 0.5 * np.log(a * a + y2) - 1.0, np.arctan2(y, a)
+    out = np.empty_like(z)
+    out.real = (a - 0.5) * lr - y * li + re
+    out.imag = (a - 0.5) * li + y * lr + im
+    return out[()]
 
 
 def _digamma(x):
@@ -251,6 +265,7 @@ class ZetaEvaluator:
             "N": self.N,
             "weight_rel_tol": WEIGHT_REL_TOL,
             "y_threshold": self.y_threshold,
+            "kernel_grid": {"points": len(self._log_grid), "y_max": self.y_max},
             "contour": {"step": CONTOUR_STEP, "halfwidth_log": CONTOUR_HALFWIDTH_LOG},
             "kernel": self.kernel_kind,
             "theta": theta,
@@ -402,25 +417,32 @@ class ZetaEvaluator:
         return (np.log(near), self.a[near]), (eta, j_lo + 1 - SPREAD_POINTS // 2, masses)
 
     def _theta(self, split, taus: np.ndarray) -> np.ndarray:
-        """sum a_n W(n e^tau / Q) at each tau. Near n term by term, over n <=
-        min(N, y_max Q) e^{-tau}: the cut N makes at tau = 0, where W has
-        decayed past WEIGHT_REL_TOL. Far n through the spread masses, with
-        W = 0 past the kernel grid's end."""
+        """sum a_n W(n e^tau / Q) at each tau, BLOCK taus at a time. Near n
+        term by term, over n <= min(N, y_max Q) e^{-tau}: the cut N makes at
+        tau = 0, where W has decayed past WEIGHT_REL_TOL. Far n through the
+        spread masses, with W = 0 past the kernel grid's end: a block reads
+        the kernel at the masses up to the last that any of its taus puts
+        inside the grid, and one more, and none beyond."""
         (log_n, coeffs), (eta, first, masses) = split
         out = np.empty(len(taus))
         ks = np.searchsorted(log_n, self._log_n_cut - taus, side="right")
         shift = taus - math.log(self.gamma.scale)
+        end = self._log_grid[-1]
+        # mass m is inside while m <= (end - shift) / eta - first: the ceil
+        # of that is the first past the end, but for a mass on the end or
+        # rounding, so stop one later; the mask zeroes those past the end
+        stops = np.clip(np.ceil((end - shift) / eta - first) + 1, 0, len(masses))
         for lo in range(0, len(taus), BLOCK):
             rows = slice(lo, lo + BLOCK)
             u = log_n[: ks[rows].max()] + shift[rows, None]
             # past a node's own cut u leaves the grid: read its last point
-            u[np.arange(u.shape[1]) >= ks[rows, None]] = self._log_grid[-1]
+            u[np.arange(u.shape[1]) >= ks[rows, None]] = end
             w = np.exp(self._log_w(u))
             out[rows] = [np.dot(coeffs[:k], row[:k]) for k, row in zip(ks[rows], w)]
-        if len(masses):
-            u = (first + np.arange(len(masses))) * eta + shift[:, None]
-            w = np.exp(self._log_w(np.minimum(u, self._log_grid[-1])))
-            out += np.where(u <= self._log_grid[-1], w, 0.0) @ masses
+            stop = int(stops[rows].max())
+            u = (first + np.arange(stop)) * eta + shift[rows, None]
+            w = np.exp(self._log_w(np.minimum(u, end)))
+            out[rows] += np.where(u <= end, w, 0.0) @ masses[:stop]
         return out
 
     # -- Lambda / S -----------------------------------------------------

@@ -14,10 +14,10 @@ from zetaheights import (EXPONENTIAL, direct_series, gaussian, locate_zeros,
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import (ARG_STEP, ARG_TAIL, CONTOUR_STEP, KERNEL_BLOCK,
-                              MAX_HEIGHT, SPREAD_POINTS, SPREAD_STEP,
-                              WGRID_STEP_FACTOR, GammaFactor, ZeroList,
-                              ZetaEvaluator, _completeness_checks,
+from zetaheights.zeta import (ARG_STEP, ARG_TAIL, BLOCK, CONTOUR_STEP,
+                              KERNEL_BLOCK, MAX_HEIGHT, SPREAD_POINTS,
+                              SPREAD_STEP, WGRID_STEP_FACTOR, GammaFactor,
+                              ZeroList, ZetaEvaluator, _completeness_checks,
                               _contour_halfwidth, _digamma, _euler_cutoff,
                               _euler_phase, _euler_tail, _hermite_pieces,
                               _log_k0, _loggamma, _mellin_barnes_logw,
@@ -304,6 +304,110 @@ def test_spread_memory_stays_chunked(ctx):
     assert peak <= 12 * 2 ** 20, peak / 2 ** 20
 
 
+def _full_masked_theta(ev, split, taus):
+    """Theta with every (tau, mass) pair evaluated: the near n term by term
+    for BLOCK nodes at a time, the far part as one (taus x masses) product
+    with W = 0 masked in past the kernel grid's end."""
+    (log_n, coeffs), (eta, first, masses) = split
+    out = np.empty(len(taus))
+    ks = np.searchsorted(log_n, ev._log_n_cut - taus, side="right")
+    shift = taus - math.log(ev.gamma.scale)
+    for lo in range(0, len(taus), BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        u = log_n[: ks[rows].max()] + shift[rows, None]
+        u[np.arange(u.shape[1]) >= ks[rows, None]] = ev._log_grid[-1]
+        w = np.exp(ev._log_w(u))
+        out[rows] = [np.dot(coeffs[:k], row[:k]) for k, row in zip(ks[rows], w)]
+    if len(masses):
+        u = (first + np.arange(len(masses))) * eta + shift[:, None]
+        w = np.exp(ev._log_w(np.minimum(u, ev._log_grid[-1])))
+        out += np.where(u <= ev._log_grid[-1], w, 0.0) @ masses
+    return out
+
+
+def _theta_cases(ev, eta, first):
+    """tau arrays for _theta: the nodes, in order and reversed (a block's
+    first row then bounds none of the others), the residue's four unsorted
+    tau, a block with every mass past the grid's end, and tau that put the
+    mass m = 0, 1, 2 on that end, each nudged by up to 8 ulp either way
+    (each its own block: in one block the larger m would bound the rest)."""
+    end, log_q = ev._log_grid[-1], math.log(ev.gamma.scale)
+    on_end = np.array([end - (first + m) * eta + log_q for m in range(3)])
+    ulps = np.arange(-8, 9)[:, None] * np.spacing(on_end)
+    return {"nodes": ev.tau_nodes, "reversed": ev.tau_nodes[::-1],
+            "residue": np.array([math.log(x) for t in (1.005, 1.02)
+                                 for x in (1.0 / t, t)]),
+            "past": end - first * eta + log_q + np.linspace(1e-3, 1.0, 40),
+            "on_end": (on_end + ulps).ravel()}
+
+
+@pytest.mark.parametrize("text", ["x^4+3*x^2+30", "x^5+42", "x^5+2*x^2+26"])
+def test_theta_far_part_matches_the_full_masked_product(ctx, text):
+    """_theta evaluates the far masses only up to where the kernel grid
+    ends; it matches the product over every (tau, mass) pair within 1e-15
+    of max|Theta| at each case of _theta_cases, with the near terms and,
+    so that a mass missed at the grid's end shows, without them."""
+    ev = ctx.evaluator(text)
+    near, far = ev._split[1]
+    assert len(far[2])
+    for terms in ("all", "far"):
+        split = (near if terms == "all" else (near[0][:0], near[1][:0]), far)
+        for case, taus in _theta_cases(ev, far[0], far[1]).items():
+            want = _full_masked_theta(ev, split, taus)
+            got = (np.concatenate([ev._theta(split, taus[i: i + 1])
+                                   for i in range(len(taus))])
+                   if case == "on_end" else ev._theta(split, taus))
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-15 * np.max(np.abs(want)), (terms, case, err)
+            if case == "past" and terms == "far":
+                assert not np.any(want) and not np.any(got)
+
+
+def test_theta_evaluates_the_kernel_only_inside_the_grid(ctx, monkeypatch):
+    """One _theta at x^5+42's 880 tau nodes passes _log_w at most 360,000
+    points, where evaluating every (node, mass) pair took 490,608, and its
+    traced peak stays within 5 MiB (13.4 MiB with every pair)."""
+    import tracemalloc
+    ev = ctx.evaluator("x^5+42")
+    split = ev._split[1]
+    tracemalloc.start()
+    try:
+        ev._theta(split, ev.tau_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20, peak / 2 ** 20
+    points, log_w = [], ZetaEvaluator._log_w
+    monkeypatch.setattr(ZetaEvaluator, "_log_w",
+                        lambda self, u: points.append(u.size) or log_w(self, u))
+    ev._theta(split, ev.tau_nodes)
+    assert sum(points) <= 360_000, sum(points)
+
+
+@pytest.mark.parametrize("r1, r2", [(1, 1), (0, 2), (1, 2), (0, 3)])
+def test_kernel_takes_loggamma_once_per_weight_on_the_distinct_contours(
+        monkeypatch, r1, r2):
+    """_mellin_barnes_logw calls _loggamma once per nonzero signature
+    weight, each time on (distinct c x contour nodes) points: the grid of
+    x^6+65's first point into the tail has more blocks than distinct c."""
+    from zetaheights import zeta
+    calls = []
+    monkeypatch.setattr(zeta, "_loggamma",
+                        lambda z: calls.append(z) or _loggamma(z))
+    step = WGRID_STEP_FACTOR / _contour_halfwidth(r1 + 2 * r2)
+    lo, hi = math.log(3.3e-5), math.log(150.0)
+    grid = np.linspace(lo, hi, int((hi - lo) / step) + 2)
+    _mellin_barnes_logw(r1, r2, grid)
+    nodes = len(np.arange(0.0, _contour_halfwidth(r1 + 2 * r2) + CONTOUR_STEP,
+                          CONTOUR_STEP))
+    assert len(calls) == (r1 > 0) + (r2 > 0)
+    for z in calls:
+        cs = z[:, 0].real
+        assert z.shape == (len(cs), nodes) and len(np.unique(cs)) == len(cs)
+        assert np.all(z.real == cs[:, None])
+        assert len(cs) < -(-len(grid) // KERNEL_BLOCK)
+
+
 @pytest.mark.parametrize("r1, r2", [(1, 1), (0, 2), (1, 2), (0, 3)])
 def test_phase_matrix_matches_the_full_exponential(r1, r2):
     """The phase matrix from two small tables is within 8 ulp of 1 of
@@ -455,6 +559,21 @@ def test_evaluator_diagnostics_theta_split(ctx):
     = 456, the first and last nonzero a_n above it."""
     d = ctx.evaluator("x^4+18*x^2+60").diagnostics
     assert d["theta"] == {"near_terms": 86, "far_terms": 1012, "grid_points": 153}
+
+
+@pytest.mark.parametrize("text", ["x^3+3*x+213", "x^4+18*x^2+60", "x^5+42"])
+def test_evaluator_diagnostics_kernel_grid(ctx, text):
+    """diagnostics["kernel_grid"] gives the kernel grid's length and its
+    last point y_max, past y_threshold. On signature (0,2) no computed W
+    past the peak is nonpositive, so the grid runs to its end y_hi: 48,849
+    points to y = 870.19 on x^4+18x^2+60."""
+    ev = ctx.evaluator(text)
+    grid = ev.diagnostics["kernel_grid"]
+    assert grid == {"points": len(ev._log_grid), "y_max": ev.y_max}
+    assert grid["y_max"] == math.exp(ev._log_grid[-1]) > ev.y_threshold
+    if text == "x^4+18*x^2+60":
+        assert grid["points"] == 48849
+        assert grid["y_max"] == pytest.approx(870.19, abs=5e-3)
 
 
 def test_evaluator_cache_ignores_output_settings(ctx):
@@ -756,6 +875,38 @@ def test_loggamma_matches_mpmath():
             assert abs(mp.mpc(value.real, value.imag) - want) <= tol, z
     assert _loggamma(1.0) == pytest.approx(0.0, abs=1e-15)
     assert _loggamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-15)
+
+
+@pytest.mark.parametrize("text", ["x^3+3*x+213", "x^5+42"])
+def test_loggamma_on_the_kernel_contours(ctx, monkeypatch, text):
+    """_loggamma at the distinct c off the interpolation lattice that the
+    field's kernel picks, caught from _mellin_barnes_logw's own call, at z
+    = c + iv and at z/2 for v over [0, _contour_halfwidth(3)], the widest
+    contour: within 1e-13 of mpmath at 30 digits."""
+    import mpmath as mp
+    from zetaheights import zeta
+    calls = []
+    monkeypatch.setattr(zeta, "_loggamma",
+                        lambda z: calls.append(z) or _loggamma(z))
+    ZetaEvaluator(ctx.field(text))
+    cs = np.unique(calls[-1].real)  # the weight-r2 call takes z itself
+    cs = cs[~np.isin(cs, np.linspace(0.5, 2.0, 151))]
+    assert len(cs) >= 10
+    z = (cs[:, None] + 1j * np.linspace(0.0, _contour_halfwidth(3), 41)).ravel()
+    with mp.workdps(30):
+        for zs in (z, z / 2.0):
+            for arg, value in zip(zs.tolist(), _loggamma(zs).tolist()):
+                want = mp.loggamma(mp.mpc(arg.real, arg.imag))
+                assert abs(mp.mpc(value.real, value.imag) - want) <= 1e-13, arg
+
+
+def test_loggamma_of_a_number_is_a_numpy_complex_scalar():
+    """A 0-d input gives a numpy complex scalar, as log_gamma_hat sums."""
+    for z in (0.5, 2, complex(0.75, 14.1), np.float64(1.5), np.array(1.25j + 1)):
+        got = _loggamma(z)
+        assert isinstance(got, np.complex128) and np.ndim(got) == 0, z
+    assert isinstance(GammaFactor(1, 2, 3.7).log_gamma_hat(complex(1.5, 2.0)),
+                      np.complex128)
 
 
 def test_digamma_matches_mpmath():
