@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,7 @@ SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
 MAX_HEIGHT = 40.0  # largest scan height; completed and hardy reach 8 beyond it
 WEIGHT_REL_TOL = 1e-18  # kernel and coefficients cut where W falls below this of its peak
 COEFF_CUTOFF_MULTIPLIER = 1.1  # N = this times Q y_threshold
-WGRID_STEP_FACTOR = 3.0e-3  # kernel grid step in log y times the contour halfwidth
+WGRID_STEP_FACTOR = 1.2e-2  # kernel grid step in log y times the contour halfwidth
 CONTOUR_STEP = 0.05  # trapezoid step along the Mellin-Barnes contour
 CONTOUR_HALFWIDTH_LOG = 48.0  # the contour ends where the Gamma factors decay by e^-48
 PANEL_WIDTH = 0.25  # Gauss-Legendre panel width in tau = log x
@@ -62,6 +63,7 @@ STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
                   1 / 12, -3617 / 8160)
 _polyval = np.polynomial.polynomial.polyval
+_row_dot = partial(np.einsum, "ij,j->i")  # each row alone, unlike BLAS's @
 # column k: the Lagrange row at stencil offset _SPREAD_OFFSETS[k], by powers of t
 _SPREAD_OFFSETS = np.arange(1 - SPREAD_POINTS // 2, SPREAD_POINTS // 2 + 1)
 _SPREAD_BASIS = np.array([np.poly(np.delete(_SPREAD_OFFSETS, k))[::-1]
@@ -447,14 +449,16 @@ class ZetaEvaluator:
 
     # -- Lambda / S -----------------------------------------------------
 
-    def _tau_sum(self, points: np.ndarray, fn, weights: np.ndarray) -> np.ndarray:
+    def _tau_sum(self, points: np.ndarray, fn, weights: np.ndarray,
+                 dot=np.matmul) -> np.ndarray:
         """sum_k weights_k fn(p tau_k) at each point p, the tau quadrature of
-        sum_n a_n F(s, n), as one (points x tau-nodes) matrix per BLOCK points."""
+        sum_n a_n F(s, n), one (points x tau-nodes) matrix @ weights (or
+        dot) per BLOCK points."""
         flat = points.ravel()
         out = np.empty_like(flat)
         for lo in range(0, len(flat), BLOCK):
-            out[lo: lo + BLOCK] = fn(np.multiply.outer(
-                flat[lo: lo + BLOCK], self.tau_nodes)) @ weights
+            out[lo: lo + BLOCK] = dot(fn(np.multiply.outer(
+                flat[lo: lo + BLOCK], self.tau_nodes)), weights)
         return out.reshape(points.shape)
 
     @property
@@ -502,7 +506,9 @@ class ZetaEvaluator:
 
     def completed(self, s):
         """Entire S(s) = s(s-1) Lambda(s), S(s) = S(1-s) by construction, at a
-        number or an array of s; GridMissError past |Im s| = MAX_HEIGHT + 8."""
+        number or an array of s; GridMissError past |Im s| = MAX_HEIGHT + 8.
+        Its last bits depend on the rest of the call: numpy's complex
+        product of a lone number rounds unlike an array's, so it keeps @."""
         s = np.asarray(s, dtype=complex)
         if np.any(abs(s.imag) > MAX_HEIGHT + 8.0):
             raise GridMissError(f"|Im s| = {abs(s.imag).max()} beyond coverage")
@@ -514,11 +520,12 @@ class ZetaEvaluator:
     def hardy(self, t):
         """Z(t) = S(1/2 + it), real, at a number or an array of t: Re sum_k
         w_k theta_k e^{(1/2 + it) tau_k} is sum_k w_k theta_k e^{tau_k / 2}
-        cos(t tau_k). GridMissError past |t| = MAX_HEIGHT + 8."""
+        cos(t tau_k). GridMissError past |t| = MAX_HEIGHT + 8. Each point's
+        tau sum is an einsum row, so Z(t) is the same bits in any call."""
         t = np.asarray(t, dtype=float)
         if np.any(abs(t) > MAX_HEIGHT + 8.0):
             raise GridMissError(f"|t| = {abs(t).max()} beyond coverage")
-        lam_sum = self._tau_sum(t, np.cos, self._hardy_weights)
+        lam_sum = self._tau_sum(t, np.cos, self._hardy_weights, _row_dot)
         out = -(0.25 + t * t) * lam_sum + self.pole_term
         return out if out.ndim else out.item()
 
