@@ -698,30 +698,35 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     a[1] = 1.0
     primes = state.primes[: np.searchsorted(state.primes, N, side="right")]
     small = primes * primes <= N
+    powers = []   # p, p^2, ... <= N for each p <= sqrt N
     for p in primes[small].tolist():
+        powers.append([p])
+        while powers[-1][-1] * p <= N:
+            powers[-1].append(powers[-1][-1] * p)
+    counts = iter(n[np.searchsorted(q, [pk for pks in powers for pk in pks])].tolist())
+    for pks in powers:
         # local coefficients c_k of prod over the primes P above p of
         # (1 - T^{f_P})^{-1}; N_{p^f} of those P have f_P = f
-        kmax = 1
-        while p ** (kmax + 1) <= N:
-            kmax += 1
+        kmax = len(pks)
         c = [1.0] + [0.0] * kmax
         for f in range(1, kmax + 1):
-            for _ in range(n[np.searchsorted(q, p ** f)]):
+            for _ in range(next(counts)):
                 for k in range(f, kmax + 1):
                     c[k] += c[k - f]
         # a[m] is still 0 for p | m, so a[m p^k] += c_k a[m] over all m
-        base = a[: N // p + 1].copy()
-        for k in range(1, kmax + 1):
+        base = a[: N // pks[0] + 1].copy()
+        for k, pk in enumerate(pks, 1):
             if c[k]:
-                a[p ** k:: p ** k] += c[k] * base[1: N // p ** k + 1]
-    # n <= N has at most one prime factor P > sqrt N, so a[m P] = a[m] N_P
-    # with the cofactor m < sqrt N already final: one pass per m
+                a[pk:: pk] += c[k] * base[1: N // pk + 1]
+    # n <= N has at most one prime factor P > sqrt N, so a[m P], 0 until
+    # now, is a[m] N_P with the cofactor m < sqrt N already final
     large = primes[~small]
-    n_large = n[np.searchsorted(q, large)].astype(np.float64)
-    for m in range(1, math.isqrt(N) + 1):
-        if a[m]:
-            end = np.searchsorted(large, N // m, side="right")
-            a[m * large[:end]] = a[m] * n_large[:end]
+    n_large = n[np.searchsorted(q, large)]
+    large, n_large = large[n_large > 0], n_large[n_large > 0].astype(np.float64)
+    ms = np.flatnonzero(a[1: math.isqrt(N) + 1]) + 1
+    ends = np.searchsorted(large, N // ms, side="right")
+    for m, end in zip(ms.tolist(), ends.tolist()):
+        a[m * large[:end]] = a[m] * n_large[:end]
     if not override:
         a.flags.writeable = False   # shared by every caller of this field
         state.coeff_array = a

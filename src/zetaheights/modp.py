@@ -5,12 +5,13 @@ single-prime path: the shape of f mod p, its factor degrees and
 multiplicities, comes from squarefree and distinct-degree factorization;
 no factor is split further. Root counts in F_q, q = p^k, over hundreds of
 thousands of columns are swept in numpy, one (p, q) per column: x^q mod
-(f, p) by square-and-multiply over the bits of q and deg gcd(x^q - x, f)
-by an inverse-free Euclid. Residues are balanced and reduced as
-x - p rint(x / p) in float64, exact while every intermediate stays within
-2^53 (p up to about 4.75e7 at degree 8, 7.75e7 at degree 3); primes past
-that run the same loop in int64. Pure f = x^n + c, and quadratics at odd
-q = p as y^2 = b^2 - 4ac, take a power-residue test in F_p instead.
+(f, p) by square-and-multiply over the bits of q, then the trace of
+Frobenius a -> a^q on F_p[x]/(f), which counts the distinct roots mod p.
+Residues are balanced and reduced as x - p rint(x / p) in float64, exact
+while every intermediate stays within 2^53 (p up to about 4.75e7 at degree
+8, 7.75e7 at degree 3); primes past that run the same loop in int64. Pure f
+= x^n + c, and quadratics at odd q = p as y^2 = b^2 - 4ac, take a
+power-residue test in F_p instead.
 """
 
 from __future__ import annotations
@@ -208,30 +209,6 @@ def _modulus(ps: np.ndarray, terms: int):
     return ps, mod
 
 
-def _gcd_degrees(a, b, mod):
-    """deg gcd(a, b) mod p per column by an inverse-free Euclid on
-    top-aligned polynomials: row i holds the coefficient of x^(deg - i),
-    and a has more rows than b. Of the pair, call hi the one of higher
-    degree and lo the other. While lc(lo) = 0, lo drops that row;
-    otherwise hi becomes lc(lo) hi - lc(hi) x^(deg hi - deg lo) lo, row by
-    row with no shift, and drops its zero leading row. lc(lo) is a unit, so
-    the gcd is kept. Each step first swaps the polynomial it replaces into
-    a. A column is done once lo is zero (degree < 0); hi is the gcd."""
-    n = a.shape[1]
-    da, db = np.full(n, len(a) - 1), np.full(n, len(b) - 1)
-    b = np.concatenate([b, np.zeros((len(a) - len(b), n), dtype=b.dtype)])
-    while (np.minimum(da, db) >= 0).any():
-        hi = da >= db
-        live = np.where(hi, b[0], a[0]) != 0
-        swap = hi != live
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        da, db = np.where(swap, db, da), np.where(swap, da, db)
-        lc_lo, lc_hi = np.where(live, b[0], 1), np.where(live, a[0], 0)
-        a[:-1], a[-1] = mod(lc_lo * a[1:] - lc_hi * b[1:]), 0   # row 0 cancels
-        da -= 1
-    return np.maximum(da, db) - np.argmax(np.where(da >= db, a, b) != 0, axis=0)
-
-
 def _coefficient_column(f: IntPolynomial):
     """f's ascending coefficients as a column: int64 where all of them fit,
     else Python integers, which reduce exactly mod an int64 row of primes."""
@@ -240,8 +217,17 @@ def _coefficient_column(f: IntPolynomial):
 
 
 def _sweep_block(coeffs, ps, qs):
-    """Root counts in F_q of monic f (ascending int64 coefficients) for one
-    block of columns (p, q): x^q mod (f, p), then deg gcd(x^q - x, f)."""
+    """Distinct roots in F_q of monic f (ascending int64 coefficients) for
+    one block of columns (p, q): h = x^q mod (f, p), then the trace of the
+    F_p-linear map a -> a^q on F_p[x]/(f), sum_{i<d} [x^i] (h^i mod f).
+
+    On F_p[x]/(g^e), g irreducible of degree j, the map sends (g) into
+    (g^q) and so adds nothing on (g^i)/(g^(i+1)), i >= 1; on F_p[x]/(g) =
+    F_(p^j) it is a power of Frobenius, a permutation of a normal basis
+    with trace j when j | k, q = p^k, and 0 otherwise (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 14.2). The trace is the number of
+    distinct roots in F_q mod p, exact where p > d, at primes dividing disc
+    f too. Columns with p <= d take it from factor_shape_mod_p instead."""
     d, n = len(coeffs) - 1, len(ps)
     p, mod = _modulus(ps, 2 * d)
     f = mod((coeffs % ps).astype(p.dtype))
@@ -269,8 +255,21 @@ def _sweep_block(coeffs, ps, qs):
         sq[3: 2 * d: 2] += r[1:] * r[1:]   # and the squares r_i^2, i > 0
         # x r^2 (rows 0 .. 2d - 1) where the bit is set, else r^2
         r = fold(np.where((qs >> bit) & 1 == 1, sq[:-1], sq[1:]))
-    r[1] = mod(r[1] - 1)   # x^q - x
-    return _gcd_degrees(f[::-1], r[::-1], mod)
+    trace, power = 1 + r[1], r   # [x^0] h^0 + [x^1] h
+    for i in range(2, d):
+        prod = np.zeros((2 * d, n), dtype=p.dtype)
+        for j in range(d):
+            prod[j: j + d] += power[j] * r
+        power = fold(prod)
+        trace += power[i]
+    counts = np.mod(trace, p).astype(np.int64)
+    for small in range(int(ps.min()), d + 1):   # the trace is only known mod p
+        at = ps == small
+        if at.any():   # a factor of degree j has its roots in F_q iff p^j - 1 | q - 1
+            f_int = IntPolynomial.from_coefficients([int(c) for c in coeffs[:, 0]])
+            counts[at] = sum(j * ((qs[at] - 1) % (small ** j - 1) == 0)
+                             for j, _ in factor_shape_mod_p(f_int, small))
+    return counts
 
 
 def _power_residue_counts(n: int, c: int, primes: np.ndarray, field_sizes: np.ndarray):
@@ -309,8 +308,8 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     """Number of roots in F_q of monic f mod p for every column (p, q) of
     `primes` and `field_sizes`, q a power of p; by default q = p.
 
-    Primes dividing lc or disc must be excluded by the caller; f mod p is
-    then squarefree, and at q = p^k the count is the sum over j | k of j
+    The count is of distinct roots. At a prime not dividing disc f, f mod p
+    is squarefree, and at q = p^k the count is the sum over j | k of j
     times the number of its irreducible factors of degree j. Degree 1 has
     one root. A pure f = x^n + c takes _power_residue_counts at every
     column, as does a x^2 + b x + c at odd p = q, as y^2 = b^2 - 4ac.
@@ -320,12 +319,12 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     bit squares r by symmetric products into 2d + 1 rows, takes them shifted
     by one (times x) where the bit is set, and folds rows 2d - 1 .. d down
     through f's nonzero coefficients below x^d, as many rows at once as its
-    gap below x^d allows. A batched Euclid with no inverses gives deg
-    gcd(x^q - x, f). Residues are balanced; a row sums up to 2d products,
-    so a block runs in exact float64 while its largest prime is within
-    _float_bound(2d), about 7.75e7 at d = 3 and 4.75e7 at d = 8, and in
-    int64 past it, exact while d (p - 1)^2 < 2^63: p up to about 1.07e9 at
-    d = 8 and 1.75e9 at d = 3, past which DomainError.
+    gap below x^d allows. The trace of a -> a^q on F_p[x]/(f) then takes
+    d - 2 more products (_sweep_block). Residues are balanced; a row sums up
+    to 2d products, so a block runs in exact float64 while its largest
+    prime is within _float_bound(2d), about 7.75e7 at d = 3 and 4.75e7 at d
+    = 8, and in int64 past it, exact while d (p - 1)^2 < 2^63: p up to about
+    1.07e9 at d = 8 and 1.75e9 at d = 3, past which DomainError.
     """
     d = f.degree
     primes = np.asarray(primes, dtype=np.int64)

@@ -12,10 +12,10 @@ block of the grid (log Gamma by Stirling's series in real arithmetic, once
 per distinct contour), and interpolated in log y by cubic Hermite pieces. Swapping the n-sum and the
 x-integral turns every S(s) evaluation into a short fixed quadrature over
 the theta profile sum_n a_n W(n x / Q), one matrix product per block of
-points, which is what makes dense zero scans affordable. That profile sums
-the small n term by term and the rest through masses spread onto a uniform
-log-n grid, fine enough for the band-limited W, read at each tau only as
-far as the kernel grid reaches.
+points, which is what makes dense zero scans affordable. That profile takes
+a_1 term by term and spreads every other a_n onto a uniform log-n grid, fine
+enough for the band-limited W; one correlation gives it on the matching tau
+lattice, and the spreading rows read it back at any tau.
 
 Zeros on the critical line are located as sign changes of Z(t) = S(1/2 + it)
 on a grid, every bracket of a grid bisected at once (one hardy call per
@@ -42,7 +42,7 @@ from .fields import NumberField, coefficient_array, norm_counts
 TWO_PI = 2.0 * math.pi
 KERNEL_BLOCK = 512  # grid points that share one Mellin-Barnes contour
 BLOCK = 256  # points per (points x tau-nodes) matrix: a few MB at most
-SPREAD_POINTS = 8  # Lagrange stencil that spreads one far a_n onto the log-n grid
+SPREAD_POINTS = 8  # Lagrange stencil onto the log-n grid and back off the tau lattice
 SPREAD_STEP = 0.3  # that grid's step times the contour halfwidth
 MAX_HEIGHT = 40.0  # largest scan height; completed and hardy reach 8 beyond it
 WEIGHT_REL_TOL = 1e-18  # kernel and coefficients cut where W falls below this of its peak
@@ -342,14 +342,17 @@ class ZetaEvaluator:
         know nothing of W there.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            lny = np.log(np.asarray(ys, dtype=float))
-        if lny.size and not lny.min() >= self._log_grid[0]:
+            return self._kernel_log(np.log(np.asarray(ys, dtype=float)))
+
+    def _kernel_log(self, u: np.ndarray) -> np.ndarray:
+        """W(e^u), as kernel(e^u) without the exp and log."""
+        if u.size and not u.min() >= self._log_grid[0]:
             raise GridMissError(
-                f"kernel asked for y = {math.exp(lny.min()):.6g}, below the "
+                f"kernel asked for y = {math.exp(u.min()):.6g}, below the "
                 f"grid's first point {math.exp(self._log_grid[0]):.6g}")
-        out = np.zeros_like(lny)
-        mask = lny <= self._log_grid[-1]
-        out[mask] = np.exp(self._log_w(lny[mask]))
+        out = np.zeros_like(u)
+        mask = u <= self._log_grid[-1]
+        out[mask] = np.exp(self._log_w(u[mask]))
         return out
 
     # -- theta ----------------------------------------------------------
@@ -364,9 +367,8 @@ class ZetaEvaluator:
         # the norm-count table goes as far as the coefficients read it; the
         # ledgers and reports extend it to their own cutoff
         self.a = coefficient_array(self.field, self.N)
-        # _theta sums n <= min(N, y_max Q) e^{-tau}: none past this tau
-        self._log_n_cut = math.log(min(self.N, self.y_max * Q))
-        tau_max = max(self._log_n_cut, 1.0)
+        # past this tau no n <= N puts n e^tau / Q inside the kernel grid
+        tau_max = max(math.log(min(self.N, self.y_max * Q)), 1.0)
         n_panels = max(int(math.ceil(tau_max / PANEL_WIDTH)), 2)
         nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
         edges = np.linspace(0.0, tau_max, n_panels + 1)
@@ -385,19 +387,19 @@ class ZetaEvaluator:
                 "grid_points": len(masses)}
 
     def _split_terms(self):
-        """Near terms (log n, a_n), the nonzero a_n with n <= n0, and far
-        masses (eta, first, masses): the a_n with n0 < n <= N spread by
-        SPREAD_POINTS-point Lagrange rows onto log n = m eta, m >= first.
-        W(e^u) is band-limited in u to the contour halfwidth v, so at eta =
-        SPREAD_STEP / v the rows reproduce each a_n W(n e^tau / Q) to
-        rounding. Below n0 = SPREAD_POINTS / eta a stencil holds too few a_n
-        to save work; n0 >= 204 up to degree 8, so none reaches n = 1. Cell
-        j = floor(log n / eta) is a run of the sorted n, and its masses come
-        from moments sum a_n t^d, t = log n / eta - j, in 2^16-term chunks."""
+        """Near terms (log n, a_n), the first nonzero a_n (a_1 = 1) alone,
+        and far masses (eta, first, masses): the other nonzero a_n, n <= N,
+        spread by SPREAD_POINTS-point Lagrange rows onto log n = m eta, m >=
+        first. W(e^u) is band-limited in u to the contour halfwidth v, so at
+        eta = SPREAD_STEP / v the rows reproduce each a_n W(n e^tau / Q) to
+        rounding. n = 1 stays a term: at the residue's tau = log(1/1.02) its
+        stencil would reach below the kernel grid's first point, 0.98 / Q.
+        Cell j = floor(log n / eta) is a run of the sorted n, and its masses
+        come from moments sum a_n t^d, t = log n / eta - j, in 2^16-term
+        chunks."""
         eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree)
-        n = np.flatnonzero(self.a[1: self.N + 1]) + 1
-        cut = int(np.searchsorted(n, SPREAD_POINTS / eta, side="right"))
-        near, far = n[:cut], n[cut:]
+        n = np.flatnonzero(self.a[1: self.N + 1] != 0) + 1
+        near, far = n[:1], n[1:]
         if not len(far):
             return (np.log(near), self.a[near]), (eta, 0, np.zeros(0))
         # clip a j rounded off by one at either end: the rows hold just past it
@@ -419,33 +421,27 @@ class ZetaEvaluator:
         return (np.log(near), self.a[near]), (eta, j_lo + 1 - SPREAD_POINTS // 2, masses)
 
     def _theta(self, split, taus: np.ndarray) -> np.ndarray:
-        """sum a_n W(n e^tau / Q) at each tau, BLOCK taus at a time. Near n
-        term by term, over n <= min(N, y_max Q) e^{-tau}: the cut N makes at
-        tau = 0, where W has decayed past WEIGHT_REL_TOL. Far n through the
-        spread masses, with W = 0 past the kernel grid's end: a block reads
-        the kernel at the masses up to the last that any of its taus puts
-        inside the grid, and one more, and none beyond."""
+        """sum a_n W(n e^tau / Q) at each tau, W = 0 past the kernel grid's
+        end. The near terms term by term; the far masses M_m through the
+        lattice tau_i = i eta, F_i = sum_m M_m W(e^{(first + m + i) eta} / Q),
+        one correlation over the i that the taus' stencils reach, read at
+        each tau by the SPREAD_POINTS-point Lagrange rows of its cell: F is
+        band-limited in tau as W is in u, so the rows that spread the a_n
+        onto the lattice also interpolate F from it."""
         (log_n, coeffs), (eta, first, masses) = split
-        out = np.empty(len(taus))
-        ks = np.searchsorted(log_n, self._log_n_cut - taus, side="right")
-        shift = taus - math.log(self.gamma.scale)
-        end = self._log_grid[-1]
-        # mass m is inside while m <= (end - shift) / eta - first: the ceil
-        # of that is the first past the end, but for a mass on the end or
-        # rounding, so stop one later; the mask zeroes those past the end
-        stops = np.clip(np.ceil((end - shift) / eta - first) + 1, 0, len(masses))
-        for lo in range(0, len(taus), BLOCK):
-            rows = slice(lo, lo + BLOCK)
-            u = log_n[: ks[rows].max()] + shift[rows, None]
-            # past a node's own cut u leaves the grid: read its last point
-            u[np.arange(u.shape[1]) >= ks[rows, None]] = end
-            w = np.exp(self._log_w(u))
-            out[rows] = [np.dot(coeffs[:k], row[:k]) for k, row in zip(ks[rows], w)]
-            stop = int(stops[rows].max())
-            u = (first + np.arange(stop)) * eta + shift[rows, None]
-            w = np.exp(self._log_w(np.minimum(u, end)))
-            out[rows] += np.where(u <= end, w, 0.0) @ masses[:stop]
-        return out
+        log_q = math.log(self.gamma.scale)
+        out = self._kernel_log(log_n + (taus[:, None] - log_q)) @ coeffs
+        if not len(masses):
+            return out
+        t = taus / eta
+        j = np.floor(t).astype(np.intp)
+        t -= j
+        lo = int(j.min()) + _SPREAD_OFFSETS[0]
+        i = j[:, None] + _SPREAD_OFFSETS - lo   # each stencil's F indices
+        k = first + lo + np.arange(len(masses) + i.max())
+        lattice = np.correlate(self._kernel_log(k * eta - log_q), masses, "valid")
+        rows = np.vander(t, SPREAD_POINTS, increasing=True) @ _SPREAD_BASIS
+        return out + (rows * lattice[i]).sum(axis=1)
 
     # -- Lambda / S -----------------------------------------------------
 

@@ -218,31 +218,30 @@ def test_batch_root_counts_in_prime_power_fields():
             assert batch_root_counts(f, ps, ps ** k).tolist() == want, (f, k)
 
 
-def test_gcd_degrees_matches_pgcd_with_columns_leaving_early():
-    """Random columns a = g u, b = g v with deg g spread over 0..7, so that
-    columns finish at different steps and leave the loop in groups; p = 2,
-    small and float-edge primes in one float64 block, and a block past the
-    float bound that runs in int64. Degree 8, b with zero leading rows."""
+def test_sweep_trace_matches_the_list_gcd():
+    """The trace of a -> a^q on F_p[x]/(f) counts f's distinct roots in F_q:
+    swept columns (p, p^k) against deg gcd(x^q - x, f mod p) by the list
+    arithmetic, on random monic degree-8 f. p = 2, small and float-edge
+    primes run in one float64 block, and a block past the float bound in
+    int64. Each f is g^2 u mod 11 and 13, so those two primes above the
+    degree divide disc f, and f mod p keeps a repeated factor."""
     rng = random.Random(13)
     d = 8
-    for ps in ([2, 3, 5, 7, 101, 65537] + float_edge_primes(d)[:1],
-               [2, 3, prevprime(int64_prime_bound(d))]):
-        cols, want = [], []
-        for _ in range(400):
-            p = rng.choice(ps)
-            g = [rng.randrange(p) for _ in range(rng.randrange(d))] + [1]
-            u = [rng.randrange(p) for _ in range(d + 1 - len(g))] + [1]
-            v = [rng.randrange(p) for _ in range(d + 1 - len(g))]
-            a, b = pmul(g, u, p), pmul(g, v, p)
-            cols.append((p, a, b + [0] * (d - len(b))))
-            want.append(len(pgcd(a, b, p)) - 1)
-        p_arr, mod = modp._modulus(np.array([p for p, _, _ in cols]), d)
-
-        def rows(k):   # top-aligned balanced residues, one column each
-            return np.array([[c if 2 * c <= col[0] else c - col[0]
-                              for c in col[k][::-1]] for col in cols]).T
-        a, b = rows(1).astype(p_arr.dtype), rows(2).astype(p_arr.dtype)
-        assert modp._gcd_degrees(a, b, mod).tolist() == want
+    for ps in ([2, 3, 5, 7, 11, 13, 101, 65537] + float_edge_primes(2 * d)[:2],
+               [2, 11, 13] + float_edge_primes(2 * d)[2:]
+               + [prevprime(int64_prime_bound(d))]):
+        for _ in range(4):
+            g = [rng.randint(-9, 9) for _ in range(2)] + [1]
+            u = [rng.randint(-9, 9) for _ in range(4)] + [1]
+            square = np.convolve(np.convolve(g, g), u).tolist()
+            f = IntPolynomial.from_coefficients(
+                [c + 143 * rng.randint(-9, 9) for c in square[:d]] + [1])
+            assert discriminant(f) % 143 == 0
+            cols = [(p, p ** k) for p in ps for k in range(1, 6) if p ** k < 2 ** 62]
+            cols = [rng.choice(cols) for _ in range(50)]
+            want = [roots_in_field(f, p, q) for p, q in cols]
+            got = swept(f, np.array([p for p, _ in cols]), np.array([q for _, q in cols]))
+            assert got.tolist() == want, f
 
 
 def swept(f, ps, qs):

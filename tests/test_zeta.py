@@ -4,17 +4,19 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tests.conftest import FIXTURE_POLYS, TABLE_CUBIC_QUARTIC, TABLE_QUINTIC
+from tests.conftest import (FIXTURE_POLYS, SMALL_FIXTURES, TABLE_CUBIC_QUARTIC,
+                            TABLE_QUINTIC)
 from zetaheights import (EXPONENTIAL, direct_series, gaussian, locate_zeros,
                          zero_statistics)
 from zetaheights.errors import (DomainError, GridMissError,
                                 IncompleteZeroSetError,
                                 InconsistentResidueError)
-from zetaheights.zeta import (ARG_STEP, ARG_TAIL, BLOCK, CONTOUR_STEP,
+from zetaheights.zeta import (ARG_STEP, ARG_TAIL, CONTOUR_STEP,
                               KERNEL_BLOCK, MAX_HEIGHT, SPREAD_POINTS,
                               SPREAD_STEP, WGRID_STEP_FACTOR, GammaFactor,
                               ZeroList, ZetaEvaluator, _completeness_checks,
@@ -250,30 +252,13 @@ def test_theta_values_match_the_plain_loop(ctx, text, stride):
     assert err <= 1e-13, err
 
 
-@pytest.mark.parametrize("text", ["x", "x^2+1", "x^4+1"])
-def test_theta_without_far_terms_is_the_per_node_sum(ctx, text):
-    """With every n <= N below the spreading split, theta is the term-by-term
-    sum over the nonzero a_n at each node, bit for bit."""
-    ev = ctx.evaluator(text)
-    assert ev.diagnostics["theta"]["far_terms"] == 0
-    assert ev.diagnostics["theta"]["grid_points"] == 0
-    n = np.flatnonzero(ev.a[1: ev.N + 1]) + 1
-    log_n, coeffs = np.log(n), ev.a[n]
-    want = np.empty(len(ev.tau_nodes))
-    for j, tau in enumerate(ev.tau_nodes):
-        k = int(np.searchsorted(log_n, ev._log_n_cut - tau, side="right"))
-        w = np.exp(ev._log_w(log_n[:k] + (tau - math.log(ev.gamma.scale))))
-        want[j] = float(np.dot(coeffs[:k], w))
-    assert np.array_equal(ev.theta_values, want)
-
-
 def _per_term_spread(ev):
-    """(first, masses) of the far a_n spread term by term: each a_n's
-    SPREAD_POINTS Lagrange weights at t = log n / eta - j, as products, added
-    by bincount in chunks of 2^16 terms."""
+    """(first, masses) of the far a_n, n >= 2, spread term by term: each
+    a_n's SPREAD_POINTS Lagrange weights at t = log n / eta - j, as
+    products, added by bincount in chunks of 2^16 terms."""
     eta = SPREAD_STEP / _contour_halfwidth(ev.gamma.degree)
     n = np.flatnonzero(ev.a[1: ev.N + 1]) + 1
-    far = n[int(np.searchsorted(n, SPREAD_POINTS / eta, side="right")):]
+    far = n[n >= 2]
     offsets = range(1 - SPREAD_POINTS // 2, SPREAD_POINTS // 2 + 1)
     j_lo, j_hi = int(math.log(far[0]) / eta), int(math.log(far[-1]) / eta)
     first = j_lo + offsets[0]
@@ -295,7 +280,7 @@ def _per_term_spread(ev):
 @pytest.mark.parametrize("text", ["x^5+42", "x^5+2*x^2+26", "x^4+18*x^2+60"])
 def test_spread_moments_match_the_per_term_spread(ctx, text):
     """The far masses built from per-cell moments match the per-term
-    Lagrange spread within 1e-14 of the largest mass. x^5+42's 608,448 far
+    Lagrange spread within 1e-14 of the largest mass. x^5+42's 609,174 far
     terms fill ten chunks, and a cell straddles a chunk edge."""
     ev = ctx.evaluator(text)
     (log_n, _), (eta, first, masses) = ev._split_terms()
@@ -308,12 +293,6 @@ def test_spread_moments_match_the_per_term_spread(ctx, text):
         cells = (np.log(n[len(log_n):]) / eta).astype(np.intp)
         edges = np.arange(1 << 16, len(cells), 1 << 16)
         assert len(edges) == 9 and np.any(cells[edges - 1] == cells[edges])
-
-
-def test_no_far_terms_spread_no_masses(ctx):
-    ev = ctx.evaluator("x^2+1")
-    _, (_, _, masses) = ev._split_terms()
-    assert len(masses) == 0 and ev.diagnostics["theta"]["far_terms"] == 0
 
 
 def test_spread_memory_stays_chunked(ctx):
@@ -330,33 +309,30 @@ def test_spread_memory_stays_chunked(ctx):
     assert peak <= 12 * 2 ** 20, peak / 2 ** 20
 
 
-def _full_masked_theta(ev, split, taus):
-    """Theta with every (tau, mass) pair evaluated: the near n term by term
-    for BLOCK nodes at a time, the far part as one (taus x masses) product
-    with W = 0 masked in past the kernel grid's end."""
+def _full_masked_theta(ev, split, taus, log_cut=math.inf):
+    """Theta with every (tau, term) and (tau, mass) pair evaluated: the near
+    n term by term over n <= min(e^log_cut, y_max Q) e^{-tau}, the far part
+    as one (taus x masses) product at the masses' own log n, W = 0 past the
+    kernel grid's end."""
     (log_n, coeffs), (eta, first, masses) = split
+    log_q, end = math.log(ev.gamma.scale), ev._log_grid[-1]
     out = np.empty(len(taus))
-    ks = np.searchsorted(log_n, ev._log_n_cut - taus, side="right")
-    shift = taus - math.log(ev.gamma.scale)
-    for lo in range(0, len(taus), BLOCK):
-        rows = slice(lo, lo + BLOCK)
-        u = log_n[: ks[rows].max()] + shift[rows, None]
-        u[np.arange(u.shape[1]) >= ks[rows, None]] = ev._log_grid[-1]
-        w = np.exp(ev._log_w(u))
-        out[rows] = [np.dot(coeffs[:k], row[:k]) for k, row in zip(ks[rows], w)]
+    for row, tau in enumerate(taus):
+        k = int(np.searchsorted(log_n, min(log_cut, end + log_q) - tau, side="right"))
+        out[row] = np.dot(coeffs[:k], np.exp(ev._log_w(log_n[:k] + (tau - log_q))))
+    shift = taus - log_q
     if len(masses):
         u = (first + np.arange(len(masses))) * eta + shift[:, None]
-        w = np.exp(ev._log_w(np.minimum(u, ev._log_grid[-1])))
-        out += np.where(u <= ev._log_grid[-1], w, 0.0) @ masses
+        w = np.exp(ev._log_w(np.minimum(u, end)))
+        out += np.where(u <= end, w, 0.0) @ masses
     return out
 
 
 def _theta_cases(ev, eta, first):
-    """tau arrays for _theta: the nodes, in order and reversed (a block's
-    first row then bounds none of the others), the residue's four unsorted
-    tau, a block with every mass past the grid's end, and tau that put the
-    mass m = 0, 1, 2 on that end, each nudged by up to 8 ulp either way
-    (each its own block: in one block the larger m would bound the rest)."""
+    """tau arrays for _theta: the nodes, in order and reversed, the
+    residue's four unsorted tau, a run with every mass past the grid's end,
+    and tau that put the mass m = 0, 1, 2 on that end, each nudged by up to
+    8 ulp either way (each alone: its stencil alone sets the lattice)."""
     end, log_q = ev._log_grid[-1], math.log(ev.gamma.scale)
     on_end = np.array([end - (first + m) * eta + log_q for m in range(3)])
     ulps = np.arange(-8, 9)[:, None] * np.spacing(on_end)
@@ -369,13 +345,15 @@ def _theta_cases(ev, eta, first):
 
 @pytest.mark.parametrize("text", ["x^4+3*x^2+30", "x^5+42", "x^5+2*x^2+26"])
 def test_theta_far_part_matches_the_full_masked_product(ctx, text):
-    """_theta evaluates the far masses only up to where the kernel grid
-    ends; it matches the product over every (tau, mass) pair within 1e-15
-    of max|Theta| at each case of _theta_cases, with the near terms and,
-    so that a mass missed at the grid's end shows, without them."""
+    """_theta reads the far masses from the lattice with W = 0 past the
+    kernel grid's end; it matches the product over every (tau, mass) pair
+    within 1e-15 of the nodes' max|Theta| at each case of _theta_cases,
+    with the near term and, so that a mass missed at the grid's end shows,
+    without it. Past the end the lattice's stencils leave about 1e-24."""
     ev = ctx.evaluator(text)
     near, far = ev._split[1]
     assert len(far[2])
+    scale = np.max(np.abs(ev.theta_values))
     for terms in ("all", "far"):
         split = (near if terms == "all" else (near[0][:0], near[1][:0]), far)
         for case, taus in _theta_cases(ev, far[0], far[1]).items():
@@ -384,9 +362,30 @@ def test_theta_far_part_matches_the_full_masked_product(ctx, text):
                                    for i in range(len(taus))])
                    if case == "on_end" else ev._theta(split, taus))
             err = np.max(np.abs(got - want))
-            assert err <= 1e-15 * np.max(np.abs(want)), (terms, case, err)
-            if case == "past" and terms == "far":
-                assert not np.any(want) and not np.any(got)
+            assert err <= 1e-15 * scale, (terms, case, err)
+
+
+@pytest.mark.parametrize("text, bound", [
+    *((text, 1e-15) for text in TABLE_CUBIC_QUARTIC + TABLE_QUINTIC
+      + SMALL_FIXTURES + ("x^2+x+1",)),
+    ("x^7-2", 1e-14), ("x^8-4*x^6+2", 1e-14)])
+def test_theta_on_the_lattice_matches_the_near_and_far_split(ctx, text, bound):
+    """Theta at the nodes, read from the lattice, against the split it
+    replaced: the a_n with n <= n0 = SPREAD_POINTS / eta term by term over
+    n <= min(N, y_max Q) e^{-tau}, the rest spread onto the same log-n grid
+    and summed over every (node, mass) pair. Within 1e-15 of max|Theta| on
+    the ten gated rows and the five session fields, 1e-14 on a septic and an
+    octic."""
+    ev = ctx.evaluator(text)
+    n0 = int(SPREAD_POINTS / (SPREAD_STEP / _contour_halfwidth(ev.gamma.degree)))
+    a = ev.a.copy()
+    a[2: n0 + 1] = 0.0   # _split_terms keeps a_1 apart and spreads the rest
+    far = ZetaEvaluator._split_terms(SimpleNamespace(a=a, N=ev.N, gamma=ev.gamma))[1]
+    n = np.flatnonzero(ev.a[1: n0 + 1]) + 1
+    log_cut = math.log(min(ev.N, ev.y_max * ev.gamma.scale))
+    want = _full_masked_theta(ev, ((np.log(n), ev.a[n]), far), ev.tau_nodes, log_cut)
+    err = np.max(np.abs(ev.theta_values - want)) / np.max(np.abs(want))
+    assert err <= bound, err
 
 
 def test_theta_evaluates_the_kernel_only_inside_the_grid(ctx, monkeypatch):
@@ -580,11 +579,11 @@ def test_evaluator_diagnostics_truncation(ctx):
 
 
 def test_evaluator_diagnostics_theta_split(ctx):
-    """n0 = 407.4 on quartics: 86 nonzero a_n below it, 1,012 spread onto
-    grid points floor(log 415 / eta) - 3 = 304 to floor(log 7209 / eta) + 4
-    = 456, the first and last nonzero a_n above it."""
+    """a_1 is the one near term; the other 1,097 nonzero a_n are spread onto
+    grid points floor(log 3 / eta) - 3 = 52 to floor(log 7209 / eta) + 4 =
+    456, the first and last of them."""
     d = ctx.evaluator("x^4+18*x^2+60").diagnostics
-    assert d["theta"] == {"near_terms": 86, "far_terms": 1012, "grid_points": 153}
+    assert d["theta"] == {"near_terms": 1, "far_terms": 1097, "grid_points": 405}
 
 
 @pytest.mark.parametrize("text", ["x^3+3*x+213", "x^4+18*x^2+60", "x^5+42"])
