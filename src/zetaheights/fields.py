@@ -685,9 +685,17 @@ def dirichlet_coefficients(K: NumberField, N: int, override=None) -> DirichletCo
 def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
     """Float array a[0..N] with a[n] = #ideals of norm n (a[0] unused).
 
-    Built from the norm counts to N. Only the override-free array is
-    cached, read-only; with an override it is built afresh from the forced
-    counts.
+    Built from the norm counts to N, one prime p <= sqrt N at a time, in
+    increasing order: a[m p^k] = c_k a[m] for the m free of p and below,
+    c_k the local Euler factor's coefficients. Before p is taken, a[m] is
+    nonzero only at m built from the smaller primes, so while that support
+    is no larger than N // p, the entries a dense pass for p would touch,
+    it is carried as two short arrays (n, a_n) and scattered into a at the
+    first p where it is larger (p = 53 on x^5+42); the dense passes go on
+    from there. Every a_n is an exact integer in float64 and each is one
+    product c_k a[m], so both ways give the same bits. Only the
+    override-free array is cached, read-only; with an override it is built
+    afresh from the forced counts.
     """
     state = K.state
     if (not override and state.coeff_array is not None
@@ -695,7 +703,6 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
         return state.coeff_array[: N + 1]
     q, n = norm_counts(K, N, override)
     a = np.zeros(N + 1, dtype=np.float64)
-    a[1] = 1.0
     primes = state.primes[: np.searchsorted(state.primes, N, side="right")]
     small = primes * primes <= N
     powers = []   # p, p^2, ... <= N for each p <= sqrt N
@@ -704,6 +711,7 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
         while powers[-1][-1] * p <= N:
             powers[-1].append(powers[-1][-1] * p)
     counts = iter(n[np.searchsorted(q, [pk for pks in powers for pk in pks])].tolist())
+    ns, vs = np.ones(1, dtype=np.int64), np.ones(1)   # (n, a_n) while sparse
     for pks in powers:
         # local coefficients c_k of prod over the primes P above p of
         # (1 - T^{f_P})^{-1}; N_{p^f} of those P have f_P = f
@@ -713,11 +721,21 @@ def coefficient_array(K: NumberField, N: int, override=None) -> np.ndarray:
             for _ in range(next(counts)):
                 for k in range(f, kmax + 1):
                     c[k] += c[k - f]
+        if ns is not None:
+            if len(ns) <= N // pks[0]:
+                keep = [(ns <= N // pk, pk, ck) for pk, ck in zip(pks, c[1:]) if ck]
+                ns = np.concatenate([ns] + [ns[at] * pk for at, pk, _ in keep])
+                vs = np.concatenate([vs] + [vs[at] * ck for at, _, ck in keep])
+                continue
+            a[ns] = vs   # dense from this p on
+            ns = None
         # a[m] is still 0 for p | m, so a[m p^k] += c_k a[m] over all m
         base = a[: N // pks[0] + 1].copy()
         for k, pk in enumerate(pks, 1):
             if c[k]:
                 a[pk:: pk] += c[k] * base[1: N // pk + 1]
+    if ns is not None:
+        a[ns] = vs
     # n <= N has at most one prime factor P > sqrt N, so a[m P], 0 until
     # now, is a[m] N_P with the cofactor m < sqrt N already final
     large = primes[~small]

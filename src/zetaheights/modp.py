@@ -182,6 +182,23 @@ def _float_bound(terms: int) -> int:
     return p
 
 
+def _defer_bound(d: int, p_max: int, f_max: int, passes: int, limit: int) -> bool:
+    """Whether a block's fold may leave its top rows unreduced between
+    passes: 2d m^2 (1 + f_max)^passes + m < limit, m = p_max/2 + 2, f_max =
+    sum_j max |f_j| over f's nonzero coefficients below x^d, limit 2^53 in
+    float64 and 2^62 in int64.
+
+    A row enters the fold as a sum of at most 2d products of residues, |x|
+    <= 2d m^2. A pass adds top f_j to rows below its top rows, one top per
+    f_j, so after k passes every row, and every product top f_j, is within
+    2d m^2 (1 + f_max)^k: exact integers below the limit. The last mod then
+    takes an exact |x| < 2^53 to |r| <= m, as _float_bound shows; in int64
+    its floor division stays below 2^63.
+    """
+    m = p_max // 2 + 2
+    return 2 * d * m * m * (1 + f_max) ** passes + m < limit
+
+
 def _modulus(ps: np.ndarray, terms: int):
     """(p, mod) for one block of primes: mod(x) overwrites an array of exact
     integers by balanced residues, |r| <= p/2 + 2. Float64 with rint while
@@ -227,17 +244,23 @@ def _sweep_block(coeffs, ps, qs):
     with trace j when j | k, q = p^k, and 0 otherwise (von zur Gathen and
     Gerhard, Modern Computer Algebra, 14.2). The trace is the number of
     distinct roots in F_q mod p, exact where p > d, at primes dividing disc
-    f too. Columns with p <= d take it from factor_shape_mod_p instead."""
+    f too. Columns with p <= d take it from factor_shape_mod_p instead.
+
+    The fold leaves the rows it folds down unreduced, and reduces only its
+    last d rows, where _defer_bound holds for the block."""
     d, n = len(coeffs) - 1, len(ps)
     p, mod = _modulus(ps, 2 * d)
     f = mod((coeffs % ps).astype(p.dtype))
     low = [(j, f[j]) for j in range(d) if coeffs[j, 0] != 0]   # same in every column
     step = d - max((j for j, _ in low), default=0)   # rows that feed none of each other
+    f_max = sum(int(np.abs(fj).max()) for _, fj in low)
+    limit = 2 ** 53 if p.dtype == np.float64 else 2 ** 62
+    defer = _defer_bound(d, int(ps.max()), f_max, -(-d // step), limit)
 
     def fold(r):   # rows 0 .. 2d - 1 of exact integers -> r mod (f, p)
         for hi in range(2 * d, d, -step):   # x^i = -x^(i-d) (f - x^d), i < hi
             lo = max(hi - step, d)
-            top = mod(r[lo:hi])
+            top = r[lo:hi] if defer else mod(r[lo:hi])
             for j, fj in low:
                 r[lo - d + j: hi - d + j] -= top * fj
         return mod(r[:d])
@@ -245,6 +268,7 @@ def _sweep_block(coeffs, ps, qs):
     # start from x^e0, e0 = q >> shift < 2d: the largest q keeps floor(log2 2d) bits
     shift = max(int(qs.max()).bit_length() - (2 * d).bit_length() + 1, 0)
     r = fold((np.arange(2 * d)[:, None] == qs >> shift).astype(p.dtype))
+    bits = (qs >> np.arange(shift)[:, None]) & 1 == 1
     sq = np.zeros((2 * d + 1, n), dtype=p.dtype)   # r^2 in rows 1 .. 2d - 1
     for bit in range(shift - 1, -1, -1):
         sq[1: d + 1] = r[0] * r   # r_0^2, then the cross terms r_i r_j, i < j
@@ -254,7 +278,7 @@ def _sweep_block(coeffs, ps, qs):
         sq[2: 2 * d - 1] *= 2
         sq[3: 2 * d: 2] += r[1:] * r[1:]   # and the squares r_i^2, i > 0
         # x r^2 (rows 0 .. 2d - 1) where the bit is set, else r^2
-        r = fold(np.where((qs >> bit) & 1 == 1, sq[:-1], sq[1:]))
+        r = fold(np.where(bits[bit], sq[:-1], sq[1:]))
     trace, power = 1 + r[1], r   # [x^0] h^0 + [x^1] h
     for i in range(2, d):
         prod = np.zeros((2 * d, n), dtype=p.dtype)
@@ -324,7 +348,10 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray, field_sizes=None):
     to 2d products, so a block runs in exact float64 while its largest
     prime is within _float_bound(2d), about 7.75e7 at d = 3 and 4.75e7 at d
     = 8, and in int64 past it, exact while d (p - 1)^2 < 2^63: p up to about
-    1.07e9 at d = 8 and 1.75e9 at d = 3, past which DomainError.
+    1.07e9 at d = 8 and 1.75e9 at d = 3, past which DomainError. A fold
+    reduces only its last d rows, not the rows it folds down, in blocks
+    where _defer_bound holds: up to p of about 2.07e6 on x^5+2x^2+26 and
+    3.57e5 on x^3+3x+213.
     """
     d = f.degree
     primes = np.asarray(primes, dtype=np.int64)

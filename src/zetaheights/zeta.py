@@ -396,9 +396,17 @@ class ZetaEvaluator:
         stencil would reach below the kernel grid's first point, 0.98 / Q.
         Cell j = floor(log n / eta) is a run of the sorted n, and its masses
         come from moments sum a_n t^d, t = log n / eta - j, in 2^16-term
-        chunks."""
+        chunks. n is filled block by block of a, with no mask over all of
+        it, and a chunk's runs start where a binary search for each cell in
+        j[0] .. j[-1] lands past the search for the cell before."""
         eta = SPREAD_STEP / _contour_halfwidth(self.gamma.degree)
-        n = np.flatnonzero(self.a[1: self.N + 1] != 0) + 1
+        a = self.a[: self.N + 1]
+        n = np.empty(np.count_nonzero(a[1:]), dtype=np.int64)
+        filled = 0
+        for lo in range(1, len(a), 1 << 16):
+            at = np.flatnonzero(a[lo: lo + (1 << 16)] != 0) + lo
+            n[filled: filled + len(at)] = at
+            filled += len(at)
         near, far = n[:1], n[1:]
         if not len(far):
             return (np.log(near), self.a[near]), (eta, 0, np.zeros(0))
@@ -410,7 +418,8 @@ class ZetaEvaluator:
             t = np.log(chunk) / eta
             j = np.clip(t.astype(np.intp), j_lo, j_hi)
             t -= j
-            runs = np.flatnonzero(np.diff(j, prepend=j_lo - 1))
+            starts = np.searchsorted(j, np.arange(j[0], j[-1] + 2))
+            runs = starts[:-1][starts[1:] > starts[:-1]]
             power = self.a[chunk]
             sums = [np.add.reduceat(power, runs)]
             for _ in range(SPREAD_POINTS - 1):

@@ -452,6 +452,66 @@ def test_coefficient_array_counts_ideals(text, override):
     assert np.array_equal(coefficient_array(K, N), plain)
 
 
+def _dense_coefficient_array(K, N, override=None):
+    """coefficient_array with a dense strided pass for every p <= sqrt N,
+    the sieve as it stood before the smooth part was carried sparse."""
+    q, n = norm_counts(K, N, override)
+    a = np.zeros(N + 1)
+    a[1] = 1.0
+    count = dict(zip(q.tolist(), n.tolist()))
+    for p in sieve_primes(math.isqrt(N)).tolist():
+        pks = [p]
+        while pks[-1] * p <= N:
+            pks.append(pks[-1] * p)
+        c = [1.0] + [0.0] * len(pks)
+        for f, pf in enumerate(pks, 1):
+            for _ in range(count[pf]):
+                for k in range(f, len(pks) + 1):
+                    c[k] += c[k - f]
+        base = a[: N // p + 1].copy()
+        for k, pk in enumerate(pks, 1):
+            if c[k]:
+                a[pk:: pk] += c[k] * base[1: N // pk + 1]
+    primes = sieve_primes(N)
+    for p in primes[primes > math.isqrt(N)].tolist():
+        if count[p]:
+            m = np.arange(1, N // p + 1)
+            a[m * p] = a[m] * count[p]
+    return a
+
+
+SIEVE_FIELDS = [row[0] for row in ROWS if P(row[0]).degree < 6] + [
+    "x", "x^2+1", "x^2-x-1", "x^2+x+1", "x^4+1", "x^7-2", "x^8-4*x^6+2",
+    "x^7-7*x+3", "x^3-x^2-2*x-8", "x^2+1000000007"]
+
+
+@pytest.mark.parametrize("text", SIEVE_FIELDS)
+def test_sparse_smooth_part_is_the_dense_sieve_bit_for_bit(ctx, text, monkeypatch):
+    """coefficient_array, built afresh, against the dense sieve with
+    np.array_equal: the ten gated rows, the five session fields, x^7-2 and
+    x^8-4x^6+2 at their evaluators' N, and x^7-7x+3, an index-divisor cubic
+    and a large discriminant at N = 60,000. N = 1..3 has no small prime, N
+    = 4..8 ends with the support still sparse, N = 9 turns dense at p = 3
+    and x^5+42's N at p = 53. (The support starts at one entry, within N //
+    2 wherever 2 is a small prime, so it never turns dense at p = 2.)"""
+    K = build_number_field(P(text))
+    big = ctx.evaluator(text).N if text in SIEVE_FIELDS[:17] else 60000
+    for N in (1, 2, 3, 4, 8, 9, 30, 1000, big):
+        monkeypatch.setattr(K.state, "coeff_array", None)
+        monkeypatch.setattr(K.state, "coeff_limit", 0)
+        assert np.array_equal(coefficient_array(K, N), _dense_coefficient_array(K, N)), N
+
+
+def test_sparse_smooth_part_under_an_override():
+    """An override that makes 2 inert and 3 split turns the sieve dense at a
+    different p; the array is still the dense sieve's."""
+    K = build_number_field(P("x^4+3*x^2+30"))
+    override = {2: [(1, 2), (1, 2)], 3: [(1, 1), (1, 1), (1, 1), (1, 1)]}
+    for N in (9, 26321):
+        assert np.array_equal(coefficient_array(K, N, override),
+                              _dense_coefficient_array(K, N, override)), N
+
+
 def test_variance_profile_examples():
     f = P("x^2+1")
     K = build_number_field(f)

@@ -380,3 +380,53 @@ def test_sweep_block_with_field_sizes_from_2_to_2_to_the_40(deg):
     want = [roots_in_field(f, p, q) for p, q in cols]
     assert swept(f, ps, qs).tolist() == want
     assert batch_root_counts(f, ps, qs).tolist() == want
+
+
+def defer_args(f):
+    """(sum |f_j|, passes) for f's fold, f_j below x^d, as _sweep_block has
+    them while every |f_j| < p/2."""
+    low = [j for j, c in enumerate(f.coefficients[:-1]) if c]
+    return sum(abs(f.coefficients[j]) for j in low), -(-f.degree // (f.degree - max(low)))
+
+
+def defer_edge(f, limit):
+    """Largest p with 2d m^2 (1 + sum |f_j|)^passes + m < limit, m = p // 2
+    + 2, by bisection."""
+    f_max, passes = defer_args(f)
+    lo, hi = 2, 2 ** 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        m = mid // 2 + 2
+        lo, hi = (mid, hi) if 2 * f.degree * m * m * (1 + f_max) ** passes + m < limit else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("text, limit", [("x^5+2*x^2+26", 2 ** 53), ("x^3+3*x+213", 2 ** 53),
+                                         ("x^7-7*x+3", 2 ** 62), ("x^3+x+1", 2 ** 62)])
+def test_sweep_block_defers_within_its_bound(text, limit):
+    """The two primes on each side of the deferral bound, swept as one block
+    each, against linear_factor_count: below it the fold reduces only its
+    last rows, above it every pass. x^7-7x+3 and x^3+x+1 reach their bound
+    past the float64 one, in int64 blocks."""
+    f = parse_polynomial(text)
+    edge = defer_edge(f, limit)
+    assert (edge > modp._float_bound(2 * f.degree)) == (limit == 2 ** 62)
+    below = [prevprime(prevprime(edge + 1)), prevprime(edge + 1)]
+    above = [nextprime(edge), nextprime(nextprime(edge))]
+    for ps, defers in ((below, True), (above, False)):
+        assert modp._defer_bound(f.degree, max(ps), *defer_args(f), limit) == defers
+        got = swept(f, np.array(ps, dtype=np.int64), np.array(ps, dtype=np.int64))
+        assert got.tolist() == [linear_factor_count(f, p) for p in ps], (ps, defers)
+
+
+def test_sweep_block_with_large_coefficients_reduces_every_pass():
+    """Coefficients near p leave 2d m^2 (1 + sum |f_j|)^passes past 2^53 at
+    every p, so the fold must reduce between passes; left unreduced, its
+    rows would pass 2^53 and lose bits."""
+    f = parse_polynomial("x^8+999983*x^5-1000003*x^3+999979*x-1234577")
+    ps = np.array(sieve_primes(400000)[-300:].tolist() + [1000003, 1000033, 1000037],
+                  dtype=np.int64)
+    p = int(ps.min())
+    f_max = sum(abs((c + p // 2) % p - p // 2) for c in f.coefficients[:-1])
+    assert not modp._defer_bound(8, p, f_max, 3, 2 ** 53)
+    assert swept(f, ps, ps).tolist() == [linear_factor_count(f, p) for p in ps.tolist()]

@@ -23,7 +23,7 @@ from zetaheights.zeta import (ARG_STEP, ARG_TAIL, CONTOUR_STEP,
                               _contour_halfwidth, _digamma, _euler_cutoff,
                               _euler_phase, _euler_tail, _hermite_pieces,
                               _log_k0, _loggamma, _mellin_barnes_logw,
-                              _phase_matrix, argument_count)
+                              _phase_matrix, _SPREAD_BASIS, argument_count)
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -295,9 +295,46 @@ def test_spread_moments_match_the_per_term_spread(ctx, text):
         assert len(edges) == 9 and np.any(cells[edges - 1] == cells[edges])
 
 
+def _diff_runs_split(ev):
+    """_split_terms as it stood with a mask over all of a and each chunk's
+    runs from np.diff: the recipe the searchsorted runs must match."""
+    eta = SPREAD_STEP / _contour_halfwidth(ev.gamma.degree)
+    n = np.flatnonzero(ev.a[1: ev.N + 1] != 0) + 1
+    near, far = n[:1], n[1:]
+    j_lo, j_hi = int(math.log(far[0]) / eta), int(math.log(far[-1]) / eta)
+    moments = np.zeros((j_hi - j_lo + 1, SPREAD_POINTS))
+    for lo in range(0, len(far), 1 << 16):
+        chunk = far[lo: lo + (1 << 16)]
+        t = np.log(chunk) / eta
+        j = np.clip(t.astype(np.intp), j_lo, j_hi)
+        t -= j
+        runs = np.flatnonzero(np.diff(j, prepend=j_lo - 1))
+        power = ev.a[chunk]
+        sums = [np.add.reduceat(power, runs)]
+        for _ in range(SPREAD_POINTS - 1):
+            sums.append(np.add.reduceat(np.multiply(power, t, out=power), runs))
+        moments[j[runs] - j_lo] += np.transpose(sums)
+    cells = np.arange(len(moments))[:, None] + np.arange(SPREAD_POINTS)
+    masses = np.bincount(cells.ravel(), (moments @ _SPREAD_BASIS).ravel())
+    return (np.log(near), ev.a[near]), (eta, j_lo + 1 - SPREAD_POINTS // 2, masses)
+
+
+@pytest.mark.parametrize("text", ["x^5+42", "x^3+3*x+213"])
+def test_split_runs_by_searchsorted_match_the_diff_runs(ctx, text):
+    """The near terms, the lattice origin and every far mass, bit for bit
+    the diff-runs recipe's."""
+    ev = ctx.evaluator(text)
+    (log_n, coeffs), (eta, first, masses) = ev._split_terms()
+    (want_log_n, want_coeffs), (want_eta, want_first, want_masses) = _diff_runs_split(ev)
+    assert (eta, first) == (want_eta, want_first)
+    for got, want in ((log_n, want_log_n), (coeffs, want_coeffs), (masses, want_masses)):
+        assert np.array_equal(got, want)
+
+
 def test_spread_memory_stays_chunked(ctx):
-    """The moment spread works in chunks of 2^16 terms: on x^5+42 its traced
-    peak stays within 12 MiB (about 9.3 MiB, most of it the nonzero n)."""
+    """The nonzero n fill one array block by block of a, and the moment
+    spread works in chunks of 2^16 terms: on x^5+42 the traced peak stays
+    within 8 MiB (about 7.5 MiB, most of it the nonzero n)."""
     import tracemalloc
     ev = ctx.evaluator("x^5+42")
     tracemalloc.start()
@@ -306,7 +343,7 @@ def test_spread_memory_stays_chunked(ctx):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
 
 
 def _full_masked_theta(ev, split, taus, log_cut=math.inf):
